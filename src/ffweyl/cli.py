@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .algebra import NEG_INF, Field, parse_poly
@@ -210,13 +209,8 @@ def _cmd_equidist(args):
     field = Field.parse(args.field)
     f = _load_exppoly(args, field)
     N_list = _parse_int_list(args.N)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(
-                lambda N: _scan_one(f, N, args.D, args.depth, args.budget), N_list))
-    else:
-        rows = [_scan_one(f, N, args.D, args.depth, args.budget) for N in N_list]
-    rows = sorted(rows, key=lambda r: r.N)
+    rows = sorted((_scan_one(f, N, args.D, args.depth, args.budget) for N in N_list),
+                  key=lambda r: r.N)
     result = {
         "rows": [{"N": r.N, "sup": _fmt_float(r.sup), "witness": r.witness,
                   "discrepancy": None if r.discrepancy is None else str(r.discrepancy)}
@@ -322,7 +316,9 @@ def _add_common(parser, suppress):
     parser.add_argument("--out", choices=("json", "csv"),
                         **(sup or {"default": "json"}))
     parser.add_argument("--seed", type=int, **(sup or {"default": 0}))
-    parser.add_argument("--threads", type=int, **(sup or {"default": 1}))
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility; runs are single-threaded",
+                        **(sup or {"default": 1}))
     parser.add_argument("--budget", type=int,
                         help="cap on q^N-style enumerations",
                         **(sup or {"default": None}))

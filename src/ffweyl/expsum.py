@@ -7,33 +7,27 @@ is finally requested.  The zero test "all counts equal" is exact because p is
 prime (the minimal polynomial of a primitive p-th root of unity over Q is
 1 + x + ... + x^{p-1}).
 
-Two independent evaluation paths compute the per-point character residues:
-
-* a vectorized path that tabulates the coefficient coordinates of x^r for a
-  whole index block and contracts them with precomputed weight vectors, and
-* a direct path that walks points one by one through plain field arithmetic.
-
-Both are exact integer computations and must agree; the tests enforce this.
+One engine computes the per-point character residues and fractional digits
+for every q: it splits x = x_lo + t^h x_hi with h = N // 2, tabulates the
+coordinates of the powers of x_lo over G_h and of x_hi over G_{N-h}, and
+contracts the two tables through Lucas binomials and Hankel blocks of the
+coefficient digits in one matrix product.  The direct path
+(method="direct") walks points one by one through plain field arithmetic and
+is kept only as the independent oracle; the tests make the two agree.
 """
 from __future__ import annotations
 
 import cmath
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import Field, check_budget, parse_poly, poly_from_index
-from .errors import BudgetError, DomainError, PrecisionError
+from .errors import DomainError, PrecisionError
+from .exponents import lucas_binom
 from .kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd, kernel_element,
                      kmul_poly, parse_kelem)
-
-#: Largest q^N for which full coefficient tables are cached.
-TABLE_LIMIT = 1 << 16
-
-#: Row-block size for streaming evaluation of larger ranges.
-BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,7 @@ class CharSum:
     @classmethod
     def from_residues(cls, p, residues):
         counts = np.bincount(np.asarray(residues, dtype=np.int64), minlength=p)
-        return cls(p, tuple(int(c) for c in counts))
+        return cls(p, tuple(counts.tolist()))
 
     @property
     def total(self):
@@ -89,6 +83,13 @@ class CharSum:
 def e_of(alpha):
     """Character residue r mod p of alpha, encoding exp(2*pi*i*r/p)."""
     return alpha.field.char_residue(alpha.res())
+
+
+def _member(obj, key):
+    """obj[key] of a JSON object; DomainError when the key is missing."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError(f"ExpPoly JSON needs {key!r} in {obj!r}")
+    return obj[key]
 
 
 class ExpPoly:
@@ -166,11 +167,11 @@ class ExpPoly:
     @classmethod
     def from_json(cls, obj, field=None, default_seed=0):
         if field is None:
-            field = Field.parse(obj["field"])
+            field = Field.parse(_member(obj, "field"))
         coeffs = {}
-        for term in obj["terms"]:
-            r = int(term["exp"])
-            spec = term["coeff"]
+        for term in _member(obj, "terms"):
+            r = int(_member(term, "exp"))
+            spec = _member(term, "coeff")
             if "rat" in spec:
                 num, den = spec["rat"]
                 c = RationalK(parse_poly(field, num), parse_poly(field, den))
@@ -182,7 +183,7 @@ class ExpPoly:
                     raise DomainError("series floor disagrees with its O-term")
             elif "kernel" in spec:
                 seed = int(spec["kernel"].get("seed", default_seed))
-                c = kernel_element(field, int(spec["kernel"]["floor"]), seed)
+                c = kernel_element(field, int(_member(spec["kernel"], "floor")), seed)
             else:
                 raise DomainError(f"unknown coefficient form {sorted(spec)}")
             if r in coeffs:
@@ -200,7 +201,7 @@ class ExpPoly:
 
 
 # ---------------------------------------------------------------------------
-# Digit vectors and weight construction.
+# Digit vectors and the bilinear forms they define on coordinates.
 
 def required_floor(r, N, depth=1):
     """Deepest digit position read from the coefficient of u^r over G_N."""
@@ -217,137 +218,118 @@ def _term_digit_vector(coeff, r, N, depth):
     return coeff.digits(-need, -1)[::-1]  # index s holds the digit at -(1+s)
 
 
-def _basis_codes(field):
-    return [field.p ** i for i in range(field.m)]
+def _bilinear_form(field, dvec, proj):
+    """W[n, i, k] = proj(e_i * e_k * d_n) for the power basis e_i = p^i.
 
-
-def _trace_weights(field, dvec, offset, L):
-    """w[j*m + i] = trace(basis_i * d_{offset+j}); contracts coords to residues."""
-    basis = _basis_codes(field)
-    w = np.empty(L * field.m, dtype=np.int64)
-    for j in range(L):
-        d = dvec[offset + j]
-        for i, b in enumerate(basis):
-            w[j * field.m + i] = field.trace(field.mul(b, d))
-    return w
-
-
-def _coord_weights(field, dvec, offset, L, coord):
-    """Like _trace_weights but projecting the product onto one coordinate."""
-    basis = _basis_codes(field)
-    w = np.empty(L * field.m, dtype=np.int64)
-    for j in range(L):
-        d = dvec[offset + j]
-        for i, b in enumerate(basis):
-            w[j * field.m + i] = field.coords(field.mul(b, d))[coord]
-    return w
+    proj is an F_p-linear map F_q -> F_p (the trace, or one coordinate), so
+    proj(a * b * d_n) = sum_{i,k} a_i b_k W[n, i, k] for coordinates a_i, b_k.
+    """
+    mul, m = field.mul, field.m
+    basis = [field.p ** i for i in range(m)]
+    pairs = [mul(a, b) for a in basis for b in basis]
+    return np.array([proj(mul(ab, d)) for d in dvec for ab in pairs],
+                    dtype=np.int64).reshape(len(dvec), m, m)
 
 
 # ---------------------------------------------------------------------------
-# Coefficient tables: coordinates of the coefficients of x^r per index block.
+# The split engine.  With h = N // 2 write x = x_lo + t^h x_hi, x_lo in G_h and
+# x_hi in G_{N-h}; index i of G_N is i_lo + q^h i_hi.  By Lucas,
+# x^r = sum_j C(r, j) x_lo^j t^{h(r-j)} x_hi^{r-j}, so a digit of d * x^r is a
+# bilinear form in the coordinates of x_lo^j and x_hi^{r-j}, and one matrix
+# product of a table over G_h with a table over G_{N-h} gives every point.
 
-_table_cache = OrderedDict()
-_TABLE_CACHE_MAX = 12
+def _power_table(field, n, top, rows):
+    """Coordinates of x^0, ..., x^top side by side, for the first `rows` points of G_n.
 
-
-def _field_key(field):
-    return (field.p, field.m, field.modulus)
-
-
-def _power_len(r, N):
-    return r * max(N - 1, 0) + 1
-
-
-def _digit_block_m1(field, N, lo, hi):
-    idx = np.arange(lo, hi, dtype=np.int64)
-    q = field.q
-    if N == 0:
-        return np.zeros((hi - lo, 0), dtype=np.int8)
-    cols = [((idx // q ** j) % q).astype(np.int8) for j in range(N)]
-    return np.stack(cols, axis=1)
-
-
-def _power_blocks(field, rs, N, lo, hi):
-    """Coefficient coordinate tables for x^r, r in rs, as (rows, L_r*m) int8."""
-    rs = sorted(set(r for r in rs if r >= 1))
-    out = {}
-    if not rs:
-        return out
-    if N == 0:
-        # G_0 = {0}: every positive power is the zero polynomial
-        return {r: np.zeros((hi - lo, _power_len(r, N) * field.m), dtype=np.int8)
-                for r in rs}
-    if field.m == 1:
-        p = field.p
-        T1 = _digit_block_m1(field, N, lo, hi)
-        prev = T1.astype(np.int32)
-        if 1 in rs:
-            out[1] = T1
-        for r in range(2, rs[-1] + 1):
-            nxt = np.zeros((hi - lo, _power_len(r, N)), dtype=np.int32)
-            for j in range(min(N, T1.shape[1])):
-                width = prev.shape[1]
-                nxt[:, j:j + width] += prev * T1[:, j:j + 1].astype(np.int32)
-            nxt %= p
+    x^j has j * max(n - 1, 0) + 1 coefficients; column m*a + i of its block
+    holds coordinate i of the coefficient of t^a.  Returns the table and the
+    first column of each block (plus the end of the last).
+    """
+    p, q, m = field.p, field.q, field.m
+    idx = np.arange(rows)[:, None]
+    one = np.zeros((rows, m), dtype=np.int64)
+    one[:, 0] = 1
+    # the base-p digits of an index are the coordinates of its coefficients;
+    # G_0 = {0} still has one (zero) coefficient
+    blocks = [one, idx // p ** np.arange(max(n, 1) * m) % p][:top + 1]
+    if top > 1:
+        muladd = np.array(field._add)[:, np.array(field._mul)]  # [s, a, b] = s + a*b
+        x = prev = idx // q ** np.arange(n) % q  # coefficient codes of x
+        for j in range(2, top + 1):
+            nxt = np.zeros((rows, j * max(n - 1, 0) + 1), dtype=np.int64)
+            for b in range(n):
+                window = nxt[:, b:b + prev.shape[1]]
+                window[...] = muladd[window, prev, x[:, b:b + 1]]
+            blocks.append((nxt[:, :, None] // p ** np.arange(m) % p).reshape(rows, -1))
             prev = nxt
-            if r in rs:
-                out[r] = nxt.astype(np.int8)
-        return out
-    # general q: fill per point; only sensible at cached-table scale
-    for r in rs:
-        out[r] = np.zeros((hi - lo, _power_len(r, N) * field.m), dtype=np.int8)
-    for row, i in enumerate(range(lo, hi)):
-        x = poly_from_index(field, i, N)
-        powers = {}
-        acc = field.poly_one
-        for r in range(1, rs[-1] + 1):
-            acc = acc * x
-            if r in out:
-                powers[r] = acc
-        for r, xr in powers.items():
-            tbl = out[r]
-            for j, c in enumerate(xr.coeffs):
-                for i2, cv in enumerate(field.coords(c)):
-                    tbl[row, j * field.m + i2] = cv
-    return out
+    starts = [0]
+    for block in blocks:
+        starts.append(starts[-1] + block.shape[1])
+    return np.concatenate(blocks, axis=1), starts
 
 
-def _tables_for(field, rs, N, lo, hi):
-    total = field.q ** N
-    if total <= TABLE_LIMIT:
-        key = _field_key(field)
-        missing = [r for r in rs if (key, N, r) not in _table_cache]
-        if missing:
-            built = _power_blocks(field, missing, N, 0, total)
-            for r, tbl in built.items():
-                _table_cache[(key, N, r)] = tbl
-        out = {}
-        for r in rs:
-            _table_cache.move_to_end((key, N, r))
-            out[r] = _table_cache[(key, N, r)][lo:hi]
-        while len(_table_cache) > _TABLE_CACHE_MAX:
-            _table_cache.popitem(last=False)
-        return out
-    return _power_blocks(field, rs, N, lo, hi)
+def _split_table(f, N, hi):
+    """The power table over G_{N-h} that a slice of G_N ending at hi reads.
+
+    G_h is the first q^h points of G_{N-h}, so one table serves both halves.
+    """
+    qh = f.field.q ** (N // 2)
+    return _power_table(f.field, N - N // 2, f.max_exp(), max(qh, -(-hi // qh)))
+
+
+def _split_contract(f, N, lo, hi, table, depth_index, proj):
+    """proj of the digit at -(1+depth_index) of f(x), for x over [lo, hi).
+
+    The term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times a
+    Hankel block: ((a, i), (b, k)) -> proj(e_i e_k d_{depth_index+a+b+h*e}).
+    Only the rows x_hi that [lo, hi) meets enter the final product.
+    """
+    field = f.field
+    p, m = field.p, field.m
+    h = N // 2
+    qh = field.q ** h
+    first, last = lo // qh, -(-hi // qh)
+    powers, starts = table
+    width = (starts[-1] - starts[-2]) // m
+    hankel = np.arange(width)[:, None] + np.arange(width)  # a + b, wide enough for every block
+    parts = {}  # e -> the factor that meets the coordinates of x_hi^e
+    for r, coeff in f.terms:
+        form = _bilinear_form(field, _term_digit_vector(coeff, r, N, depth_index + 1), proj)
+        for j in range(r + 1):
+            c = lucas_binom(r, j, p)
+            if not c:
+                continue
+            e = r - j
+            la = j * max(h - 1, 0) + 1  # x_lo^j has degree below j*(h-1)+1
+            lb = (starts[e + 1] - starts[e]) // m
+            block = form[depth_index + h * e:][hankel[:la, :lb]]
+            block = c * block.transpose(0, 2, 1, 3).reshape(la * m, lb * m)
+            part = powers[:qh, starts[j]:starts[j] + la * m] @ block
+            parts[e] = parts[e] + part if e in parts else part
+    if not parts:
+        return np.zeros(hi - lo, dtype=np.int64)
+    highs = np.concatenate([powers[first:last, starts[e]:starts[e + 1]] for e in parts], axis=1)
+    out = highs @ (np.concatenate(list(parts.values()), axis=1) % p).T
+    out %= p  # row i_hi - first, column i_lo: C order is index order
+    return out.ravel()[lo - first * qh:hi - first * qh]
 
 
 # ---------------------------------------------------------------------------
 # Residues of the character at every point of an index range.
 
-def _residues_table(f, N, lo, hi, depth_index=0):
-    field = f.field
-    p = field.p
-    acc = np.zeros(hi - lo, dtype=np.int64)
-    rs = [r for r, _ in f.terms if r >= 1]
-    tables = _tables_for(field, rs, N, lo, hi)
-    for r, coeff in f.terms:
-        dvec = _term_digit_vector(coeff, r, N, depth_index + 1)
-        if r == 0:
-            acc += field.trace(dvec[depth_index])
-            continue
-        w = _trace_weights(field, dvec, depth_index, _power_len(r, N))
-        acc += tables[r] @ w
-    return acc % p
+def _check_range(field, N, lo, hi, method, budget, what):
+    """The shared entry check; returns hi with its default filled in."""
+    if N < 0:
+        raise DomainError("N must be nonnegative")
+    total = field.q ** N
+    check_budget(total, budget, what)
+    if hi is None:
+        hi = total
+    if not (0 <= lo <= hi <= total):
+        raise DomainError("bad index range")
+    if method not in (None, "direct"):
+        raise DomainError(f"unknown evaluation method {method!r}")
+    return hi
 
 
 def _residues_direct(f, N, lo, hi, depth_index=0):
@@ -381,29 +363,10 @@ def _residues_direct(f, N, lo, hi, depth_index=0):
 
 def weyl_residues(f, N, lo=0, hi=None, method=None, budget=None):
     """Character residues of f(x) for x over an index range of G_N (exact)."""
-    field = f.field
-    total = field.q ** N
-    check_budget(total, budget, "character sum")
-    if hi is None:
-        hi = total
-    if not (0 <= lo <= hi <= total):
-        raise DomainError("bad index range")
-    if method is None:
-        method = "table" if (field.m == 1 or total <= TABLE_LIMIT) else "direct"
-    if method not in ("table", "direct"):
-        raise DomainError(f"unknown evaluation method {method!r}")
+    hi = _check_range(f.field, N, lo, hi, method, budget, "character sum")
     if method == "direct":
         return _residues_direct(f, N, lo, hi)
-    if field.m > 1 and total > TABLE_LIMIT:
-        raise BudgetError("coefficient tables over extension fields are "
-                          "limited to cached-table scale")
-    out = np.empty(hi - lo, dtype=np.int64)
-    pos = lo
-    while pos < hi:
-        end = min(pos + BLOCK, hi)
-        out[pos - lo:end - lo] = _residues_table(f, N, pos, end)
-        pos = end
-    return out
+    return _split_contract(f, N, lo, hi, _split_table(f, N, hi), 0, f.field.trace)
 
 
 def weyl_sum(f, N, lo=0, hi=None, method=None, budget=None):
@@ -426,45 +389,16 @@ def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
     if depth < 1:
         raise DomainError("depth must be at least 1")
     field = f.field
-    total = field.q ** N
-    check_budget(total, budget, "cylinder count")
-    if hi is None:
-        hi = total
-    if method is None:
-        method = "table" if (field.m == 1 or total <= TABLE_LIMIT) else "direct"
-    if method == "direct" or (field.m > 1 and total > TABLE_LIMIT):
+    hi = _check_range(field, N, lo, hi, method, budget, "cylinder count")
+    if method == "direct":
         return _digit_rows_direct(f, N, depth, lo, hi)
-    cols = []
-    for i in range(depth):
-        cols.append(_digit_col_table(f, N, i, lo, hi))
-    stacked = np.stack(cols, axis=1)
-    return [tuple(int(v) for v in row) for row in stacked]
-
-
-def _digit_col_table(f, N, depth_index, lo, hi):
-    field = f.field
-    p, m = field.p, field.m
-    rs = [r for r, _ in f.terms if r >= 1]
-    coords = [np.zeros(hi - lo, dtype=np.int64) for _ in range(m)]
-    pos = lo
-    while pos < hi:
-        end = min(pos + BLOCK, hi)
-        tables = _tables_for(field, rs, N, pos, end)
-        for r, coeff in f.terms:
-            dvec = _term_digit_vector(coeff, r, N, depth_index + 1)
-            if r == 0:
-                d = dvec[depth_index]
-                for c in range(m):
-                    coords[c][pos - lo:end - lo] += field.coords(d)[c]
-                continue
-            for c in range(m):
-                w = _coord_weights(field, dvec, depth_index, _power_len(r, N), c)
-                coords[c][pos - lo:end - lo] += tables[r] @ w
-        pos = end
-    codes = np.zeros(hi - lo, dtype=np.int64)
-    for c in range(m - 1, -1, -1):
-        codes = codes * p + (coords[c] % p)
-    return codes
+    table = _split_table(f, N, hi)
+    codes = np.zeros((hi - lo, depth), dtype=np.int64)
+    for s in range(depth):
+        for c in range(field.m):
+            coord = _split_contract(f, N, lo, hi, table, s, lambda v, c=c: field.coords(v)[c])
+            codes[:, s] += field.p ** c * coord
+    return [tuple(row) for row in codes.tolist()]
 
 
 def _digit_rows_direct(f, N, depth, lo, hi):

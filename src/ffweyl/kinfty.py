@@ -75,13 +75,19 @@ class RationalK:
             for e in range(max(lo, 0), hi + 1):
                 out[e] = pp.coeff(e)
         if lo < 0:
-            D = self.den.deg
-            s = self.num % self.den
+            # long division: s = t^(j-1) * num mod den, kept as D codes; the
+            # digit at -j is its top coefficient, and den is monic
+            fa, fm, fn = self.field._add, self.field._mul, self.field._neg
+            den = self.den.coeffs
+            D = len(den) - 1
+            s = list((self.num % self.den).coeffs)
+            s += [0] * (D - len(s))
             for j in range(1, -lo + 1):
-                e = -j
-                if e <= hi:
-                    out[e] = s.coeff(D - 1)
-                s = s.shift(1) % self.den
+                c = s[-1] if s else 0
+                if -j <= hi:
+                    out[-j] = c
+                row = fm[c]
+                s = [fa[a][fn[row[b]]] for a, b in zip([0] + s, den[:-1])]
         return [out.get(e, 0) for e in range(lo, hi + 1)]
 
     def res(self):
@@ -374,8 +380,8 @@ def frac_ord_vs(alpha, N):
     'at_or_above'; all-zero known digits covering [-N, -1] settle 'below'.
     """
     if isinstance(alpha, RationalK):
-        o = alpha.frac().ord()
-        return "below" if (o is NEG_INF or o < -N) else "at_or_above"
+        o = (alpha.num % alpha.den).deg - alpha.den.deg  # -inf for a zero fraction
+        return "below" if o < -N else "at_or_above"
     if alpha.floor > -1:
         raise PrecisionError("fractional digits unknown")
     for e in range(-1, max(alpha.floor, -N) - 1, -1):

@@ -18,7 +18,6 @@ _ENVELOPE_BASE = {
 
 
 def _envelope(result_schema):
-    schema = dict(_ENVELOPE_BASE)
     schema = {**_ENVELOPE_BASE, "properties": dict(_ENVELOPE_BASE["properties"])}
     schema["properties"]["result"] = result_schema
     return schema

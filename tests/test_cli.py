@@ -123,6 +123,17 @@ def test_error_exit_codes(capsys):
     assert json.loads(err)["error"]["type"] == "BudgetError"
 
 
+def test_malformed_input_exits_2(capsys):
+    term = {"exp": 1, "coeff": {"rat": ["1", "t"]}}
+    for f_obj, N in (({"field": "q=2"}, "2"),
+                     ({"field": "q=2", "terms": [{"exp": 1}]}, "2"),
+                     ({"field": "q=2", "terms": [term]}, "-1")):
+        code, out, err = run_cli(["weyl", "--field", "q=2", "--f", json.dumps(f_obj),
+                                  "--N", N], capsys)
+        assert code == 2 and not out
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
+
 def test_unknown_flag_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "ffweyl.cli", "exponents", "--p", "2",

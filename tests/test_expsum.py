@@ -95,18 +95,50 @@ def test_histogram_conservation_fuzz():
         assert weyl_sum(f, N).total == F.q ** N
 
 
-def test_table_vs_direct_vs_evaluate():
+def _slices(rng, q, N):
+    """Index slices of G_N: empty, one row, one across a q^(N//2) block edge, random."""
+    total, block = q ** N, q ** (N // 2)
+    out = [(0, 0), (total - 1, total)]
+    if total > block:
+        edge = block * rng.randrange(1, total // block)
+        out.append((edge - 1, edge + 1))
+    lo = rng.randrange(total + 1)
+    out.append((lo, rng.randrange(lo, total + 1)))
+    return out
+
+
+def test_split_vs_direct_vs_evaluate():
     rng = random.Random(31)
-    for q in (2, 3, 5, 4, 9):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         F = field(q)
-        for _ in range(8):
-            N = rng.randrange(0, 3)
-            f = rand_exppoly(rng, F)
-            rt = weyl_residues(f, N, method="table")
-            rd = weyl_residues(f, N, method="direct")
-            assert (rt == rd).all()
-            for i, x in enumerate(enumerate_GN(F, N)):
-                assert e_of(f.evaluate(x)) == int(rt[i])
+        for N in range(6 if q <= 5 else 4):
+            f = rand_exppoly(rng, F, max_exp=rng.choice((4, 6, 9)))
+            rs = weyl_residues(f, N)
+            assert (rs == weyl_residues(f, N, method="direct")).all()
+            for lo, hi in _slices(rng, q, N):
+                part = weyl_residues(f, N, lo, hi)
+                assert (part == rs[lo:hi]).all()
+                assert (weyl_residues(f, N, lo, hi, method="direct") == part).all()
+                for i in range(lo, min(hi, lo + 2)):
+                    x = poly_from_index(F, i, N)
+                    assert e_of(f.evaluate(x)) == int(part[i - lo])
+            # every point of G_N for N <= 2, the first q^2 points beyond
+            for x, r in zip(enumerate_GN(F, min(N, 2)), rs):
+                assert e_of(f.evaluate(x)) == int(r)
+
+
+def test_evaluation_method_and_range_checks():
+    F3 = field(3)
+    f = lin(F3, RationalK(F3.poly_one, F3.poly_t))
+    for bad in ("table", "split", ""):
+        with pytest.raises(DomainError):
+            weyl_residues(f, 2, method=bad)
+        with pytest.raises(DomainError):
+            fractional_digit_rows(f, 2, 1, method=bad)
+    for call in (lambda: weyl_residues(f, -1), lambda: fractional_digit_rows(f, -1, 1),
+                 lambda: weyl_residues(f, 2, 5, 4), lambda: fractional_digit_rows(f, 2, 1, 0, 10)):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_twist_linearity_pointwise():
@@ -163,16 +195,19 @@ def test_kernel_certificate():
 
 def test_fractional_digit_rows_paths_agree():
     rng = random.Random(34)
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 8, 9):
         F = field(q)
         for _ in range(6):
-            N = rng.randrange(1, 3)
+            N = rng.randrange(1, 4 if q <= 4 else 3)
             f = rand_exppoly(rng, F, max_exp=4, floor=-50)
-            a = fractional_digit_rows(f, N, 3, method="table")
+            a = fractional_digit_rows(f, N, 3)
             b = fractional_digit_rows(f, N, 3, method="direct")
             assert a == b
+            lo = rng.randrange(len(a) + 1)
+            hi = rng.randrange(lo, len(a) + 1)
+            assert fractional_digit_rows(f, N, 3, lo, hi) == a[lo:hi]
             # digit 1 of the rows matches the residue source of e_of
-            for row, x in zip(a, enumerate_GN(F, N)):
+            for row, x in zip(a[:16], enumerate_GN(F, N)):
                 assert row[0] == f.evaluate(x).digit(-1)
 
 
@@ -191,6 +226,12 @@ def test_exppoly_json_roundtrip():
     with pytest.raises(DomainError):
         ExpPoly.from_json({"field": "q=2", "terms": [
             {"exp": 1, "coeff": {"bogus": 1}}]})
+    for broken in ({"field": "q=2"}, {"terms": []},
+                   {"field": "q=2", "terms": [{"coeff": {"rat": ["1", "t"]}}]},
+                   {"field": "q=2", "terms": [{"exp": 1}]},
+                   {"field": "q=2", "terms": [{"exp": 1, "coeff": {"kernel": {}}}]}):
+        with pytest.raises(DomainError):
+            ExpPoly.from_json(broken)
 
 
 def test_exppoly_drops_exact_zero_and_rejects_negative():
