@@ -241,9 +241,6 @@ class Field:
 
     # -- polynomial and parsing conveniences ---------------------------------
 
-    def poly(self, coeffs):
-        return Poly(self, coeffs)
-
     def spec_string(self):
         if self.m == 1:
             return f"q={self.q}"
@@ -330,14 +327,15 @@ def format_fp_poly(coeffs):
 
 
 def _split_terms(s):
-    """Split on top-level +/- signs; '[...]' groups and '^-' exponents stay intact."""
+    """Split on top-level +/- signs; '[...]' and '(...)' groups and '^-'
+    exponents stay intact."""
     out = []
     sign, buf, depth = "+", [], 0
     prev = ""
     for ch in s:
-        if ch == "[":
+        if ch in "([":
             depth += 1
-        elif ch == "]":
+        elif ch in ")]":
             depth -= 1
         if ch in "+-" and depth == 0 and prev != "^":
             if any(not c.isspace() for c in buf):

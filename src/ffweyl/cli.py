@@ -13,10 +13,10 @@ import json
 import sys
 
 from . import __version__
-from .algebra import NEG_INF, Field, parse_poly
+from .algebra import NEG_INF, Field, _split_terms, parse_poly
 from .contfrac import approx_quality, cf_expand, convergents
 from .equidist import weyl_scan
-from .errors import BudgetError, FFWeylError
+from .errors import BudgetError, DomainError, FFWeylError
 from .expsum import ExpPoly, twisted_sum, weyl_sum
 from .exponents import derived_sets
 from .kinfty import parse_kelem
@@ -46,12 +46,16 @@ def _fmt_ord(v):
 
 
 def _parse_int_list(text):
-    """Accept '3', '1,2,5' and '1..12' (inclusive range)."""
+    """Accept '3', '1,2,5' and '1..12' (inclusive range); never empty."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+        out = list(range(int(lo), int(hi) + 1))
+    else:
+        out = [int(part) for part in text.split(",") if part.strip()]
+    if not out:
+        raise DomainError(f"empty integer list {text!r}")
+    return out
 
 
 def _load_json_arg(text):
@@ -62,34 +66,10 @@ def _load_json_arg(text):
         return json.load(fh)
 
 
-def _split_top(s, seps="+-"):
-    out = []
-    sign, buf, depth = "+", [], 0
-    prev = ""
-    for ch in s:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch in seps and depth == 0 and prev != "^":
-            if any(not c.isspace() for c in buf):
-                out.append((sign, "".join(buf)))
-                sign, buf = ch, []
-            else:
-                sign = "-" if (sign == "-") != (ch == "-") else "+"
-        else:
-            buf.append(ch)
-        if not ch.isspace():
-            prev = ch
-    if any(not c.isspace() for c in buf):
-        out.append((sign, "".join(buf)))
-    return out
-
-
 def parse_upoly(field, s):
     """Parse a u-polynomial with F_q[t] coefficients, e.g. '(t^2+1)*u^3 + u + t'."""
     out = {}
-    for sign, term in _split_top(s):
+    for sign, term in _split_terms(s):
         term = term.strip()
         upos = None
         depth = 0
@@ -200,17 +180,11 @@ def _cmd_weyl(args):
           result, (("residue", "count"), rows))
 
 
-def _scan_one(f, N, D, depth, budget):
-    verdict = weyl_scan(f, [N], D, depth=depth, budget=budget)
-    return verdict.rows[0]
-
-
 def _cmd_equidist(args):
     field = Field.parse(args.field)
     f = _load_exppoly(args, field)
     N_list = _parse_int_list(args.N)
-    rows = sorted((_scan_one(f, N, args.D, args.depth, args.budget) for N in N_list),
-                  key=lambda r: r.N)
+    rows = weyl_scan(f, N_list, args.D, depth=args.depth, budget=args.budget).rows
     result = {
         "rows": [{"N": r.N, "sup": _fmt_float(r.sup), "witness": r.witness,
                   "discrepancy": None if r.discrepancy is None else str(r.discrepancy)}

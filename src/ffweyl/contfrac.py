@@ -251,10 +251,6 @@ class RationalityReport:
     entries: tuple
 
     @property
-    def hits(self):
-        return tuple(e.N for e in self.entries if e.status == "hit")
-
-    @property
     def all_hit(self):
         return all(e.status == "hit" for e in self.entries)
 

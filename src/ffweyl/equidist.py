@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import poly_from_index
 from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
@@ -50,9 +52,10 @@ def cylinder_counts(f, N, depth=None, method=None, budget=None):
         if depth < 1:
             raise PrecisionError("coefficient floors allow no digit at all")
     rows = fractional_digit_rows(f, N, depth, method=method, budget=budget)
-    counts = {}
-    for row in rows:
-        counts[row] = counts.get(row, 0) + 1
+    rows = rows[np.lexsort(rows.T[::-1])]  # lexicographic, so equal rows form runs
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    sizes = np.diff(np.r_[starts, len(rows)])
+    counts = dict(zip(map(tuple, rows[starts].tolist()), sizes.tolist()))
     return CylinderTable(depth, len(rows), counts)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .algebra import _is_prime
 from .errors import DomainError
 
 
@@ -128,5 +129,10 @@ class DerivedSets(NamedTuple):
 
 
 def derived_sets(K, p):
+    """Every derived set of K, after checking that p is prime and K positive."""
+    if not _is_prime(p):
+        raise DomainError(f"p = {p} is not prime")
+    if any(r < 1 for r in K):
+        raise DomainError("the digit order is defined on positive integers")
     return DerivedSets(shadow(K, p), kstar(K, p), sprime(K, p),
                        ktilde(K, p), maximal_elements(K, p))

@@ -27,7 +27,7 @@ from .algebra import Field, check_budget, parse_poly, poly_from_index
 from .errors import DomainError, PrecisionError
 from .exponents import lucas_binom
 from .kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd, kernel_element,
-                     kmul_poly, parse_kelem)
+                     kmul_poly, kmul_scalar, parse_kelem)
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,22 @@ class ExpPoly:
     def scale_poly(self, m):
         """The polynomial m*f, every coefficient multiplied by m."""
         return ExpPoly(self.field, {r: kmul_poly(c, m) for r, c in self.terms})
+
+    def substitute(self, a, b):
+        """f(a*u + b) as an ExpPoly in u, for polynomials a and b.
+
+        In characteristic p, (a*u + b)^r = sum_j C(r, j) a^j b^(r-j) u^j with
+        C(r, j) taken mod p (Lucas), so only the shadow of each exponent appears.
+        """
+        p = self.field.p
+        coeffs = {}
+        for r, c in self.terms:
+            for j in range(r + 1):
+                binom = lucas_binom(r, j, p)
+                if binom:
+                    term = kmul_scalar(kmul_poly(c, a ** j * b ** (r - j)), binom)
+                    coeffs[j] = kadd(coeffs[j], term) if j in coeffs else term
+        return ExpPoly(self.field, coeffs)
 
     def evaluate(self, x):
         """f(x) as an element of K, full precision bookkeeping included."""
@@ -383,8 +399,9 @@ def twisted_sum(f, m, N, lo=0, hi=None, method=None, budget=None):
 def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
     """Per-point leading fractional digits (c_1, ..., c_depth) of f(x).
 
-    Row order matches the enumeration of G_N; digit i is the coefficient of
-    t^-i, as a field element code.
+    Returns an int64 array of shape (hi - lo, depth).  Row order matches the
+    enumeration of G_N; column i - 1 holds the coefficient of t^-i, as a field
+    element code.
     """
     if depth < 1:
         raise DomainError("depth must be at least 1")
@@ -398,7 +415,7 @@ def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
         for c in range(field.m):
             coord = _split_contract(f, N, lo, hi, table, s, lambda v, c=c: field.coords(v)[c])
             codes[:, s] += field.p ** c * coord
-    return [tuple(row) for row in codes.tolist()]
+    return codes
 
 
 def _digit_rows_direct(f, N, depth, lo, hi):
@@ -407,11 +424,10 @@ def _digit_rows_direct(f, N, depth, lo, hi):
     for r, coeff in f.terms:
         terms.append((r, _term_digit_vector(coeff, r, N, depth)))
     add, mul = field.add, field.mul
-    rows = []
-    for i in range(lo, hi):
+    rows = np.zeros((hi - lo, depth), dtype=np.int64)
+    for row, i in enumerate(range(lo, hi)):
         x = poly_from_index(field, i, N)
         powers = {r: x ** r for r, _ in terms if r >= 1}
-        row = []
         for di in range(depth):
             acc = 0
             for r, dvec in terms:
@@ -421,8 +437,7 @@ def _digit_rows_direct(f, N, depth, lo, hi):
                 for j, c in enumerate(powers[r].coeffs):
                     if c:
                         acc = add(acc, mul(c, dvec[di + j]))
-            row.append(acc)
-        rows.append(tuple(row))
+            rows[row, di] = acc
     return rows
 
 

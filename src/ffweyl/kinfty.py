@@ -225,10 +225,6 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 # Mixed arithmetic.  KElem means RationalK | TruncSeries throughout.
 
-def field_of(alpha):
-    return alpha.field
-
-
 def kneg(alpha):
     return -alpha
 
@@ -250,10 +246,8 @@ def kadd(a, b):
             tops.append(v)
     hi = max(tops, default=floor - 1)
     fa = field._add
-    out = []
-    for e in range(floor, hi + 1):
-        out.append(fa[a.digit(e)][b.digit(e)])
-    return TruncSeries(field, floor, out)
+    pairs = zip(a.digits(floor, hi), b.digits(floor, hi))
+    return TruncSeries(field, floor, [fa[x][y] for x, y in pairs])
 
 
 def kmul_scalar(alpha, c):
@@ -352,10 +346,6 @@ def truncate(alpha, floor):
 def expand_rational(alpha, floor):
     """Truncated-series view of an exact rational down to the given floor."""
     return alpha.expand(floor)
-
-
-def ord_of(alpha):
-    return alpha.ord()
 
 
 def ord_norm(alpha):
@@ -499,7 +489,3 @@ def parse_kelem(field, s):
         terms = parse_terms(field, body) if body else {}
         return TruncSeries.from_digits(field, floor, terms)
     return RationalK(parse_poly(field, s))
-
-
-def format_kelem(alpha):
-    return str(alpha)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import (Poly, check_budget, enumerate_GN, gn_size, irreducibles,
                       poly_crt, poly_from_index, roots_mod)
 from .errors import BudgetError, DomainError, HypothesisError
-from .expsum import CharSum, e_of
+from .expsum import CharSum, ExpPoly, weyl_sum
 from .kinfty import kmul_poly
 
 #: Default cap on deg g_M for the literal product.
@@ -136,6 +136,9 @@ class TmnResult:
 def t_mn(phi, alpha, M, N, field, gm=None, mode="literal", budget=None):
     """Normalized character average of alpha * phi(g_M x + root) over G_N.
 
+    The composition is expanded in x (ExpPoly.substitute) and summed by the
+    residue engine.
+
     Exactly 1 (all residues 0) whenever alpha is rational with denominator
     dividing g_M; in particular for any monic denominator of degree < M in
     literal mode, since every such polynomial is one of the factors.
@@ -145,20 +148,11 @@ def t_mn(phi, alpha, M, N, field, gm=None, mode="literal", budget=None):
     if gm.root is None:
         raise HypothesisError(f"modulus has no root: {gm.reason}")
     check_budget(field.q ** N, budget, "congruence average")
-    exps = sorted(r for r in phi if r >= 1 and not phi[r].is_zero())
-    const = phi.get(0, field.poly_zero)
-    residues = []
-    for x in enumerate_GN(field, N):
-        y = gm.modulus * x + gm.root
-        val = const
-        power = field.poly_one
-        last = 0
-        for r in exps:
-            power = power * y ** (r - last)
-            last = r
-            val = val + phi[r] * power
-        residues.append(e_of(kmul_poly(alpha, val)))
-    hist = CharSum.from_residues(field.p, residues)
+    f = ExpPoly(field, {r: kmul_poly(alpha, c) for r, c in phi.items()})
+    f = f.substitute(gm.modulus, gm.root)
+    if N == 0:  # G_0 = {0} reads the constant term alone
+        f = ExpPoly(field, {0: f.constant()})
+    hist = weyl_sum(f, N, budget=budget)
     exact_one = hist.is_full() and hist.full_residue() == 0
     return TmnResult(hist, hist.normalized(), exact_one, gm.modulus.deg, gm.mode)
 

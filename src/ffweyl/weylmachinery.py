@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .algebra import NEG_INF, Poly, check_budget, enumerate_GN, is_irreducible, poly_gcd
 from .contfrac import dirichlet_approx, quality_bound
 from .errors import DomainError, HypothesisError, PrecisionError
-from .exponents import ktilde, lucas_binom, maximal_elements
-from .expsum import CharSum, ExpPoly, e_of, weyl_sum
-from .kinfty import RationalK, kadd, kmul_poly, kmul_scalar
+from .exponents import ktilde, maximal_elements
+from .expsum import CharSum, ExpPoly, e_of, weyl_residues, weyl_sum
+from .kinfty import RationalK, kadd, kmul_poly
 
 
 def weyl_shift_check(f, shifts, N, budget=None):
@@ -65,28 +65,12 @@ def shift_expand(f, x, k):
     Binomials enter mod p, so only exponents in the shadow of the support can
     appear, and maximality of k pins its coefficient to the original one.
     """
-    field = f.field
-    p = field.p
     support = f.support()
-    if k not in maximal_elements(support, p):
+    if k not in maximal_elements(support, f.field.p):
         raise DomainError(f"{k} is not maximal in the support {sorted(support)}")
-    minus_x = -x
-    by_exp = {}
-    for r in sorted(support):
-        alpha_r = f.coeff(r)
-        for j in range(1, r + 1):
-            c = lucas_binom(r, j, p)
-            if not c:
-                continue
-            term = kmul_scalar(kmul_poly(alpha_r, minus_x ** (r - j)), c)
-            by_exp[j] = kadd(by_exp[j], term) if j in by_exp else term
-    constant = f.constant()
-    for r in sorted(support):
-        constant = kadd(constant, kmul_poly(f.coeff(r), minus_x ** r))
-    lead = by_exp.pop(k)
-    gammas = tuple((j, c) for j, c in sorted(by_exp.items())
-                   if not (isinstance(c, RationalK) and c.is_zero()))
-    return ShiftExpansion(k, lead, gammas, constant)
+    expanded = f.substitute(f.field.poly_one, -x)
+    gammas = tuple((j, c) for j, c in expanded.terms if j not in (0, k))
+    return ShiftExpansion(k, expanded.coeff(k), gammas, expanded.constant())
 
 
 def _frac_gap(delta):
@@ -200,15 +184,15 @@ def large_sieve_check(family, weights, N, K, rel_tol=1e-6, budget=None):
     weights = list(weights)
     if len(weights) != total:
         raise DomainError("weight vector must cover G_N")
-    xs = list(enumerate_GN(field, N))
     zeta = [complex(math.cos(2 * math.pi * r / field.p),
                     math.sin(2 * math.pi * r / field.p)) for r in range(field.p)]
     lhs = 0.0
     for gamma in family.points:
+        residues = weyl_residues(ExpPoly(field, {1: gamma}), N, budget=budget)
         s = 0j
-        for b, x in zip(weights, xs):
+        for b, r in zip(weights, residues.tolist()):
             if b:
-                s += b * zeta[e_of(kmul_poly(gamma, x))]
+                s += b * zeta[r]
         lhs += abs(s) ** 2
     rhs = max(field.q ** N, field.q ** (K - 1)) * sum(abs(b) ** 2 for b in weights)
     return LargeSieveReport(lhs, rhs, lhs <= rhs * (1 + rel_tol), family.gap)

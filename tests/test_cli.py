@@ -132,6 +132,17 @@ def test_malformed_input_exits_2(capsys):
                                   "--N", N], capsys)
         assert code == 2 and not out
         assert json.loads(err)["error"]["type"] == "DomainError"
+    f_json = json.dumps({"field": "q=2", "terms": [term]})
+    for argv in (["exponents", "--p", "4", "--set", "1,2"],
+                 ["exponents", "--p", "2", "--set", "0,1"],
+                 ["equidist", "--field", "q=2", "--f", f_json, "--N", "5..1", "--D", "1"],
+                 ["sieve-tmn", "--field", "q=2", "--phi=", "--alpha", "1/t",
+                  "--M", "2", "--N", "1"],
+                 ["intersective", "--field", "q=2", "--phi=", "--A",
+                  '{"elems": ["0", "1"]}', "--N", "1", "--xbound", "1"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and not out, argv
+        assert json.loads(err)["error"]["type"] == "DomainError", argv
 
 
 def test_unknown_flag_exits_2():

@@ -1,15 +1,18 @@
 import json
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
+from ffweyl.equidist import cylinder_counts
 from ffweyl.errors import BudgetError, DomainError, PrecisionError
 from ffweyl.expsum import (CharSum, ExpPoly, e_of, fractional_digit_rows,
                            orthogonality, twisted_sum, weyl_residues, weyl_sum)
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element
 
-from helpers import field, rand_exppoly, rand_poly
+from helpers import field, rand_exppoly, rand_poly, rand_rational
 
 
 def lin(F, alpha):
@@ -202,13 +205,23 @@ def test_fractional_digit_rows_paths_agree():
             f = rand_exppoly(rng, F, max_exp=4, floor=-50)
             a = fractional_digit_rows(f, N, 3)
             b = fractional_digit_rows(f, N, 3, method="direct")
-            assert a == b
+            assert a.shape == b.shape == (F.q ** N, 3) and a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
             lo = rng.randrange(len(a) + 1)
             hi = rng.randrange(lo, len(a) + 1)
-            assert fractional_digit_rows(f, N, 3, lo, hi) == a[lo:hi]
+            assert np.array_equal(fractional_digit_rows(f, N, 3, lo, hi), a[lo:hi])
             # digit 1 of the rows matches the residue source of e_of
             for row, x in zip(a[:16], enumerate_GN(F, N)):
                 assert row[0] == f.evaluate(x).digit(-1)
+    # q^depth far above 2^63: the cylinder count must not pack rows into one int
+    F = field(9)
+    for _ in range(3):
+        f = ExpPoly(F, {r: rand_rational(rng, F, 3) for r in (1, 2, 4)})
+        direct = fractional_digit_rows(f, 2, 20, method="direct")
+        tab = cylinder_counts(f, 2, 20)
+        assert tab.counts == cylinder_counts(f, 2, 20, method="direct").counts
+        assert tab.counts == Counter(map(tuple, direct.tolist()))
+        assert all(type(c) is int for key in tab.counts for c in key)
 
 
 def test_exppoly_json_roundtrip():

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from ffweyl.algebra import Poly, parse_poly, poly_from_index
-from ffweyl.errors import BudgetError, DomainError, HypothesisError
-from ffweyl.kinfty import RationalK, kernel_element
+from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
+from ffweyl.errors import BudgetError, DomainError, HypothesisError, PrecisionError
+from ffweyl.expsum import CharSum, ExpPoly, e_of
+from ffweyl.kinfty import RationalK, kernel_element, kmul_poly
 from ffweyl.sieve import (DenseSet, density, difference_search, gm_build,
                           t_mn)
 
-from helpers import field
+from helpers import field, rand_nonzero_poly, rand_rational, rand_series
 
 
 def test_gm_examples():
@@ -96,6 +97,38 @@ def test_tmn_pseudo_irrational_decays():
     values = [t_mn(phi, al, 2, N, F3, gm=gm).normalized for N in (1, 3, 5)]
     assert values[-1] < 0.2  # recorded seeded behaviour, not a theorem
     assert all(0 <= v <= 1 + 1e-12 for v in values)
+
+
+def test_tmn_matches_pointwise_evaluate():
+    # t_mn expands alpha*phi(g_M x + root) into one ExpPoly in x; the oracle
+    # composes and evaluates it point by point in K
+    rng = random.Random(71)
+    for q in (2, 3, 4, 9):
+        F = field(q)
+        tested = 0
+        for case in range(9):
+            phi = {r: rand_nonzero_poly(rng, F, 1)
+                   for r in rng.sample(range(4), rng.randrange(1, 4))}
+            M = 1 + case % 2
+            gm = gm_build(F, M, phi)
+            if gm.root is None:
+                continue
+            alpha = (rand_rational(rng, F, 3), rand_series(rng, F, -80),
+                     kernel_element(F, -80, case))[case % 3]
+            base = ExpPoly(F, {r: kmul_poly(alpha, c) for r, c in phi.items()})
+            for N in range(5 if q <= 4 else 4):  # q^N evaluations in K
+                want = CharSum.from_residues(
+                    F.p, [e_of(base.evaluate(gm.modulus * x + gm.root))
+                          for x in enumerate_GN(F, N)])
+                assert t_mn(phi, alpha, M, N, F, gm=gm).histogram == want, (q, case, N)
+            tested += 1
+        assert tested >= 3
+    # G_0 = {0} reads only the constant term, so a shallow floor still suffices
+    F2 = field(2)
+    shallow = rand_series(rng, F2, -2)
+    assert t_mn({2: F2.poly_one}, shallow, 2, 0, F2).exact_one
+    with pytest.raises(PrecisionError):
+        t_mn({2: F2.poly_one}, shallow, 2, 1, F2)
 
 
 def test_tmn_requires_root():

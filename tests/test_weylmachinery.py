@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -15,7 +16,7 @@ from ffweyl.weylmachinery import (kth_power_classes, large_sieve_check,
                                   space_family, spacing_check,
                                   split_by_kth_power, weyl_shift_check)
 
-from helpers import field, rand_exppoly, rand_poly
+from helpers import field, rand_exppoly, rand_poly, rand_rational, rand_series
 
 
 def test_weyl_shift_trivial_cases():
@@ -238,6 +239,24 @@ def test_large_sieve_strict_hypothesis_boundary():
     assert rep.passed and abs(rep.lhs - 8.0) < 1e-9 and abs(rep.rhs - 8.0) < 1e-9
     with pytest.raises(HypothesisError):
         large_sieve_check(fam, [1.0, 1.0], 1, K=2)
+
+
+def test_large_sieve_lhs_matches_pointwise():
+    # each S(gamma) comes from the residue engine; the oracle walks G_N in K
+    rng = random.Random(57)
+    for q in (2, 3, 4, 5):
+        F = field(q)
+        for _ in range(4):
+            N = rng.randrange(0, 4)
+            fam = space_family([rand_rational(rng, F, 2) for _ in range(3)]
+                               + [rand_series(rng, F, -N - 3)])
+            b = [complex(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(q ** N)]
+            want = sum(abs(sum(w * cmath.exp(2j * math.pi * e_of(kmul_poly(g, x)) / F.p)
+                               for w, x in zip(b, enumerate_GN(F, N)))) ** 2
+                       for g in fam.points)
+            K = 1 if fam.gap == math.inf else max(1, 1 - fam.gap)
+            rep = large_sieve_check(fam, b, N, K)
+            assert abs(rep.lhs - want) <= 1e-9 * max(1.0, want)
 
 
 def test_large_sieve_randomized_sweep():
