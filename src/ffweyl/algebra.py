@@ -34,71 +34,12 @@ def _is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# Little helpers for polynomials over F_p (plain coefficient lists, low->high).
-# Only used to set up a field modulus; everything else goes through Poly.
-
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b, p):
-    if not b:
-        raise DomainError("division by the zero polynomial")
-    r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(r) >= len(b):
-        c = (r[-1] * inv_lead) % p
-        k = len(r) - len(b)
-        q[k] = c
-        for j, bj in enumerate(b):
-            r[k + j] = (r[k + j] - c * bj) % p
-        _fp_trim(r)
-    return _fp_trim(q), r
-
-
-def _fp_irreducible(c, p):
-    # c monic of degree >= 1; trial division by monic polynomials of
-    # degree up to deg/2 is plenty at this scale.
-    deg = len(c) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p ** d):
-            div = _digits(code, p, d) + [1]
-            if not _fp_divmod(c, div, p)[1]:
-                return False
-    return True
-
-
 def _digits(n, base, width):
     out = []
     for _ in range(width):
         n, r = divmod(n, base)
         out.append(r)
     return out
-
-
-def _smallest_modulus(p, m):
-    # Smallest monic irreducible of degree m, coefficient codes compared as
-    # base-p integers with the constant term least significant.
-    for code in range(p ** m):
-        c = _digits(code, p, m) + [1]
-        if _fp_irreducible(c, p):
-            return tuple(c)
-    raise DomainError(f"no irreducible modulus of degree {m} over F_{p}")
 
 
 class Field:
@@ -108,8 +49,8 @@ class Field:
     table lookups plus integer arithmetic.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_mul", "_add", "_neg", "_inv",
-                 "_trace", "poly_zero", "poly_one", "poly_t", "_irr_cache")
+    __slots__ = ("p", "m", "q", "modulus", "_prime", "_mul", "_add", "_neg",
+                 "_inv", "_trace", "poly_zero", "poly_one", "poly_t", "_irr_cache")
 
     def __init__(self, p, m=1, modulus=None):
         if not _is_prime(p):
@@ -125,14 +66,16 @@ class Field:
         if m == 1:
             if modulus is not None:
                 raise DomainError("prime fields take no modulus")
-            self.modulus = None
+            self.modulus = self._prime = None
         else:
+            # F_{p^m} = F_p[x] / (modulus), built from polynomials over F_p
+            self._prime = prime = Field(p)
             if modulus is None:
-                modulus = _smallest_modulus(p, m)
+                modulus = irreducibles(prime, m)[0].coeffs
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise DomainError("modulus must be monic of degree m")
-            if not _fp_irreducible(list(modulus), p):
+            if not is_irreducible(Poly(prime, modulus)):
                 raise DomainError("modulus is reducible")
             self.modulus = modulus
         self._build_tables()
@@ -149,22 +92,12 @@ class Field:
             self._neg = [(-a) % p for a in range(p)]
             self._trace = list(range(p))
         else:
-            mod = list(self.modulus)
-            self._add = [[self._encode([(x + y) % p for x, y in
-                                        zip(_digits(a, p, m), _digits(b, p, m))])
-                          for b in range(q)] for a in range(q)]
-            self._neg = [self._encode([(-x) % p for x in _digits(a, p, m)])
-                         for a in range(q)]
-            mul = []
-            for a in range(q):
-                row = []
-                ca = _fp_trim(_digits(a, p, m))
-                for b in range(q):
-                    cb = _fp_trim(_digits(b, p, m))
-                    prod = _fp_divmod(_fp_mul(ca, cb, p), mod, p)[1]
-                    row.append(self._encode(prod))
-                mul.append(row)
-            self._mul = mul
+            # an element's code is the code of its coordinate polynomial
+            elems = [poly_from_index(self._prime, a, m) for a in range(q)]
+            mod = Poly(self._prime, self.modulus)
+            self._add = [[(a + b).code() for b in elems] for a in elems]
+            self._neg = [(-a).code() for a in elems]
+            self._mul = [[(a * b % mod).code() for b in elems] for a in elems]
             trace = []
             for a in range(q):
                 t, x = 0, a
@@ -242,12 +175,9 @@ class Field:
     # -- polynomial and parsing conveniences ---------------------------------
 
     def spec_string(self):
-        if self.m == 1:
+        if self.m == 1 or self.modulus == irreducibles(self._prime, self.m)[0].coeffs:
             return f"q={self.q}"
-        if self.modulus == _smallest_modulus(self.p, self.m):
-            return f"q={self.q}"
-        mod = format_fp_poly(self.modulus)
-        return f"q={self.q} modulus={mod}"
+        return f"q={self.q} modulus={format_fp_poly(self.modulus)}"
 
     @classmethod
     def parse(cls, spec):
@@ -599,6 +529,8 @@ def parse_poly(field, s):
 # Enumeration, irreducibles, roots.
 
 def gn_size(field, N):
+    if N < 0:
+        raise DomainError(f"G_N needs N >= 0, got {N}")
     return field.q ** N
 
 

@@ -184,12 +184,13 @@ def _cmd_equidist(args):
     field = Field.parse(args.field)
     f = _load_exppoly(args, field)
     N_list = _parse_int_list(args.N)
-    rows = weyl_scan(f, N_list, args.D, depth=args.depth, budget=args.budget).rows
+    verdict = weyl_scan(f, N_list, args.D, depth=args.depth, budget=args.budget)
+    rows = verdict.rows
     result = {
         "rows": [{"N": r.N, "sup": _fmt_float(r.sup), "witness": r.witness,
                   "discrepancy": None if r.discrepancy is None else str(r.discrepancy)}
                  for r in rows],
-        "flags": {"failure_certificate": any(r.witness is not None for r in rows)},
+        "flags": verdict.flags,
     }
     csv = [(r.N, _fmt_float_str(r.sup), r.witness,
             None if r.discrepancy is None else str(r.discrepancy)) for r in rows]
@@ -237,13 +238,21 @@ def _cmd_probe(args):
 
 
 def _parse_dense_set(field, N, obj):
+    def polys(key):
+        value = obj.get(key)
+        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+            raise DomainError(f"dense set {key!r} must be a list of polynomial strings")
+        return [parse_poly(field, s) for s in value]
+
+    if not isinstance(obj, dict):
+        raise DomainError("dense set must be a JSON object")
     if "elems" in obj:
-        return DenseSet.from_elems(field, N,
-                                   [parse_poly(field, s) for s in obj["elems"]])
+        return DenseSet.from_elems(field, N, polys("elems"))
     if "mod" in obj:
-        g = parse_poly(field, obj["mod"])
-        residues = [parse_poly(field, s) for s in obj["residues"]]
-        return DenseSet.from_residues(field, N, g, residues)
+        if not isinstance(obj["mod"], str):
+            raise DomainError("dense set 'mod' must be a polynomial string")
+        return DenseSet.from_residues(field, N, parse_poly(field, obj["mod"]),
+                                      polys("residues"))
     raise FFWeylError("dense set needs 'elems' or 'mod'/'residues'")
 
 

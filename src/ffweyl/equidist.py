@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import poly_from_index
+from .algebra import check_budget, gn_size, poly_from_index
 from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
 from .exponents import cal_i
@@ -111,6 +111,8 @@ def weyl_scan(f, N_list, D, depth=None, method=None, budget=None):
     if D < 1:
         raise DomainError("the twist bound D must be positive")
     field = f.field
+    check_budget(sum(gn_size(field, N) for N in N_list) * (field.q ** D - 1),
+                 budget, "twist scan")
     rows = []
     for N in sorted(N_list):
         sup = 0.0

@@ -85,11 +85,15 @@ def e_of(alpha):
     return alpha.field.char_residue(alpha.res())
 
 
-def _member(obj, key):
-    """obj[key] of a JSON object; DomainError when the key is missing."""
+def _member(obj, key, kind):
+    """obj[key] of a JSON object; DomainError when the key is missing or its
+    value is not a `kind`."""
     if not isinstance(obj, dict) or key not in obj:
         raise DomainError(f"ExpPoly JSON needs {key!r} in {obj!r}")
-    return obj[key]
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise DomainError(f"ExpPoly JSON {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 class ExpPoly:
@@ -183,23 +187,26 @@ class ExpPoly:
     @classmethod
     def from_json(cls, obj, field=None, default_seed=0):
         if field is None:
-            field = Field.parse(_member(obj, "field"))
+            field = Field.parse(_member(obj, "field", str))
         coeffs = {}
-        for term in _member(obj, "terms"):
-            r = int(_member(term, "exp"))
-            spec = _member(term, "coeff")
+        for term in _member(obj, "terms", list):
+            r = _member(term, "exp", int)
+            spec = _member(term, "coeff", dict)
             if "rat" in spec:
-                num, den = spec["rat"]
-                c = RationalK(parse_poly(field, num), parse_poly(field, den))
+                rat = _member(spec, "rat", list)
+                if len(rat) != 2 or not all(isinstance(x, str) for x in rat):
+                    raise DomainError(f"'rat' needs two polynomial strings, got {rat!r}")
+                c = RationalK(parse_poly(field, rat[0]), parse_poly(field, rat[1]))
             elif "series" in spec:
-                c = parse_kelem(field, spec["series"])
+                c = parse_kelem(field, _member(spec, "series", str))
                 if isinstance(c, RationalK):
-                    c = c.expand(int(spec["floor"]))
-                elif "floor" in spec and int(spec["floor"]) != c.floor:
+                    c = c.expand(_member(spec, "floor", int))
+                elif "floor" in spec and _member(spec, "floor", int) != c.floor:
                     raise DomainError("series floor disagrees with its O-term")
             elif "kernel" in spec:
-                seed = int(spec["kernel"].get("seed", default_seed))
-                c = kernel_element(field, int(_member(spec["kernel"], "floor")), seed)
+                kernel = _member(spec, "kernel", dict)
+                seed = _member(kernel, "seed", int) if "seed" in kernel else default_seed
+                c = kernel_element(field, _member(kernel, "floor", int), seed)
             else:
                 raise DomainError(f"unknown coefficient form {sorted(spec)}")
             if r in coeffs:

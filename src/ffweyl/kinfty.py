@@ -260,29 +260,21 @@ def kmul_scalar(alpha, c):
     return TruncSeries(alpha.field, alpha.floor, [row[x] for x in alpha.coeffs])
 
 
+def _product_from(field, a, a_lo, b, b_lo, floor):
+    """The product of two digit lists, whose first digits sit at t^a_lo and
+    t^b_lo, as a series known from ``floor`` up to its top digit."""
+    prod = Poly(field, a) * Poly(field, b)
+    return TruncSeries(field, floor, prod.coeffs[floor - a_lo - b_lo:])
+
+
 def kmul_poly(alpha, h):
     """Multiply by a polynomial; for a series the floor rises by deg h."""
     if h.is_zero():
         return RationalK(alpha.field.poly_zero)
     if isinstance(alpha, RationalK):
         return RationalK(alpha.num * h, alpha.den)
-    field = alpha.field
-    floor = alpha.floor + h.deg
-    if not alpha.coeffs:
-        return TruncSeries(field, floor, ())
-    fa, fm = field._add, field._mul
-    lo, hi = floor, alpha.top + h.deg
-    acc = {e: 0 for e in range(lo, hi + 1)}
-    for i, hc in enumerate(h.coeffs):
-        if not hc:
-            continue
-        row = fm[hc]
-        for j, ac in enumerate(alpha.coeffs):
-            if ac:
-                e = alpha.floor + j + i
-                if e >= lo:
-                    acc[e] = fa[acc[e]][row[ac]]
-    return TruncSeries(field, floor, [acc[e] for e in range(lo, hi + 1)])
+    return _product_from(alpha.field, alpha.coeffs, alpha.floor, h.coeffs, 0,
+                         alpha.floor + h.deg)
 
 
 def kmul(a, b):
@@ -291,46 +283,17 @@ def kmul(a, b):
         return RationalK(a.num * b.num, a.den * b.den)
     if isinstance(a, RationalK):
         a, b = b, a
-    field = a.field
+    # a is a series; a zero series has top = floor - 1
     if isinstance(b, RationalK):
         if b.is_zero():
-            return RationalK(field.poly_zero)
+            return RationalK(a.field.poly_zero)
+        # b is exact, so only its digits that meet a's known ones are read
         floor = a.floor + b.ord()
-        hi_a = a.top if a.coeffs else a.floor - 1
-        hi = hi_a + b.ord()
-        b_lo = floor - hi_a if a.coeffs else 0
-        b_digits = b.digits(b_lo, b.ord()) if a.coeffs else []
-        digit_b = lambda e: (b_digits[e - b_lo] if b_lo <= e <= b.ord() else 0)
-        window_b = range(b_lo, b.ord() + 1)
-    else:
-        ka, va = a.ord_bound()
-        kb, vb = b.ord_bound()
-        bound_a = va if ka == "exact" else a.floor - 1
-        bound_b = vb if kb == "exact" else b.floor - 1
-        if bound_a is NEG_INF or bound_b is NEG_INF:
-            # only possible for an exactly-zero rational; series never certify it
-            return RationalK(field.poly_zero)
-        floor = max(a.floor + bound_b, b.floor + bound_a)
-        hi = bound_a + bound_b
-        digit_b = b.digit
-        window_b = range(b.floor, (b.top if b.coeffs else b.floor - 1) + 1)
-    if hi < floor:
-        return TruncSeries(field, floor, ())
-    fa, fm = field._add, field._mul
-    acc = {e: 0 for e in range(floor, hi + 1)}
-    window_a = range(a.floor, (a.top if a.coeffs else a.floor - 1) + 1)
-    for i in window_a:
-        ai = a.digit(i)
-        if not ai:
-            continue
-        row = fm[ai]
-        for j in window_b:
-            e = i + j
-            if floor <= e <= hi:
-                bj = digit_b(j)
-                if bj:
-                    acc[e] = fa[acc[e]][row[bj]]
-    return TruncSeries(field, floor, [acc[e] for e in range(floor, hi + 1)])
+        b_lo = floor - a.top
+        return _product_from(a.field, a.coeffs, a.floor,
+                             b.digits(b_lo, b.ord()), b_lo, floor)
+    floor = max(a.floor + b.top, b.floor + a.top)
+    return _product_from(a.field, a.coeffs, a.floor, b.coeffs, b.floor, floor)
 
 
 def truncate(alpha, floor):

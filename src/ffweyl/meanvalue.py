@@ -79,6 +79,8 @@ def js_histogram(K, s, N, field, budget=None):
 
     Keys are exact polynomial tuples; no hashing shortcuts.
     """
+    if s < 0 or N < 0:
+        raise DomainError(f"s and N must be nonnegative, got s={s}, N={N}")
     check_budget(field.q ** (s * N), budget, "histogram mean-value scan")
     exps = sorted(sprime(K, field.p))
     vecs = _power_vectors(field, exps, N)

@@ -24,6 +24,30 @@ def test_field_construction_and_moduli():
         Field.parse("q=6")
 
 
+def test_custom_moduli():
+    for spec in ("q=4 modulus=x^2+x+1", "q=8 modulus=x^3+x^2+1", "q=9 modulus=x^2+x+2"):
+        F = Field.parse(spec)
+        assert Field.parse(F.spec_string()) == F
+        els = F.elements()
+        for a in els:
+            assert F.add(a, 0) == a and F.mul(a, 1) == a and F.add(a, F.neg(a)) == 0
+            if a:
+                assert F.mul(a, F.inv(a)) == 1
+            for b in els:
+                assert F.add(a, b) == F.add(b, a) and F.mul(a, b) == F.mul(b, a)
+                for c in els:
+                    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+                    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+                    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    assert Field.parse("q=4 modulus=x^2+x+1").spec_string() == "q=4"
+    assert Field.parse("q=8 modulus=x^3+x^2+1").spec_string() == "q=8 modulus=x^3+x^2+1"
+    for spec in ("q=4 modulus=x^2+1", "q=8 modulus=x^3+1", "q=9 modulus=x^2+2"):
+        with pytest.raises(DomainError, match="reducible"):
+            Field.parse(spec)
+    with pytest.raises(DomainError, match="monic"):
+        Field.parse("q=9 modulus=2*x^2+x+1")
+
+
 def test_field_arith_examples():
     F4 = field(4)
     x = 2  # the generator, coords (0, 1)

@@ -1,8 +1,10 @@
 import json
+import random
 import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 from ffweyl.cli import main, parse_upoly
 from ffweyl.algebra import parse_poly
@@ -127,7 +129,13 @@ def test_malformed_input_exits_2(capsys):
     term = {"exp": 1, "coeff": {"rat": ["1", "t"]}}
     for f_obj, N in (({"field": "q=2"}, "2"),
                      ({"field": "q=2", "terms": [{"exp": 1}]}, "2"),
-                     ({"field": "q=2", "terms": [term]}, "-1")):
+                     ({"field": "q=2", "terms": [term]}, "-1"),
+                     ({"field": "q=2", "terms": 5}, "2"),
+                     ({"field": "q=2", "terms": [{**term, "exp": None}]}, "2"),
+                     ({"field": "q=2", "terms": [{"exp": 1, "coeff": 5}]}, "2"),
+                     ({"field": "q=2", "terms": [{"exp": 1, "coeff": {"rat": 5}}]}, "2"),
+                     ({"field": "q=2", "terms": [{"exp": 1, "coeff": {"series": 5}}]}, "2"),
+                     ({"field": "q=2", "terms": [{"exp": 1, "coeff": {"kernel": 5}}]}, "2")):
         code, out, err = run_cli(["weyl", "--field", "q=2", "--f", json.dumps(f_obj),
                                   "--N", N], capsys)
         assert code == 2 and not out
@@ -139,10 +147,106 @@ def test_malformed_input_exits_2(capsys):
                  ["sieve-tmn", "--field", "q=2", "--phi=", "--alpha", "1/t",
                   "--M", "2", "--N", "1"],
                  ["intersective", "--field", "q=2", "--phi=", "--A",
-                  '{"elems": ["0", "1"]}', "--N", "1", "--xbound", "1"]):
+                  '{"elems": ["0", "1"]}', "--N", "1", "--xbound", "1"],
+                 ["intersective", "--field", "q=2", "--phi", "u^2", "--A",
+                  '{"mod": "t"}', "--N", "2", "--xbound", "1"],
+                 ["intersective", "--field", "q=2", "--phi", "u^2", "--A",
+                  '{"mod": "t", "residues": 5}', "--N", "2", "--xbound", "1"],
+                 ["intersective", "--field", "q=2", "--phi", "u^2", "--A",
+                  '{"elems": ["0", "1"]}', "--N", "2", "--xbound=-2"],
+                 ["js", "--field", "q=2", "--set", "1", "--s=-1", "--N", "1"],
+                 ["js", "--field", "q=2", "--set", "1", "--s", "1", "--N=-1"]):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and not out, argv
         assert json.loads(err)["error"]["type"] == "DomainError", argv
+
+
+def test_equidist_budget_covers_the_whole_scan(capsys):
+    f_json = json.dumps({"field": "q=2", "terms": [
+        {"exp": 1, "coeff": {"rat": ["1", "t^3"]}}]})
+    scan = ["equidist", "--field", "q=2", "--f", f_json]
+    # each twisted sum has at most 8 points, the scan 229362
+    code, out, err = run_cli(scan + ["--N", "1..3", "--D", "14",
+                                     "--budget", "1000"], capsys)
+    assert code == 3 and not out
+    assert json.loads(err)["error"]["type"] == "BudgetError"
+    # (2 + 4 + 8) points for each of the 3 nonzero twists in G_2
+    scan += ["--N", "1..3", "--D", "2", "--budget"]
+    assert run_cli(scan + ["41"], capsys)[0] == 3
+    assert run_cli(scan + ["42"], capsys)[0] == 0
+
+
+_F2 = json.dumps({"field": "q=2", "terms": [
+    {"exp": 3, "coeff": {"kernel": {"floor": -12, "seed": 3}}},
+    {"exp": 1, "coeff": {"rat": ["1", "t^2+t+1"]}}]})
+_F3 = json.dumps({"field": "q=3", "terms": [
+    {"exp": 2, "coeff": {"rat": ["1", "t"]}},
+    {"exp": 1, "coeff": {"series": "2*t^-1 + O(t^-12)", "floor": -12}}]})
+_F4 = json.dumps({"field": "q=4", "terms": [{"exp": 1, "coeff": {"rat": ["1", "t^3"]}}]})
+
+#: One valid argv per subcommand, every option as --name=value, small budget.
+FUZZ_CORPUS = (
+    ["exponents", "--p=3", "--set=3,9,2", "--emit=shadow,kstar"],
+    ["cf", "--field=q=2", "--alpha=t^2+1 / t^3", "--max-terms=8"],
+    ["weyl", "--field=q=3", "--f=" + _F3, "--N=2"],
+    ["weyl", "--field=q=4", "--f=" + _F4, "--N=2", "--m=t"],
+    ["equidist", "--field=q=2", "--f=" + _F2, "--N=1..3", "--D=2", "--depth=1"],
+    ["js", "--field=q=2", "--set=1,2", "--s=2", "--N=1,2"],
+    ["probe", "--field=q=3", "--f=" + _F3, "--k=2", "--N=3", "--eta=2"],
+    ["intersective", "--field=q=2", "--phi=u^2", '--A={"mod":"t","residues":["0"]}',
+     "--N=3", "--xbound=2"],
+    ["intersective", "--field=q=3", "--phi=u^2+t", '--A={"elems":["0","1","t"]}',
+     "--N=2", "--xbound=1"],
+    ["sieve-tmn", "--field=q=2", "--phi=u^2", "--alpha=1 / t+1", "--M=2", "--N=1,2"],
+)
+
+#: Replacement values by option; options left out (--out, --mode) take
+#: choices, which argparse itself enforces.
+_INTS = ("-1", "-7", "0", "1", "3", "9")
+_INT_LISTS = ("", " ", "-3", "0", "5..1", "1..", "-2..1", "1,,2", "a", "0..2")
+_JSON = ("", "5", "[]", "{", "{}", '{"field": 5, "terms": []}',
+         '{"terms": 5}', '{"terms": [5]}', '{"terms": [{"exp": "1", "coeff": {}}]}',
+         '{"terms": [{"exp": -1, "coeff": {"rat": ["1", "t"]}}]}',
+         '{"terms": [{"exp": 1, "coeff": {"rat": ["1"]}}]}',
+         '{"terms": [{"exp": 1, "coeff": {"rat": [1, 2]}}]}',
+         '{"terms": [{"exp": 1, "coeff": {"series": "t^-1", "floor": "x"}}]}',
+         '{"terms": [{"exp": 1, "coeff": {"kernel": {"floor": null}}}]}',
+         '{"terms": [{"exp": 1, "coeff": {"kernel": {"floor": -9, "seed": []}}}]}',
+         '{"elems": 5}', '{"elems": [5]}', '{"elems": []}', '{"elems": ["0", "t^9"]}',
+         '{"mod": 5, "residues": []}', '{"mod": "0", "residues": ["1"]}',
+         '{"mod": "t", "residues": [null]}')
+_TEXT = ("", " ", "q=", "q=6", "q=4 modulus=x^2+1", "q=2^", "t^", "t^-1", "1/0",
+         "u^-1", "u^", "[1", "x", "%%", "O(t^3", "1 / t + O(t^-3)", "shadow,bogus")
+_POOLS = {
+    **dict.fromkeys(("--p", "--max-terms", "--D", "--depth", "--s", "--k", "--eta",
+                     "--M", "--xbound", "--budget"), _INTS),
+    "--set": _INT_LISTS,
+    "--f": _JSON, "--A": _JSON,
+    **dict.fromkeys(("--field", "--alpha", "--phi", "--m", "--emit"), _TEXT),
+}
+
+
+def test_cli_fuzz_exit_codes(capsys):
+    """Mutated option values never crash: exit 0, 2 or 3, JSON error last."""
+    rng = random.Random(2024)
+    for _ in range(500):
+        base = rng.choice(FUZZ_CORPUS) + ["--budget=5000"]
+        argv = list(base)
+        for i in rng.sample(range(1, len(argv)), rng.randint(1, 2)):
+            name = argv[i].split("=", 1)[0]
+            if name == "--N":
+                pool = _INTS if argv[0] in ("weyl", "probe", "intersective") else _INT_LISTS
+            else:
+                pool = _POOLS[name]
+            argv[i] = f"{name}={rng.choice(pool)}"
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - any escape breaks the contract
+            pytest.fail(f"{argv}: {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), argv
+        if code:
+            assert "error" in json.loads(err.strip().splitlines()[-1]), argv
 
 
 def test_unknown_flag_exits_2():

@@ -9,7 +9,7 @@ from ffweyl.kinfty import (RationalK, TruncSeries, expand_rational, frac_res,
                            frac_ord_vs, kadd, kernel_element, kmul, kmul_poly,
                            kmul_scalar, ord_norm, parse_kelem, tmap, truncate)
 
-from helpers import field, rand_rational, rand_series
+from helpers import field, rand_poly, rand_rational, rand_series
 
 
 def test_ord_norm_examples():
@@ -85,6 +85,29 @@ def test_expand_recompose_and_res_agreement_fuzz():
         # fractional digits and residues agree between paths
         assert se.res() == al.res()
         assert se.digits(-16, -1) == al.digits(-16, -1)
+
+
+def test_series_products_match_exact_products():
+    rng = random.Random(15)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field(q)
+        for _ in range(60):
+            a, b = rand_rational(rng, F, 4), rand_rational(rng, F, 4)
+            if a.is_zero() or b.is_zero():
+                continue
+            sa = a.expand(min(a.ord(), 0) - rng.randrange(1, 16))
+            sb = b.expand(min(b.ord(), 0) - rng.randrange(1, 16))
+            h = rand_poly(rng, F, 4)
+            cases = ((kmul(sa, b), kmul(a, b), sa.floor + b.ord()),
+                     (kmul(sa, sb), kmul(a, b),
+                      max(sa.floor + b.ord(), sb.floor + a.ord())),
+                     (kmul_poly(sa, h), RationalK(a.num * h, a.den), sa.floor + h.deg))
+            for got, exact, floor in cases:
+                if exact.is_zero():
+                    assert got.is_zero()
+                    continue
+                assert got.floor == floor and got.top == exact.ord()
+                assert got.digits(floor, got.top) == exact.digits(floor, got.top)
 
 
 def test_series_floor_discipline():
