@@ -307,8 +307,16 @@ def _add_common(parser, suppress):
                         **(sup or {"default": None}))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError, so they exit 2 with a JSON error;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ffweyl",
         description="Exact function-field character-sum experiments.")
     _add_common(parser, suppress=False)
@@ -381,9 +389,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except BudgetError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__,

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import NEG_INF, Poly
+from .algebra import Poly
 from .errors import DomainError, PrecisionError
-from .kinfty import RationalK, TruncSeries, kadd, kmul_poly
+from .kinfty import RationalK, TruncSeries, kadd, kmul_poly, ord_vs, quotient_digits
 
 
 @dataclass(frozen=True)
@@ -47,30 +47,21 @@ class ConvergentTable:
 
 
 def _series_invert(s):
-    """1/s for a series with certified order n; result floor is floor - 2n.
+    """1/s for a series with floor <= 0 and certified order n; result floor is
+    floor - 2n.
 
     A perturbation of s below its floor moves 1/s by at most q^(floor-1-2n),
     so digits of the inverse above floor - 2n are trustworthy and nothing
-    deeper is emitted.
+    deeper is emitted.  With P the polynomial of the digit list and c the
+    inverse of its lead, 1/s = c t^(-floor) / (c P), a monic division.
     """
     field = s.field
     n = s.ord()
+    c = field.inv(s.coeffs[-1])
     out_floor = s.floor - 2 * n
-    inv_lead = field.inv(s.digit(n))
-    mul, add, neg = field.mul, field.add, field.neg
-    sdigits = [(e, s.digit(e)) for e in range(s.floor, n + 1) if s.digit(e)]
-    rem = {0: 1}
-    out = {}
-    keep = out_floor + n  # remainder positions below this are never read
-    for e in range(-n, out_floor - 1, -1):
-        c = mul(rem.get(e + n, 0), inv_lead)
-        out[e] = c
-        if c:
-            for j, sj in sdigits:
-                pos = e + j
-                if pos >= keep:
-                    rem[pos] = add(rem.get(pos, 0), neg(mul(c, sj)))
-    return TruncSeries.from_digits(field, out_floor, out)
+    return TruncSeries(field, out_floor, quotient_digits(
+        field.poly_one.shift(-s.floor).scale(c), Poly(field, s.coeffs).scale(c),
+        out_floor, -n))
 
 
 def cf_expand(alpha, max_terms=64):
@@ -139,15 +130,18 @@ def cf_value(cf):
     return RationalK(a, g)
 
 
+def approx_gap(alpha, a, g):
+    """g*alpha - a, whose order measures how well a/g approximates alpha."""
+    return kadd(kmul_poly(alpha, g), RationalK(-a))
+
+
 def quality_bound(alpha, a, g):
     """Certified information about ord(g*alpha - a).
 
     Returns ("exact", e) with e an int or NEG_INF, or ("below", fl) meaning
     every known digit vanishes and the order is at most fl - 1.
     """
-    delta = kadd(kmul_poly(alpha, g), RationalK(-a))
-    kind, val = delta.ord_bound()
-    return kind, val
+    return approx_gap(alpha, a, g).ord_bound()
 
 
 def _tail_quality(alpha, table, n):
@@ -184,14 +178,7 @@ def legendre_recover(alpha, a, g, max_terms=64):
     """
     if g.is_zero():
         raise DomainError("zero denominator")
-    kind, val = quality_bound(alpha, a, g)
-    if kind == "exact":
-        hyp = val < -g.deg
-    else:
-        if val > -g.deg:
-            raise PrecisionError("cannot settle the approximation hypothesis")
-        hyp = True  # ord <= val - 1 < -ord g
-    if not hyp:
+    if ord_vs(approx_gap(alpha, a, g), -g.deg) == "at_or_above":
         return None
     target = RationalK(a, g)
     cf = cf_expand(alpha, max_terms)
@@ -213,26 +200,20 @@ def dirichlet_approx(alpha, k, M, max_terms=128):
     bound = k * M
     cf = cf_expand(alpha, max_terms)
     table = convergents(cf)
-    best = None
-    for n, (a, g) in enumerate(table.pairs):
-        if g.deg <= bound:
-            best = n
-        else:
-            break
-    if best is None:
-        raise ArithmeticError("no convergent within the denominator bound")
-    if best + 1 >= len(table.pairs) and cf.stopped is not None:
-        # cannot see the next denominator; certify the quality digit-wise
-        kind, val = quality_bound(alpha, *table.pairs[best])
-        if kind == "exact":
-            if not (val is NEG_INF or val < -bound):
-                raise ArithmeticError("Dirichlet quality bound failed")
-        elif val > -bound:
-            raise PrecisionError("cannot certify the Dirichlet quality bound")
-    quality = _tail_quality(alpha, table, best) if best + 1 < len(table.pairs) else None
-    if quality is not None and not (quality is NEG_INF or quality < -bound):
+    best = _last_within(table, bound)
+    if best + 1 < len(table.pairs):
+        below = _tail_quality(alpha, table, best) < -bound
+    else:
+        # the next denominator is unseen; certify the quality digit-wise
+        below = ord_vs(approx_gap(alpha, *table.pairs[best]), -bound) == "below"
+    if not below:
         raise ArithmeticError("Dirichlet quality bound failed")
     return table.pairs[best]
+
+
+def _last_within(table, bound):
+    """Index of the last convergent whose denominator has ord <= bound."""
+    return max(n for n, (_, g) in enumerate(table.pairs) if g.deg <= bound)
 
 
 @dataclass(frozen=True)
@@ -273,22 +254,17 @@ def rationality_probe(alpha, kappa, N_list, max_terms=128):
         if N < 1:
             raise DomainError("N must be positive")
         threshold = -kappa * N
-        nstar = None
-        for n, (a, g) in enumerate(table.pairs):
-            if g.deg <= N:
-                nstar = n
-            else:
-                break
+        nstar = _last_within(table, N)
         a, g = table.pairs[nstar]
         if nstar + 1 < len(table.pairs):
             quality = -table.pairs[nstar + 1][1].deg
-            status = "hit" if Fraction(quality) <= threshold else "miss"
+            status = "hit" if quality <= threshold else "miss"
             entries.append(ProbeEntry(N, status, nstar, a, g, quality))
             continue
         kind, val = quality_bound(alpha, a, g)
-        if kind == "exact" and (val is NEG_INF or Fraction(val) <= threshold):
+        if kind == "exact" and val <= threshold:
             entries.append(ProbeEntry(N, "hit", nstar, a, g, val))
-        elif kind == "below" and Fraction(val - 1) <= threshold:
+        elif kind == "below" and val - 1 <= threshold:
             entries.append(ProbeEntry(N, "hit", nstar, a, g, val - 1))
         else:
             # a deeper convergent could still qualify; not decidable here

@@ -101,7 +101,7 @@ class Verdict:
         return any(r.witness is not None for r in self.rows)
 
 
-def weyl_scan(f, N_list, D, depth=None, method=None, budget=None):
+def weyl_scan(f, N_list, D, depth=None, budget=None):
     """Per-N sup over nonzero twists m in G_D of |sum e(m f)| / q^N.
 
     A decreasing sup profile is evidence for equidistribution; a twist with
@@ -119,14 +119,13 @@ def weyl_scan(f, N_list, D, depth=None, method=None, budget=None):
         witness = None
         for mi in range(1, field.q ** D):
             m = poly_from_index(field, mi, D)
-            hist = twisted_sum(f, m, N, method=method, budget=budget)
+            hist = twisted_sum(f, m, N, budget=budget)
             sup = max(sup, hist.normalized())
             if witness is None and hist.is_full():
                 witness = str(m)
         disc = None
         if depth:
-            disc = discrepancy(cylinder_counts(f, N, depth, method=method,
-                                               budget=budget), q=field.q)
+            disc = discrepancy(cylinder_counts(f, N, depth, budget=budget), q=field.q)
         rows.append(ScanRow(N, sup, witness, disc))
     flags = {"failure_certificate": any(r.witness is not None for r in rows)}
     return Verdict(tuple(rows), flags)

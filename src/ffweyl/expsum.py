@@ -355,52 +355,24 @@ def _check_range(field, N, lo, hi, method, budget, what):
     return hi
 
 
-def _residues_direct(f, N, lo, hi, depth_index=0):
-    field = f.field
-    p = field.p
-    terms = []
-    const = 0
-    for r, coeff in f.terms:
-        dvec = _term_digit_vector(coeff, r, N, depth_index + 1)
-        if r == 0:
-            const = field.trace(dvec[depth_index])
-        else:
-            terms.append((r, dvec))
-    out = np.empty(hi - lo, dtype=np.int64)
-    mul, trace = field.mul, field.trace
-    for row, i in enumerate(range(lo, hi)):
-        x = poly_from_index(field, i, N)
-        acc = const
-        powers = {}
-        for r, dvec in terms:
-            xr = powers.get(r)
-            if xr is None:
-                xr = x ** r
-                powers[r] = xr
-            for j, c in enumerate(xr.coeffs):
-                if c:
-                    acc += trace(mul(c, dvec[depth_index + j]))
-        out[row] = acc % p
-    return out
-
-
 def weyl_residues(f, N, lo=0, hi=None, method=None, budget=None):
     """Character residues of f(x) for x over an index range of G_N (exact)."""
     hi = _check_range(f.field, N, lo, hi, method, budget, "character sum")
-    if method == "direct":
-        return _residues_direct(f, N, lo, hi)
+    if method == "direct":  # the trace of the digit at t^-1, which is additive
+        trace = np.array(f.field._trace, dtype=np.int64)
+        return trace[_digit_rows_direct(f, N, 1, lo, hi)[:, 0]]
     return _split_contract(f, N, lo, hi, _split_table(f, N, hi), 0, f.field.trace)
 
 
-def weyl_sum(f, N, lo=0, hi=None, method=None, budget=None):
+def weyl_sum(f, N, lo=0, hi=None, budget=None):
     """The exact histogram of character values of f over (a slice of) G_N."""
-    res = weyl_residues(f, N, lo=lo, hi=hi, method=method, budget=budget)
+    res = weyl_residues(f, N, lo=lo, hi=hi, budget=budget)
     return CharSum.from_residues(f.field.p, res)
 
 
-def twisted_sum(f, m, N, lo=0, hi=None, method=None, budget=None):
+def twisted_sum(f, m, N, lo=0, hi=None, budget=None):
     """weyl_sum of m*f; the twist scales every coefficient by m."""
-    return weyl_sum(f.scale_poly(m), N, lo=lo, hi=hi, method=method, budget=budget)
+    return weyl_sum(f.scale_poly(m), N, lo=lo, hi=hi, budget=budget)
 
 
 def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):

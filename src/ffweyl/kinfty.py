@@ -31,7 +31,7 @@ class RationalK:
         if den.is_zero():
             raise DomainError("rational with zero denominator")
         g = poly_gcd(num, den)
-        if g.deg is not NEG_INF and g.deg > 0:
+        if g.deg > 0:
             num, den = num // g, den // g
         c = den.field.inv(den.lead())
         if c != 1:
@@ -61,34 +61,11 @@ class RationalK:
         return RationalK(self.num % self.den, self.den)
 
     def digit(self, e):
-        if e >= 0:
-            return self.poly_part().coeff(e)
         return self.digits(e, e)[0]
 
     def digits(self, lo, hi):
         """Digit codes at exponents lo..hi inclusive, ascending."""
-        if hi < lo:
-            return []
-        out = {}
-        if hi >= 0:
-            pp = self.num // self.den
-            for e in range(max(lo, 0), hi + 1):
-                out[e] = pp.coeff(e)
-        if lo < 0:
-            # long division: s = t^(j-1) * num mod den, kept as D codes; the
-            # digit at -j is its top coefficient, and den is monic
-            fa, fm, fn = self.field._add, self.field._mul, self.field._neg
-            den = self.den.coeffs
-            D = len(den) - 1
-            s = list((self.num % self.den).coeffs)
-            s += [0] * (D - len(s))
-            for j in range(1, -lo + 1):
-                c = s[-1] if s else 0
-                if -j <= hi:
-                    out[-j] = c
-                row = fm[c]
-                s = [fa[a][fn[row[b]]] for a, b in zip([0] + s, den[:-1])]
-        return [out.get(e, 0) for e in range(lo, hi + 1)]
+        return quotient_digits(self.num, self.den, lo, hi)
 
     def res(self):
         return self.digit(-1)
@@ -124,6 +101,35 @@ class RationalK:
 
     def __repr__(self):
         return f"RationalK({str(self)!r})"
+
+
+def quotient_digits(num, den, lo, hi):
+    """Digit codes of num/den at exponents lo..hi inclusive, ascending; den monic.
+
+    Long division on code lists: before the digit at t^e is read, the register
+    s holds floor(num / t^(e+1)) mod den, whose top code is that digit.
+    Stepping to t^(e-1) shifts s up, brings in the coefficient of num at t^e
+    and cancels the top against den; only the top e - lo codes are kept,
+    because the digits left to read never reach the others.
+    """
+    if hi < lo:
+        return []
+    D = den.deg
+    if D == 0:  # den = 1
+        return [num.coeff(e) for e in range(lo, hi + 1)]
+    fa, fm, fn = den.field._add, den.field._mul, den.field._neg
+    top = max(hi, -1)
+    s = list((Poly(den.field, num.coeffs[top + 1:]) % den).coeffs)
+    s += [0] * (D - len(s))
+    out = []
+    for e in range(top, lo - 1, -1):
+        c = s[-1]
+        out.append(c)
+        w = min(D, e - lo)
+        row = fm[c]
+        s = [fa[a][fn[row[b]]]
+             for a, b in zip(([num.coeff(e)] + s)[-w - 1:-1], den.coeffs[D - w:D])]
+    return out[top - hi:][::-1]
 
 
 class TruncSeries:
@@ -326,25 +332,28 @@ def frac_res(alpha):
     return alpha.frac(), alpha.res()
 
 
-def frac_ord_vs(alpha, N):
-    """Compare ord{alpha} with -N; returns 'below' or 'at_or_above'.
+def ord_vs(alpha, bound):
+    """Compare ord alpha with bound, certified from the known digits.
 
-    Certified from available digits: any nonzero digit in [-N, -1] settles
-    'at_or_above'; all-zero known digits covering [-N, -1] settle 'below'.
+    Returns 'below' when ord alpha < bound and 'at_or_above' when
+    ord alpha >= bound; raises PrecisionError when the digits cannot tell,
+    that is, when every known digit vanishes and the floor is above bound.
     """
+    kind, val = alpha.ord_bound()
+    if kind == "exact":
+        return "below" if val < bound else "at_or_above"
+    if val <= bound:  # ord <= val - 1 < bound
+        return "below"
+    raise PrecisionError(
+        f"digits known only to {val}; cannot compare the order with {bound}")
+
+
+def frac_ord_vs(alpha, N):
+    """Compare ord{alpha} with -N as ord_vs does: 'below' or 'at_or_above'."""
     if isinstance(alpha, RationalK):
         o = (alpha.num % alpha.den).deg - alpha.den.deg  # -inf for a zero fraction
         return "below" if o < -N else "at_or_above"
-    if alpha.floor > -1:
-        raise PrecisionError("fractional digits unknown")
-    for e in range(-1, max(alpha.floor, -N) - 1, -1):
-        if alpha.digit(e):
-            return "at_or_above"
-    if alpha.floor <= -N:
-        return "below"
-    raise PrecisionError(
-        f"digits known only to {alpha.floor}; cannot compare ord of the "
-        f"fractional part with {-N}")
+    return ord_vs(alpha.frac(), -N)
 
 
 # ---------------------------------------------------------------------------

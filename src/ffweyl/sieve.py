@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Poly, check_budget, enumerate_GN, gn_size, irreducibles,
-                      poly_crt, poly_from_index, roots_mod)
+                      poly_crt, roots_mod)
 from .errors import BudgetError, DomainError, HypothesisError
 from .expsum import CharSum, ExpPoly, weyl_sum
 from .kinfty import kmul_poly
@@ -67,13 +67,6 @@ class GMBuild:
     reason: str | None    # set when no root exists, naming the failing factor
 
 
-def _monics_below(field, M):
-    for d in range(1, M):
-        for i in range(field.q ** d):
-            low = poly_from_index(field, i, d).coeffs
-            yield Poly(field, list(low) + [0] * (d - len(low)) + [1])
-
-
 def gm_build(field, M, phi=None, mode="literal", degree_budget=None,
              budget=None):
     """The all-monic modulus below degree M and, given phi, a root mod it.
@@ -88,27 +81,20 @@ def gm_build(field, M, phi=None, mode="literal", degree_budget=None,
         raise DomainError(f"unknown mode {mode!r}")
     limit = GM_DEGREE_BUDGET if degree_budget is None else degree_budget
     factors = {}
-    if mode == "literal":
-        for monic in _monics_below(field, M):
-            rem = monic
-            for d in range(1, monic.deg + 1):
-                for l in irreducibles(field, d):
-                    while not (rem % l).coeffs:
-                        rem = rem // l
-                        factors[l] = factors.get(l, 0) + 1
-                if rem.deg == 0:
-                    break
-    else:
-        for d in range(1, M):
-            for l in irreducibles(field, d):
-                factors[l] = 1
+    for d in range(1, M):
+        # l of degree d divides q^(D - jd) monics of degree D at least j times
+        e = 1 if mode == "squarefree" else sum(
+            field.q ** (D - j * d) for j in range(1, (M - 1) // d + 1)
+            for D in range(j * d, M))
+        for l in irreducibles(field, d):
+            factors[l] = e
     total_deg = sum(l.deg * e for l, e in factors.items())
     if total_deg > limit:
         raise BudgetError(f"deg g_M = {total_deg} exceeds the budget {limit}")
-    modulus = field.poly_one
-    for l, e in sorted(factors.items(), key=lambda kv: kv[0].code()):
-        modulus = modulus * l ** e
     fact = tuple(sorted(factors.items(), key=lambda kv: kv[0].code()))
+    modulus = field.poly_one
+    for l, e in fact:
+        modulus = modulus * l ** e
     if phi is None:
         return GMBuild(modulus, None, fact, mode, None)
     if M == 1:

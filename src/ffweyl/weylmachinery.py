@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import NEG_INF, Poly, check_budget, enumerate_GN, is_irreducible, poly_gcd
-from .contfrac import dirichlet_approx, quality_bound
+from .algebra import Poly, check_budget, enumerate_GN, is_irreducible, poly_gcd
+from .contfrac import approx_gap, dirichlet_approx, quality_bound
 from .errors import DomainError, HypothesisError, PrecisionError
 from .exponents import ktilde, maximal_elements
 from .expsum import CharSum, ExpPoly, e_of, weyl_residues, weyl_sum
-from .kinfty import RationalK, kadd, kmul_poly
+from .kinfty import kadd, kmul_poly, ord_vs
 
 
 def weyl_shift_check(f, shifts, N, budget=None):
@@ -98,20 +98,12 @@ def spacing_check(alpha_k, k, g, a, M, N, points):
         raise HypothesisError("zero modulus")
     if poly_gcd(a, g) != field.poly_one:
         raise HypothesisError("a and g share a factor")
-    delta = kadd(kmul_poly(alpha_k, g), RationalK(-a))
-    kind, val = delta.ord_bound()
-    if kind == "exact":
-        e0 = val
-        if not (e0 is NEG_INF or e0 < -k * M):
-            raise HypothesisError(f"ord(g*alpha - a) = {e0} is not below {-k * M}")
-    else:
-        if val > -k * M:
-            raise PrecisionError("approximation order not certifiable")
-        e0 = None  # known only to be <= val - 1 < -kM
-    if g.deg <= M:
-        if e0 is None or e0 is NEG_INF or e0 < M - k * N:
-            raise HypothesisError(
-                "with ord g <= M the approximation order must be >= M - kN")
+    delta = approx_gap(alpha_k, a, g)
+    if ord_vs(delta, -k * M) == "at_or_above":
+        raise HypothesisError(f"ord(g*alpha - a) = {delta.ord()} is not below {-k * M}")
+    if g.deg <= M and ord_vs(delta, M - k * N) == "below":
+        raise HypothesisError(
+            "with ord g <= M the approximation order must be >= M - kN")
     for l in points:
         if l.deg != M or l.lead() != 1 or not is_irreducible(l):
             raise HypothesisError(f"{l} is not a monic irreducible of degree {M}")
@@ -127,7 +119,7 @@ def spacing_check(alpha_k, k, g, a, M, N, points):
     for i, l1 in enumerate(points):
         for l2 in points[i + 1:]:
             gap = _frac_gap(kmul_poly(alpha_k, l1 ** k - l2 ** k))
-            if gap is NEG_INF or gap < bound:
+            if gap < bound:
                 ok = False
             min_gap = min(min_gap, gap)
     return min_gap, ok
@@ -280,14 +272,5 @@ def minor_arc_probe(f, k, N, eta, M_list=None, budget=None):
             entries.append(ApproxEntry(M, a, g, kind, val, g.deg))
         except PrecisionError:
             break
-    best = None
-    for entry in entries:
-        if best is None or _entry_rank(entry) < _entry_rank(best):
-            best = entry
+    best = min(entries, key=lambda e: (e.quality, e.ord_g), default=None)
     return MinorArcReport(hist, mag, threshold, True, tuple(entries), best)
-
-
-def _entry_rank(entry):
-    q = -math.inf if entry.quality is NEG_INF else entry.quality
-    og = -math.inf if entry.ord_g is NEG_INF else entry.ord_g
-    return (q, og)

@@ -155,7 +155,10 @@ def test_malformed_input_exits_2(capsys):
                  ["intersective", "--field", "q=2", "--phi", "u^2", "--A",
                   '{"elems": ["0", "1"]}', "--N", "2", "--xbound=-2"],
                  ["js", "--field", "q=2", "--set", "1", "--s=-1", "--N", "1"],
-                 ["js", "--field", "q=2", "--set", "1", "--s", "1", "--N=-1"]):
+                 ["js", "--field", "q=2", "--set", "1", "--s", "1", "--N=-1"],
+                 ["weyl", "--field", "q=2", "--f", "{}", "--N", "abc"],
+                 ["equidist", "--field", "q=2", "--f", f_json, "--N", "-2..1", "--D", "1"],
+                 []):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and not out, argv
         assert json.loads(err)["error"]["type"] == "DomainError", argv
@@ -201,8 +204,8 @@ FUZZ_CORPUS = (
 )
 
 #: Replacement values by option; options left out (--out, --mode) take
-#: choices, which argparse itself enforces.
-_INTS = ("-1", "-7", "0", "1", "3", "9")
+#: choices, which argparse itself enforces (and reports as a DomainError).
+_INTS = ("-1", "-7", "0", "1", "3", "9", "abc", "1.5")
 _INT_LISTS = ("", " ", "-3", "0", "5..1", "1..", "-2..1", "1,,2", "a", "0..2")
 _JSON = ("", "5", "[]", "{", "{}", '{"field": 5, "terms": []}',
          '{"terms": 5}', '{"terms": [5]}', '{"terms": [{"exp": "1", "coeff": {}}]}',

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from ffweyl.algebra import NEG_INF, parse_poly
-from ffweyl.contfrac import (approx_quality, cf_expand, cf_value, convergents,
-                             dirichlet_approx, legendre_recover,
+from ffweyl.contfrac import (_series_invert, approx_quality, cf_expand, cf_value,
+                             convergents, dirichlet_approx, legendre_recover,
                              quality_bound, rationality_probe)
 from ffweyl.errors import DomainError, PrecisionError
-from ffweyl.kinfty import RationalK, kernel_element
+from ffweyl.kinfty import RationalK, kernel_element, kmul
 
-from helpers import field, rand_rational
+from helpers import field, rand_rational, rand_series
 
 
 def test_cf_examples():
@@ -144,6 +144,22 @@ def test_cf_expand_series_markers():
     with pytest.raises(PrecisionError):
         from ffweyl.kinfty import TruncSeries
         cf_expand(TruncSeries(F2, 2, (1,)))
+
+
+def test_series_invert_times_series_is_one():
+    # 1/s is known down to floor - 2 ord; the product with s has floor
+    # floor - ord and top 0, and every digit there is a digit of 1
+    rng = random.Random(61)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field(q)
+        for _ in range(40):
+            floor = -rng.randrange(1, 30)
+            s = rand_series(rng, F, floor, rng.randrange(floor, 1))
+            if s.is_zero_to_floor():
+                continue
+            prod = kmul(_series_invert(s), s)
+            lo = floor - s.ord()
+            assert prod.digits(lo, 0) == [0] * -lo + [1], (q, str(s))
 
 
 def test_rationality_probe_rational_structure():

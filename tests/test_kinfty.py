@@ -7,7 +7,8 @@ from ffweyl.algebra import NEG_INF, parse_poly
 from ffweyl.errors import DomainError, PrecisionError
 from ffweyl.kinfty import (RationalK, TruncSeries, expand_rational, frac_res,
                            frac_ord_vs, kadd, kernel_element, kmul, kmul_poly,
-                           kmul_scalar, ord_norm, parse_kelem, tmap, truncate)
+                           kmul_scalar, ord_norm, ord_vs, parse_kelem, tmap,
+                           truncate)
 
 from helpers import field, rand_poly, rand_rational, rand_series
 
@@ -208,6 +209,22 @@ def test_frac_ord_vs():
     with pytest.raises(PrecisionError):
         frac_ord_vs(s, 5)
     assert frac_ord_vs(s, 3) == "below"
+
+
+def test_ord_vs():
+    F3 = field(3)
+    r = RationalK(F3.poly_one, parse_poly(F3, "t^2+1"))  # ord -2
+    assert ord_vs(r, -1) == "below"
+    assert ord_vs(r, -2) == "at_or_above"
+    s = parse_kelem(F3, "2*t^-3 + O(t^-9)")  # ord -3
+    assert ord_vs(s, -2) == "below"
+    assert ord_vs(s, -3) == "at_or_above"
+    assert ord_vs(RationalK(F3.poly_zero), -10 ** 6) == "below"
+    # zero down to the floor -5: ord <= -6, so only bounds >= -5 are decided
+    z = TruncSeries(F3, -5, ())
+    assert ord_vs(z, -5) == "below"
+    with pytest.raises(PrecisionError):
+        ord_vs(z, -6)
 
 
 def test_parse_format_roundtrip():

@@ -24,6 +24,18 @@ def test_gm_examples():
         {"t": 4, "t + 1": 4, "t^2 + t + 1": 1}
 
 
+def test_gm_modulus_is_the_product_of_all_monics():
+    for q, M_max in ((2, 4), (3, 4), (4, 4), (5, 4), (8, 3), (9, 3)):
+        F = field(q)
+        product = F.poly_one
+        for M in range(1, M_max + 1):
+            if M > 1:
+                for x in enumerate_GN(F, M - 1):
+                    product = product * (x + F.poly_one.shift(M - 1))
+            gb = gm_build(F, M, degree_budget=10 ** 4)
+            assert gb.modulus == product, (q, M)
+
+
 def test_gm_root_and_crt_consistency():
     F2, F3 = field(2), field(3)
     phi = {2: F2.poly_one}

@@ -6,11 +6,11 @@ import pytest
 
 from ffweyl.algebra import (NEG_INF, Poly, enumerate_GN, irreducibles,
                             parse_poly, poly_from_index)
-from ffweyl.errors import DomainError, HypothesisError
+from ffweyl.errors import DomainError, HypothesisError, PrecisionError
 from ffweyl.expsum import ExpPoly, e_of
 from ffweyl.exponents import maximal_elements, shadow
 from ffweyl.kinfty import (RationalK, kadd, kernel_element, kmul_poly,
-                           kmul_scalar)
+                           kmul_scalar, parse_kelem)
 from ffweyl.weylmachinery import (kth_power_classes, large_sieve_check,
                                   minor_arc_probe, shift_expand,
                                   space_family, spacing_check,
@@ -209,6 +209,17 @@ def test_spacing_hypothesis_errors():
     # vacuous family passes
     min_gap, ok = spacing_check(alpha, 2, g, F3.poly_one, 2, 4, points[:1])
     assert ok and min_gap == math.inf
+
+
+def test_spacing_hypothesis_needs_certified_digits():
+    # g*alpha - a = O(t^-4) only says ord <= -5: below -kM = -2, but not
+    # decidable against M - kN = -7, which a deeper floor settles
+    F3 = field(3)
+    args = (2, F3.poly_t, F3.poly_one, 1, 4, list(irreducibles(F3, 1)))
+    with pytest.raises(PrecisionError):
+        spacing_check(parse_kelem(F3, "t^-1 + O(t^-5)"), *args)
+    with pytest.raises(HypothesisError):
+        spacing_check(parse_kelem(F3, "t^-1 + O(t^-9)"), *args)
 
 
 def test_large_sieve_single_point_equality():
