@@ -105,7 +105,7 @@ def parse_upoly(field, s):
 
 def _load_exppoly(args, field):
     obj = _load_json_arg(args.f)
-    return ExpPoly.from_json(obj, field=field, default_seed=args.seed)
+    return ExpPoly.from_json(obj, field=field, default_seed=args.seed, budget=args.budget)
 
 
 def _emit(args, command, field, params, result, csv_rows=None):

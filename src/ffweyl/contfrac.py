@@ -207,6 +207,10 @@ def dirichlet_approx(alpha, k, M, max_terms=128):
         # the next denominator is unseen; certify the quality digit-wise
         below = ord_vs(approx_gap(alpha, *table.pairs[best]), -bound) == "below"
     if not below:
+        if cf.stopped is not None:  # a later convergent would qualify, but is unseen
+            raise PrecisionError(
+                f"expansion stopped ({cf.stopped}) before a convergent with "
+                f"ord(g*alpha - a) < {-bound}")
         raise ArithmeticError("Dirichlet quality bound failed")
     return table.pairs[best]
 

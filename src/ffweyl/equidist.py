@@ -16,8 +16,13 @@ from .algebra import check_budget, gn_size, poly_from_index
 from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
 from .exponents import cal_i
-from .expsum import ExpPoly, fractional_digit_rows, twisted_sum
+from .expsum import ExpPoly, fractional_digit_rows, stacked_sums
 from .kinfty import RationalK, kadd, tmap
+
+
+#: At most this many twists are stacked into one sum, so that a large q^D
+#: never holds every twisted polynomial at once.
+TWIST_STACK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -117,12 +122,15 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
     for N in sorted(N_list):
         sup = 0.0
         witness = None
-        for mi in range(1, field.q ** D):
-            m = poly_from_index(field, mi, D)
-            hist = twisted_sum(f, m, N, budget=budget)
-            sup = max(sup, hist.normalized())
-            if witness is None and hist.is_full():
-                witness = str(m)
+        for start in range(1, field.q ** D, TWIST_STACK):
+            # these twists are the members of one stacked sum over G_N
+            ms = [poly_from_index(field, mi, D)
+                  for mi in range(start, min(start + TWIST_STACK, field.q ** D))]
+            for m, hist in zip(ms, stacked_sums([f.scale_poly(m) for m in ms], N,
+                                                budget=budget)):
+                sup = max(sup, hist.normalized())
+                if witness is None and hist.is_full():
+                    witness = str(m)
         disc = None
         if depth:
             disc = discrepancy(cylinder_counts(f, N, depth, budget=budget), q=field.q)

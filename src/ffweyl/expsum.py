@@ -11,9 +11,19 @@ One engine computes the per-point character residues and fractional digits
 for every q: it splits x = x_lo + t^h x_hi with h = N // 2, tabulates the
 coordinates of the powers of x_lo over G_h and of x_hi over G_{N-h}, and
 contracts the two tables through Lucas binomials and Hankel blocks of the
-coefficient digits in one matrix product.  The direct path
-(method="direct") walks points one by one through plain field arithmetic and
-is kept only as the independent oracle; the tests make the two agree.
+coefficient digits in one matrix product.  Several polynomials over one G_N
+(the twists of a scan, the digit coordinates of a cylinder count, a large
+sieve family) share the tables and stack as extra columns of that product.
+
+The product runs in float64, so BLAS does it, and it is exact: every entry
+of both factors is reduced mod p, so each dot product is at most
+(p - 1)^2 * k for the inner width k, far below 2^53, where float64 still
+represents every integer; each call checks that bound before any product.
+The product streams over blocks of x_hi rows that hold at most BLOCK output
+entries, and weyl_sum counts each block as it comes, so memory grows with
+q^(N/2) and not with q^N.  The direct path (method="direct") walks points
+one by one through plain field arithmetic and is kept only as the
+independent oracle; the tests make the two agree.
 """
 from __future__ import annotations
 
@@ -185,10 +195,13 @@ class ExpPoly:
         return {"field": self.field.spec_string(), "terms": out}
 
     @classmethod
-    def from_json(cls, obj, field=None, default_seed=0):
+    def from_json(cls, obj, field=None, default_seed=0, budget=None):
+        """The ExpPoly of a JSON object; every kernel coefficient is charged
+        |floor| digits against the budget before its series is built."""
         if field is None:
             field = Field.parse(_member(obj, "field", str))
         coeffs = {}
+        kernel_digits = 0
         for term in _member(obj, "terms", list):
             r = _member(term, "exp", int)
             spec = _member(term, "coeff", dict)
@@ -206,7 +219,10 @@ class ExpPoly:
             elif "kernel" in spec:
                 kernel = _member(spec, "kernel", dict)
                 seed = _member(kernel, "seed", int) if "seed" in kernel else default_seed
-                c = kernel_element(field, _member(kernel, "floor", int), seed)
+                floor = _member(kernel, "floor", int)
+                kernel_digits += max(-floor, 0)
+                check_budget(kernel_digits, budget, "kernel series")
+                c = kernel_element(field, floor, seed)
             else:
                 raise DomainError(f"unknown coefficient form {sorted(spec)}")
             if r in coeffs:
@@ -291,50 +307,96 @@ def _power_table(field, n, top, rows):
     return np.concatenate(blocks, axis=1), starts
 
 
-def _split_table(f, N, hi):
-    """The power table over G_{N-h} that a slice of G_N ending at hi reads.
+#: Entries (points times members) in one block of the streamed product.  A
+#: group of stacked members keeps its float64 factor within as many entries,
+#: unless the factor of one member alone is larger.
+BLOCK = 1 << 16
 
-    G_h is the first q^h points of G_{N-h}, so one table serves both halves.
+#: float64 holds every integer up to 2^53, so a product whose dot products
+#: stay within it is exact.
+FLOAT_EXACT = 1 << 53
+
+
+def _split_blocks(members, N, lo, hi):
+    """proj of the digit at -(1+depth_index) of f(x), streamed over x in [lo, hi).
+
+    members is a list of (f, depth_index, proj) over one field.  They share
+    one power table over G_{N-h}; each member contributes one factor to a
+    float64 product whose rows are the coordinates of x_hi^e.  Yields
+    (i, start, block): column c of block holds member i + c at the indices
+    start, start + 1, ... of G_N, one row each, and no block holds more than
+    BLOCK entries unless one row of x_lo for one member is already larger.
+
+    Both products run in float64.  Every table entry is a coordinate below
+    p, and every Hankel block and every factor entry is reduced mod p first,
+    so each dot product is at most (p - 1)^2 * k for the inner width k of
+    the final product (no Hankel block is wider than x_hi^top, which is part
+    of k); that stays within 2^53, where float64 is exact, or the call
+    raises before any product.
     """
-    qh = f.field.q ** (N // 2)
-    return _power_table(f.field, N - N // 2, f.max_exp(), max(qh, -(-hi // qh)))
-
-
-def _split_contract(f, N, lo, hi, table, depth_index, proj):
-    """proj of the digit at -(1+depth_index) of f(x), for x over [lo, hi).
-
-    The term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times a
-    Hankel block: ((a, i), (b, k)) -> proj(e_i e_k d_{depth_index+a+b+h*e}).
-    Only the rows x_hi that [lo, hi) meets enter the final product.
-    """
-    field = f.field
+    field = members[0][0].field
+    if any(f.field != field for f, _, _ in members):
+        raise DomainError("stacked polynomials must share one field")
     p, m = field.p, field.m
     h = N // 2
     qh = field.q ** h
     first, last = lo // qh, -(-hi // qh)
-    powers, starts = table
+    powers, starts = _power_table(field, N - h, max(f.max_exp() for f, _, _ in members),
+                                  max(qh, last))
+    powers = powers.astype(np.float64)
+    # j -> C(r, j) mod p where nonzero, for every exponent r of some member
+    lucas = {r: [(j, c) for j in range(r + 1) if (c := lucas_binom(r, j, p))]
+             for f, _, _ in members for r, _ in f.terms}
+    # the exponents e = r - j of x_hi that some member reads, and where each sits in k
+    ends = sorted({r - j for r, pairs in lucas.items() for j, _ in pairs})
+    k = sum(starts[e + 1] - starts[e] for e in ends)
+    if (p - 1) ** 2 * k > FLOAT_EXACT:
+        raise DomainError(f"an inner width of {k} at p = {p} is beyond an exact float64 product")
+    offsets = {}
+    highs = np.empty((last - first, k))  # the left factor: x_hi^e for every e read
+    col = 0
+    for e in ends:
+        offsets[e] = col
+        col += starts[e + 1] - starts[e]
+        highs[:, offsets[e]:col] = powers[first:last, starts[e]:starts[e + 1]]
     width = (starts[-1] - starts[-2]) // m
     hankel = np.arange(width)[:, None] + np.arange(width)  # a + b, wide enough for every block
-    parts = {}  # e -> the factor that meets the coordinates of x_hi^e
-    for r, coeff in f.terms:
-        form = _bilinear_form(field, _term_digit_vector(coeff, r, N, depth_index + 1), proj)
-        for j in range(r + 1):
-            c = lucas_binom(r, j, p)
-            if not c:
-                continue
-            e = r - j
-            la = j * max(h - 1, 0) + 1  # x_lo^j has degree below j*(h-1)+1
-            lb = (starts[e + 1] - starts[e]) // m
-            block = form[depth_index + h * e:][hankel[:la, :lb]]
-            block = c * block.transpose(0, 2, 1, 3).reshape(la * m, lb * m)
-            part = powers[:qh, starts[j]:starts[j] + la * m] @ block
-            parts[e] = parts[e] + part if e in parts else part
-    if not parts:
-        return np.zeros(hi - lo, dtype=np.int64)
-    highs = np.concatenate([powers[first:last, starts[e]:starts[e + 1]] for e in parts], axis=1)
-    out = highs @ (np.concatenate(list(parts.values()), axis=1) % p).T
-    out %= p  # row i_hi - first, column i_lo: C order is index order
-    return out.ravel()[lo - first * qh:hi - first * qh]
+
+    def factor(f, depth_index, proj):
+        """The (q^h x k) factor of one member, reduced mod p.
+
+        The term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times
+        a Hankel block: ((a, i), (b, k)) -> proj(e_i e_k d_{depth_index+a+b+h*e}).
+        """
+        out = np.zeros((qh, k), dtype=np.int64)
+        for r, coeff in f.terms:
+            form = _bilinear_form(field, _term_digit_vector(coeff, r, N, depth_index + 1), proj)
+            for j, c in lucas[r]:
+                e = r - j
+                la = j * max(h - 1, 0) + 1  # x_lo^j has degree below j*(h-1)+1
+                lb = (starts[e + 1] - starts[e]) // m
+                block = form[depth_index + h * e:][hankel[:la, :lb]]
+                block = c * block.transpose(0, 2, 1, 3).reshape(la * m, lb * m) % p
+                out[:, offsets[e]:offsets[e] + lb * m] += (
+                    powers[:qh, starts[j]:starts[j] + la * m] @ block.astype(np.float64)
+                ).astype(np.int64)
+        out %= p
+        return out
+
+    group = max(1, BLOCK // (qh * max(k, 1)))
+    for i in range(0, len(members), group):
+        n = min(group, len(members) - i)
+        right = np.empty((k, qh, n))  # [., i_lo, n']: point i_lo of member i + n'
+        for c in range(n):
+            right[:, :, c] = factor(*members[i + c]).T
+        right = right.reshape(k, qh * n)
+        rows = max(1, BLOCK // (n * qh))
+        for r0 in range(first, last, rows):
+            r1 = min(r0 + rows, last)
+            out = (highs[r0 - first:r1 - first] @ right).astype(np.int64).reshape(-1, n)
+            out %= p  # row (i_hi - r0) * q^h + i_lo: C order is index order
+            a, b = max(lo, r0 * qh), min(hi, r1 * qh)
+            yield i, a, out[a - r0 * qh:b - r0 * qh]
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +419,50 @@ def _check_range(field, N, lo, hi, method, budget, what):
 
 def weyl_residues(f, N, lo=0, hi=None, method=None, budget=None):
     """Character residues of f(x) for x over an index range of G_N (exact)."""
+    if method is None:
+        return stacked_residues([f], N, lo, hi, budget)[0]
     hi = _check_range(f.field, N, lo, hi, method, budget, "character sum")
-    if method == "direct":  # the trace of the digit at t^-1, which is additive
-        trace = np.array(f.field._trace, dtype=np.int64)
-        return trace[_digit_rows_direct(f, N, 1, lo, hi)[:, 0]]
-    return _split_contract(f, N, lo, hi, _split_table(f, N, hi), 0, f.field.trace)
+    # the trace of the digit at t^-1, which is additive
+    trace = np.array(f.field._trace, dtype=np.int64)
+    return trace[_digit_rows_direct(f, N, 1, lo, hi)[:, 0]]
+
+
+def _residue_blocks(fs, N, lo, hi):
+    return _split_blocks([(f, 0, f.field.trace) for f in fs], N, lo, hi)
+
+
+def stacked_residues(fs, N, lo=0, hi=None, budget=None):
+    """weyl_residues of every f in the nonempty list fs, one row each.
+
+    The polynomials share one power table and one streamed product; the
+    budget is charged once, for q^N points, as for a single sum.
+    """
+    hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
+    out = np.empty((len(fs), hi - lo), dtype=np.int64)
+    for i, start, block in _residue_blocks(fs, N, lo, hi):
+        out[i:i + block.shape[1], start - lo:start - lo + len(block)] = block.T
+    return out
+
+
+def stacked_sums(fs, N, lo=0, hi=None, budget=None):
+    """weyl_sum of every f in the nonempty list fs, from one stacked product.
+
+    Each block of residues goes straight into the histograms, so memory stays
+    at the block size whatever q^N is.
+    """
+    hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
+    p = fs[0].field.p
+    counts = np.zeros((len(fs), p), dtype=np.int64)
+    for i, _, block in _residue_blocks(fs, N, lo, hi):
+        n = block.shape[1]
+        block += p * np.arange(n)  # member i + n' counts in [n' p, n' p + p)
+        counts[i:i + n] += np.bincount(block.ravel(), minlength=n * p).reshape(n, p)
+    return [CharSum(p, tuple(row)) for row in counts.tolist()]
 
 
 def weyl_sum(f, N, lo=0, hi=None, budget=None):
     """The exact histogram of character values of f over (a slice of) G_N."""
-    res = weyl_residues(f, N, lo=lo, hi=hi, budget=budget)
-    return CharSum.from_residues(f.field.p, res)
+    return stacked_sums([f], N, lo, hi, budget)[0]
 
 
 def twisted_sum(f, m, N, lo=0, hi=None, budget=None):
@@ -388,12 +483,14 @@ def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
     hi = _check_range(field, N, lo, hi, method, budget, "cylinder count")
     if method == "direct":
         return _digit_rows_direct(f, N, depth, lo, hi)
-    table = _split_table(f, N, hi)
+    # member s * m + c is coordinate c of the digit at t^-(1+s)
+    members = [(f, s, lambda v, c=c: field.coords(v)[c])
+               for s in range(depth) for c in range(field.m)]
     codes = np.zeros((hi - lo, depth), dtype=np.int64)
-    for s in range(depth):
-        for c in range(field.m):
-            coord = _split_contract(f, N, lo, hi, table, s, lambda v, c=c: field.coords(v)[c])
-            codes[:, s] += field.p ** c * coord
+    for i, start, block in _split_blocks(members, N, lo, hi):
+        for member, coord in enumerate(block.T, i):
+            s, c = divmod(member, field.m)
+            codes[start - lo:start - lo + len(coord), s] += field.p ** c * coord
     return codes
 
 

@@ -67,6 +67,30 @@ class GMBuild:
     reason: str | None    # set when no root exists, naming the failing factor
 
 
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def gm_degree(q, M, mode="literal"):
+    """deg g_M, from closed formulas and without enumerating any irreducible.
+
+    The monics of degree D multiply to degree D * q^D; the monic irreducibles
+    of degree d multiply to degree sum over k | d of mu(k) * q^(d/k).
+    """
+    if mode == "literal":
+        return sum(D * q ** D for D in range(1, M))
+    return sum(_mobius(k) * q ** (d // k)
+               for d in range(1, M) for k in range(1, d + 1) if d % k == 0)
+
+
 def gm_build(field, M, phi=None, mode="literal", degree_budget=None,
              budget=None):
     """The all-monic modulus below degree M and, given phi, a root mod it.
@@ -80,6 +104,9 @@ def gm_build(field, M, phi=None, mode="literal", degree_budget=None,
     if mode not in ("literal", "squarefree"):
         raise DomainError(f"unknown mode {mode!r}")
     limit = GM_DEGREE_BUDGET if degree_budget is None else degree_budget
+    total_deg = gm_degree(field.q, M, mode)
+    if total_deg > limit:
+        raise BudgetError(f"deg g_M = {total_deg} exceeds the budget {limit}")
     factors = {}
     for d in range(1, M):
         # l of degree d divides q^(D - jd) monics of degree D at least j times
@@ -88,9 +115,6 @@ def gm_build(field, M, phi=None, mode="literal", degree_budget=None,
             for D in range(j * d, M))
         for l in irreducibles(field, d):
             factors[l] = e
-    total_deg = sum(l.deg * e for l, e in factors.items())
-    if total_deg > limit:
-        raise BudgetError(f"deg g_M = {total_deg} exceeds the budget {limit}")
     fact = tuple(sorted(factors.items(), key=lambda kv: kv[0].code()))
     modulus = field.poly_one
     for l, e in fact:

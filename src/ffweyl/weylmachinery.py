@@ -14,7 +14,7 @@ from .algebra import Poly, check_budget, enumerate_GN, is_irreducible, poly_gcd
 from .contfrac import approx_gap, dirichlet_approx, quality_bound
 from .errors import DomainError, HypothesisError, PrecisionError
 from .exponents import ktilde, maximal_elements
-from .expsum import CharSum, ExpPoly, e_of, weyl_residues, weyl_sum
+from .expsum import CharSum, ExpPoly, e_of, stacked_residues, weyl_sum
 from .kinfty import kadd, kmul_poly, ord_vs
 
 
@@ -179,8 +179,9 @@ def large_sieve_check(family, weights, N, K, rel_tol=1e-6, budget=None):
     zeta = [complex(math.cos(2 * math.pi * r / field.p),
                     math.sin(2 * math.pi * r / field.p)) for r in range(field.p)]
     lhs = 0.0
-    for gamma in family.points:
-        residues = weyl_residues(ExpPoly(field, {1: gamma}), N, budget=budget)
+    stack = stacked_residues([ExpPoly(field, {1: gamma}) for gamma in family.points],
+                             N, budget=budget)
+    for residues in stack:
         s = 0j
         for b, r in zip(weights, residues.tolist()):
             if b:
@@ -250,7 +251,9 @@ def minor_arc_probe(f, k, N, eta, M_list=None, budget=None):
 
     No pass/fail semantics: the asymptotic statement has unspecified
     constants, so the (approximation order, denominator order) pairs are the
-    output.
+    output.  A sweep the coefficient's digits cannot certify for every M
+    raises PrecisionError rather than stopping early, so the report never
+    depends on digits below a series floor.
     """
     field = f.field
     p = field.p
@@ -264,13 +267,10 @@ def minor_arc_probe(f, k, N, eta, M_list=None, budget=None):
     alpha_k = f.coeff(k)
     entries = []
     for M in (M_list if M_list is not None else range(1, N + 1)):
-        try:
-            a, g = dirichlet_approx(alpha_k, k, M)
-            kind, val = quality_bound(alpha_k, a, g)
-            if kind == "below":
-                val = val - 1
-            entries.append(ApproxEntry(M, a, g, kind, val, g.deg))
-        except PrecisionError:
-            break
+        a, g = dirichlet_approx(alpha_k, k, M)
+        kind, val = quality_bound(alpha_k, a, g)
+        if kind == "below":
+            val = val - 1
+        entries.append(ApproxEntry(M, a, g, kind, val, g.deg))
     best = min(entries, key=lambda e: (e.quality, e.ord_g), default=None)
     return MinorArcReport(hist, mag, threshold, True, tuple(entries), best)

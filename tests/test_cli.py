@@ -125,6 +125,34 @@ def test_error_exit_codes(capsys):
     assert json.loads(err)["error"]["type"] == "BudgetError"
 
 
+def test_uncertifiable_probe_sweep_exits_2(capsys):
+    # the series runs out of digits before M = 5 of the sweep is certified
+    series = ("t^-1 + t^-3 + t^-5 + t^-8 + t^-9 + t^-12 + t^-13 + t^-15 + t^-16 + "
+              "t^-17 + t^-18 + t^-20 + t^-21 + t^-23 + t^-26 + t^-27 + O(t^-28)")
+    f_json = json.dumps({"field": "q=2", "terms": [
+        {"exp": 3, "coeff": {"series": series, "floor": -28}}]})
+    code, out, err = run_cli(["probe", "--field", "q=2", "--f", f_json,
+                              "--k", "3", "--N", "8", "--eta", "8"], capsys)
+    assert code == 2 and not out
+    assert json.loads(err)["error"]["type"] == "PrecisionError"
+
+
+def test_budget_is_checked_before_building(capsys):
+    # a kernel floor is charged before its series is built, and deg g_M is
+    # known before any irreducible is enumerated; both exit 3 at once
+    f_json = json.dumps({"field": "q=2", "terms": [
+        {"exp": 1, "coeff": {"kernel": {"floor": -300000}}}]})
+    code, out, err = run_cli(["weyl", "--field", "q=2", "--f", f_json, "--N", "1",
+                              "--budget", "10"], capsys)
+    assert code == 3 and not out
+    assert json.loads(err)["error"]["message"] == \
+        "kernel series of 300000 points exceeds budget 10"
+    code, out, err = run_cli(["sieve-tmn", "--field", "q=9", "--phi", "u^2", "--alpha",
+                              "1 / t", "--M", "5", "--N", "1", "--budget", "1000"], capsys)
+    assert code == 3 and not out
+    assert json.loads(err)["error"]["message"] == "deg g_M = 28602 exceeds the budget 64"
+
+
 def test_malformed_input_exits_2(capsys):
     term = {"exp": 1, "coeff": {"rat": ["1", "t"]}}
     for f_obj, N in (({"field": "q=2"}, "2"),

@@ -8,7 +8,7 @@ from ffweyl.contfrac import (_series_invert, approx_quality, cf_expand, cf_value
                              convergents, dirichlet_approx, legendre_recover,
                              quality_bound, rationality_probe)
 from ffweyl.errors import DomainError, PrecisionError
-from ffweyl.kinfty import RationalK, kernel_element, kmul
+from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, kmul, parse_kelem
 
 from helpers import field, rand_rational, rand_series
 
@@ -127,6 +127,36 @@ def test_dirichlet_postconditions_fuzz():
         else:
             assert val <= -k * M
     assert checked > 150
+
+
+def test_dirichlet_truncation_raises_precision_or_agrees_with_completions():
+    # a truncated expansion that runs out before a qualifying convergent is a
+    # precision failure, never a failed theorem; a certified answer survives
+    # every completion of the digits below the floor
+    rng = random.Random(44)
+    raised = 0
+    for _ in range(400):
+        F = field(rng.choice((2, 3, 5)))
+        floor = -rng.randrange(1, 14)
+        digits = {e: rng.randrange(F.q) for e in range(floor, 1)}
+        k, M = rng.randrange(1, 4), rng.randrange(1, 4)
+        try:
+            pair = dirichlet_approx(TruncSeries.from_digits(F, floor, digits), k, M)
+        except PrecisionError:
+            raised += 1
+            continue
+        for _ in range(3):
+            deeper = floor - rng.randrange(1, 30)
+            below = {e: rng.randrange(F.q) for e in range(deeper, floor)}
+            assert dirichlet_approx(
+                TruncSeries.from_digits(F, deeper, {**digits, **below}), k, M) == pair
+    assert 0 < raised < 400
+    F2 = field(2)
+    probe = parse_kelem(F2, "t^-1 + t^-3 + t^-5 + t^-8 + t^-9 + t^-12 + t^-13 + t^-15 + "
+                        "t^-16 + t^-17 + t^-18 + t^-20 + t^-21 + t^-23 + t^-26 + t^-27 + O(t^-28)")
+    assert dirichlet_approx(probe, 3, 4)[1].deg == 12
+    with pytest.raises(PrecisionError, match="expansion stopped"):
+        dirichlet_approx(probe, 3, 5)
 
 
 def test_cf_expand_series_markers():

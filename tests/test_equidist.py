@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from ffweyl import equidist, expsum
+
 from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
 from ffweyl.equidist import (cor53_probe, cylinder_counts, discrepancy,
                              reduce_qp, refine_to_parent, weyl_scan)
-from ffweyl.errors import DomainError
-from ffweyl.expsum import ExpPoly, weyl_residues
+from ffweyl.errors import DomainError, PrecisionError
+from ffweyl.expsum import CharSum, ExpPoly, required_floor, twisted_sum, weyl_residues
 from ffweyl.kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd,
                            kernel_element, kmul_poly, tmap)
 
-from helpers import field, rand_exppoly, rand_nonzero_poly, rand_poly
+from helpers import (field, rand_exppoly, rand_nonzero_poly, rand_poly,
+                     rand_rational, rand_series)
 
 
 def test_cylinder_examples():
@@ -123,6 +126,75 @@ def test_weyl_scan_matches_orthogonality_case_analysis():
                     == "below" for mi in range(1, 8))
                 assert (v.rows[0].sup == 1.0) == expect
                 assert (v.rows[0].witness is not None) == expect
+
+
+def _twist_loop(f, N, D):
+    """(sup, witness) of a scan row, one twisted sum at a time on the direct path."""
+    F = f.field
+    sup, witness = 0.0, None
+    for mi in range(1, F.q ** D):
+        m = poly_from_index(F, mi, D)
+        hist = twisted_sum(f, m, N)
+        assert hist == CharSum.from_residues(
+            F.p, weyl_residues(f.scale_poly(m), N, method="direct"))
+        sup = max(sup, hist.normalized())
+        if witness is None and hist.is_full():
+            witness = str(m)
+    return sup, witness
+
+
+@pytest.mark.parametrize("block", [5, expsum.BLOCK])
+def test_weyl_scan_matches_twist_loop(monkeypatch, block):
+    monkeypatch.setattr(expsum, "BLOCK", block)
+    monkeypatch.setattr(equidist, "TWIST_STACK", 5)  # several stacks per N as well
+    rng = random.Random(38)
+    witnesses = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field(q)
+        D = 3 if q == 2 else 2 if q <= 5 else 1
+        Ns = [1, 2, 3, 4] if q <= 3 else [1, 2]
+        for _ in range(3):
+            f = rand_exppoly(rng, F, max_exp=4, floor=-40)
+            if rng.random() < 0.5:  # small denominators make some twists full
+                f = ExpPoly(F, {1: rand_rational(rng, F, 2), 2: rand_rational(rng, F, 1)})
+            verdict = weyl_scan(f, Ns, D, depth=2)
+            for row in verdict.rows:
+                assert (row.sup, row.witness) == _twist_loop(f, row.N, D)
+                assert row.discrepancy == discrepancy(
+                    cylinder_counts(f, row.N, 2, method="direct"), q)
+                witnesses += row.witness is not None
+    assert witnesses
+
+
+def test_weyl_scan_raises_the_first_failing_twist(monkeypatch):
+    monkeypatch.setattr(equidist, "TWIST_STACK", 3)
+    rng = random.Random(39)
+    failed = passed = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field(q)
+        for _ in range(4):
+            N = rng.randrange(1, 4)
+            # floors a twist of degree 0, 1 or 2 may or may not exhaust
+            f = ExpPoly(F, {r: rand_series(rng, F, required_floor(r, N) - rng.randrange(3))
+                            for r in rng.sample(range(1, 4), 2)})
+            D = 3 if q <= 3 else 2
+            expected = None
+            try:  # the scan as one twisted sum at a time, in scan order
+                for n in range(1, N + 1):
+                    for mi in range(1, q ** D):
+                        twisted_sum(f, poly_from_index(F, mi, D), n)
+            except PrecisionError as exc:
+                expected = str(exc)
+            if expected is None:
+                weyl_scan(f, list(range(1, N + 1)), D)
+                passed += 1
+                continue
+            with pytest.raises(PrecisionError) as info:
+                weyl_scan(f, list(range(1, N + 1)), D)
+            assert str(info.value) == expected
+            assert expected.startswith("coefficient of u^") and "has floor" in expected
+            failed += 1
+    assert failed and passed
 
 
 def test_weyl_scan_pseudo_irrational_decay():

@@ -1,15 +1,18 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from ffweyl import expsum
 from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
 from ffweyl.equidist import cylinder_counts
 from ffweyl.errors import BudgetError, DomainError, PrecisionError
 from ffweyl.expsum import (CharSum, ExpPoly, e_of, fractional_digit_rows,
-                           orthogonality, twisted_sum, weyl_residues, weyl_sum)
+                           orthogonality, stacked_residues, stacked_sums,
+                           twisted_sum, weyl_residues, weyl_sum)
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element
 
 from helpers import field, rand_exppoly, rand_poly, rand_rational
@@ -253,3 +256,103 @@ def test_exppoly_drops_exact_zero_and_rejects_negative():
     assert f.support() == {1}
     with pytest.raises(DomainError):
         ExpPoly(F2, {-1: RationalK(F2.poly_one)})
+
+
+def _record_blocks(monkeypatch, seen):
+    """Wrap the engine so that each call appends its blocks to seen, each as
+    (first member, members, points)."""
+    engine = expsum._split_blocks
+
+    def recording(members, N, lo, hi):
+        blocks = []
+        seen.append(blocks)
+        for i, start, block in engine(members, N, lo, hi):
+            blocks.append((i, block.shape[1], len(block)))
+            yield i, start, block
+
+    monkeypatch.setattr(expsum, "_split_blocks", recording)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, expsum.BLOCK])
+def test_stacked_engine_matches_single_and_direct(monkeypatch, block):
+    monkeypatch.setattr(expsum, "BLOCK", block)
+    seen = []
+    _record_blocks(monkeypatch, seen)
+    rng = random.Random(35)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field(q)
+        for N in range(7 if q <= 3 else 4 if q <= 5 else 3):
+            top = rng.choice((1, 2, 3, 5))
+            fs = [rand_exppoly(rng, F, max_exp=top, max_terms=min(top, 3), floor=-60)
+                  for _ in range(rng.randrange(1, 6))]
+            direct = [weyl_residues(f, N, method="direct") for f in fs]
+            stack = stacked_residues(fs, N)
+            assert stack.shape == (len(fs), q ** N) and stack.dtype == np.int64
+            for f, row, d in zip(fs, stack, direct):
+                assert np.array_equal(row, d)
+                assert np.array_equal(weyl_residues(f, N), d)
+            assert stacked_sums(fs, N) == [CharSum.from_residues(F.p, d) for d in direct]
+            for lo, hi in _slices(rng, q, N):
+                assert np.array_equal(stacked_residues(fs, N, lo, hi), stack[:, lo:hi])
+                assert stacked_sums(fs, N, lo, hi) == \
+                    [CharSum.from_residues(F.p, d[lo:hi]) for d in direct]
+            rows = fractional_digit_rows(fs[0], N, 3)
+            assert np.array_equal(rows, fractional_digit_rows(fs[0], N, 3, method="direct"))
+            lo, hi = _slices(rng, q, N)[-1]
+            assert np.array_equal(fractional_digit_rows(fs[0], N, 3, lo, hi), rows[lo:hi])
+    # a block outgrows the block size only for a single member, and the small
+    # sizes split members into groups and groups into several row blocks
+    assert all(width * points <= block or width == 1
+               for blocks in seen for _, width, points in blocks)
+    groups = [{i for i, _, _ in blocks} for blocks in seen]
+    if block in (7, 64):
+        assert any(len(g) > 1 for g in groups)
+        assert any(len(blocks) > len(g) and any(width > 1 for _, width, _ in blocks)
+                   for blocks, g in zip(seen, groups))
+
+
+def test_stacked_members_share_one_field():
+    F2, F3 = field(2), field(3)
+    with pytest.raises(DomainError):
+        stacked_sums([lin(F2, RationalK(F2.poly_one)), lin(F3, RationalK(F3.poly_one))], 1)
+
+
+def test_float_exactness_bound_is_checked(monkeypatch):
+    F2 = field(2)
+    f = lin(F2, RationalK(F2.poly_one, parse_poly(F2, "t^3+t+1")))
+    expected = CharSum.from_residues(2, weyl_residues(f, 4, method="direct"))
+    # over G_4 the product reads x_hi^0 and x_hi^1 of x_hi in G_2: k = 1 + 2,
+    # so its dot products reach at most (p - 1)^2 * k = 3
+    monkeypatch.setattr(expsum, "FLOAT_EXACT", 3)
+    assert weyl_sum(f, 4) == expected
+    monkeypatch.setattr(expsum, "FLOAT_EXACT", 2)
+    with pytest.raises(DomainError, match="exact float64"):
+        weyl_sum(f, 4)
+
+
+def test_weyl_sum_streams_in_blocks():
+    F2 = field(2)
+    f = ExpPoly(F2, {3: kernel_element(F2, -80, 1),
+                     1: RationalK(F2.poly_one, parse_poly(F2, "t^3+t+1"))})
+    weyl_sum(f, 4)
+    tracemalloc.start()
+    try:
+        total = weyl_sum(f, 20).total
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 2 ** 20
+    # the 2^20 int64 residues alone would take 8 MB; the blocks and the two
+    # factors over q^(N/2) points take well under half of that
+    assert peak < 4 << 20, peak
+
+
+def test_kernel_floor_is_charged_to_the_budget():
+    obj = {"field": "q=2", "terms": [{"exp": 1, "coeff": {"kernel": {"floor": -300000}}}]}
+    with pytest.raises(BudgetError, match="kernel series of 300000"):
+        ExpPoly.from_json(obj, budget=10)
+    obj["terms"].append({"exp": 2, "coeff": {"kernel": {"floor": -6}}})
+    obj["terms"][0]["coeff"]["kernel"]["floor"] = -5
+    with pytest.raises(BudgetError, match="kernel series of 11"):
+        ExpPoly.from_json(obj, budget=10)
+    assert ExpPoly.from_json(obj, budget=11).support() == {1, 2}

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
+from ffweyl.algebra import Field, Poly, enumerate_GN, parse_poly, poly_from_index
 from ffweyl.errors import BudgetError, DomainError, HypothesisError, PrecisionError
 from ffweyl.expsum import CharSum, ExpPoly, e_of
 from ffweyl.kinfty import RationalK, kernel_element, kmul_poly
-from ffweyl.sieve import (DenseSet, density, difference_search, gm_build,
+from ffweyl.sieve import (DenseSet, density, difference_search, gm_build, gm_degree,
                           t_mn)
 
 from helpers import field, rand_nonzero_poly, rand_rational, rand_series
@@ -34,6 +34,21 @@ def test_gm_modulus_is_the_product_of_all_monics():
                     product = product * (x + F.poly_one.shift(M - 1))
             gb = gm_build(F, M, degree_budget=10 ** 4)
             assert gb.modulus == product, (q, M)
+
+
+def test_gm_degree_formula_matches_the_enumeration():
+    for q in (2, 3, 4, 5):
+        F = field(q)
+        for M in range(1, 5):
+            for mode in ("literal", "squarefree"):
+                gb = gm_build(F, M, mode=mode, degree_budget=10 ** 4)
+                assert gm_degree(q, M, mode) == gb.modulus.deg == \
+                    sum(l.deg * e for l, e in gb.factors), (q, M, mode)
+    # the budget check needs no irreducible of degree 4 over F_9
+    F9 = Field.parse("q=9")
+    with pytest.raises(BudgetError, match="deg g_M = 28602"):
+        gm_build(F9, 5)
+    assert not F9._irr_cache
 
 
 def test_gm_root_and_crt_consistency():
