@@ -79,12 +79,7 @@ def kstar(K, p):
 
 def sprime(K, p):
     """Indices coprime to p whose p-power multiples meet the shadow (v >= 0)."""
-    out = set()
-    for j in shadow(K, p):
-        while j % p == 0:
-            j //= p
-        out.add(j)
-    return frozenset(out)
+    return cal_i(shadow(K, p), p)
 
 
 def cal_i(K, p):

@@ -7,23 +7,19 @@ is finally requested.  The zero test "all counts equal" is exact because p is
 prime (the minimal polynomial of a primitive p-th root of unity over Q is
 1 + x + ... + x^{p-1}).
 
-One engine computes the per-point character residues and fractional digits
-for every q: it splits x = x_lo + t^h x_hi with h = N // 2, tabulates the
-coordinates of the powers of x_lo over G_h and of x_hi over G_{N-h}, and
-contracts the two tables through Lucas binomials and Hankel blocks of the
-coefficient digits in one matrix product.  Several polynomials over one G_N
-(the twists of a scan, the digit coordinates of a cylinder count, a large
-sieve family) share the tables and stack as extra columns of that product.
-
-The product runs in float64, so BLAS does it, and it is exact: every entry
-of both factors is reduced mod p, so each dot product is at most
-(p - 1)^2 * k for the inner width k, far below 2^53, where float64 still
-represents every integer; each call checks that bound before any product.
-The product streams over blocks of x_hi rows that hold at most BLOCK output
-entries, and weyl_sum counts each block as it comes, so memory grows with
-q^(N/2) and not with q^N.  The direct path (method="direct") walks points
-one by one through plain field arithmetic and is kept only as the
-independent oracle; the tests make the two agree.
+The character reads one thing from f(x): the trace of its t^-1 digit, and
+one engine computes exactly that, for every q and for many polynomials over
+one G_N at once.  It splits x = x_lo + t^h x_hi with h = N // 2, tabulates
+the coordinates of the powers of x_lo over G_h and of x_hi over G_{N-h}, and
+contracts the tables through Lucas binomials and Hankel blocks of the
+coefficient digits.  The polynomials stack as columns of one float64 (BLAS)
+product, exact because every call checks that its dot products stay within
+2^53; it streams over blocks of x_hi rows, so weyl_sum never holds the q^N
+residues.  Any other digit is such a trace too: with beta_c the dual basis of
+the power basis under the trace form, coordinate c of the digit at t^-(1+s)
+of f(x) is the trace of the t^-1 digit of (beta_c t^s) f(x), so digit rows
+are a stack of twists.  The direct path (method="direct") walks points one by
+one through plain field arithmetic and is kept only as the independent oracle.
 """
 from __future__ import annotations
 
@@ -33,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Field, check_budget, parse_poly, poly_from_index
+from .algebra import Field, Poly, check_budget, parse_poly, poly_from_index
 from .errors import DomainError, PrecisionError
 from .exponents import lucas_binom
 from .kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd, kernel_element,
@@ -247,27 +243,38 @@ def required_floor(r, N, depth=1):
     return -(depth + r * max(N - 1, 0))
 
 
-def _term_digit_vector(coeff, r, N, depth):
-    """Digit codes of the coefficient at -1, -2, ..., down to required_floor."""
+def _check_floor(coeff, r, N, depth):
+    """-required_floor, after checking that a series coefficient reaches it."""
     need = -required_floor(r, N, depth)
     if isinstance(coeff, TruncSeries) and coeff.floor > -need:
         raise PrecisionError(
             f"coefficient of u^{r} has floor {coeff.floor}; needs {-need} "
             f"for depth-{depth} evaluation over G_{N}")
-    return coeff.digits(-need, -1)[::-1]  # index s holds the digit at -(1+s)
+    return need
 
 
-def _bilinear_form(field, dvec, proj):
-    """W[n, i, k] = proj(e_i * e_k * d_n) for the power basis e_i = p^i.
+def _term_digit_vector(coeff, r, N, depth):
+    """Digit codes of the coefficient at -1, -2, ..., down to required_floor;
+    index s holds the digit at -(1+s)."""
+    return coeff.digits(-_check_floor(coeff, r, N, depth), -1)[::-1]
 
-    proj is an F_p-linear map F_q -> F_p (the trace, or one coordinate), so
-    proj(a * b * d_n) = sum_{i,k} a_i b_k W[n, i, k] for coordinates a_i, b_k.
-    """
-    mul, m = field.mul, field.m
-    basis = [field.p ** i for i in range(m)]
-    pairs = [mul(a, b) for a in basis for b in basis]
-    return np.array([proj(mul(ab, d)) for d in dvec for ab in pairs],
+
+def _bilinear_form(field, dvec):
+    """W[n, i, k] = Tr(e_i * e_k * d_n) for the power basis e_i = p^i, so that
+    Tr(a * b * d_n) = sum_{i,k} a_i b_k W[n, i, k] for coordinates a_i, b_k."""
+    mul, trace, p, m = field._mul, field._trace, field.p, field.m
+    pairs = [mul[p ** i][p ** k] for i in range(m) for k in range(m)]
+    return np.array([trace[mul[ab][d]] for d in dvec for ab in pairs],
                     dtype=np.int64).reshape(len(dvec), m, m)
+
+
+def _dual_basis(field):
+    """Codes of beta_0, ..., beta_{m-1} with Tr(beta_c * p^k) = [c == k], so that
+    Tr(beta_c * a) is coordinate c of a under the field's own modulus."""
+    mul, trace, p, m = field._mul, field._trace, field.p, field.m
+    return [next(b for b in range(field.q)
+                 if all(trace[mul[b][p ** k]] == (c == k) for k in range(m)))
+            for c in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,41 +319,39 @@ def _power_table(field, n, top, rows):
 #: unless the factor of one member alone is larger.
 BLOCK = 1 << 16
 
-#: float64 holds every integer up to 2^53, so a product whose dot products
-#: stay within it is exact.
+#: float64 holds every integer up to 2^53, so the streamed product is exact
+#: while its dot products stay within it.
 FLOAT_EXACT = 1 << 53
 
 
-def _split_blocks(members, N, lo, hi):
-    """proj of the digit at -(1+depth_index) of f(x), streamed over x in [lo, hi).
+def _split_blocks(fs, N, lo, hi):
+    """Tr of the t^-1 digit of f(x) for every f in fs, streamed over x in [lo, hi).
 
-    members is a list of (f, depth_index, proj) over one field.  They share
-    one power table over G_{N-h}; each member contributes one factor to a
-    float64 product whose rows are the coordinates of x_hi^e.  Yields
-    (i, start, block): column c of block holds member i + c at the indices
+    That trace is the character residue; any other digit or coordinate is
+    the trace of a twist (see fractional_digit_rows).  The polynomials share
+    one field and one power table over G_{N-h}; each contributes one factor
+    to a float64 product whose rows are the coordinates of x_hi^e.  Yields
+    (i, start, block): column c of block holds fs[i + c] at the indices
     start, start + 1, ... of G_N, one row each, and no block holds more than
-    BLOCK entries unless one row of x_lo for one member is already larger.
+    BLOCK entries unless one row of x_lo for one polynomial is already larger.
 
-    Both products run in float64.  Every table entry is a coordinate below
-    p, and every Hankel block and every factor entry is reduced mod p first,
-    so each dot product is at most (p - 1)^2 * k for the inner width k of
-    the final product (no Hankel block is wider than x_hi^top, which is part
-    of k); that stays within 2^53, where float64 is exact, or the call
-    raises before any product.
+    The small factor products run in int64; the streamed one runs in float64.
+    Every table entry is a coordinate below p, and every factor entry is
+    reduced mod p first, so each of its dot products is at most
+    (p - 1)^2 * k for its inner width k; that stays within 2^53, where
+    float64 is exact, or the call raises before any product.
     """
-    field = members[0][0].field
-    if any(f.field != field for f, _, _ in members):
+    field = fs[0].field
+    if any(f.field != field for f in fs):
         raise DomainError("stacked polynomials must share one field")
     p, m = field.p, field.m
     h = N // 2
     qh = field.q ** h
     first, last = lo // qh, -(-hi // qh)
-    powers, starts = _power_table(field, N - h, max(f.max_exp() for f, _, _ in members),
-                                  max(qh, last))
-    powers = powers.astype(np.float64)
+    powers, starts = _power_table(field, N - h, max(f.max_exp() for f in fs), max(qh, last))
     # j -> C(r, j) mod p where nonzero, for every exponent r of some member
     lucas = {r: [(j, c) for j in range(r + 1) if (c := lucas_binom(r, j, p))]
-             for f, _, _ in members for r, _ in f.terms}
+             for f in fs for r, _ in f.terms}
     # the exponents e = r - j of x_hi that some member reads, and where each sits in k
     ends = sorted({r - j for r, pairs in lucas.items() for j, _ in pairs})
     k = sum(starts[e + 1] - starts[e] for e in ends)
@@ -362,33 +367,32 @@ def _split_blocks(members, N, lo, hi):
     width = (starts[-1] - starts[-2]) // m
     hankel = np.arange(width)[:, None] + np.arange(width)  # a + b, wide enough for every block
 
-    def factor(f, depth_index, proj):
+    def factor(f):
         """The (q^h x k) factor of one member, reduced mod p.
 
         The term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times
-        a Hankel block: ((a, i), (b, k)) -> proj(e_i e_k d_{depth_index+a+b+h*e}).
+        a Hankel block: ((a, i), (b, k)) -> Tr(e_i e_k d_{a+b+h*e}).
         """
         out = np.zeros((qh, k), dtype=np.int64)
         for r, coeff in f.terms:
-            form = _bilinear_form(field, _term_digit_vector(coeff, r, N, depth_index + 1), proj)
+            form = _bilinear_form(field, _term_digit_vector(coeff, r, N, 1))
             for j, c in lucas[r]:
                 e = r - j
                 la = j * max(h - 1, 0) + 1  # x_lo^j has degree below j*(h-1)+1
                 lb = (starts[e + 1] - starts[e]) // m
-                block = form[depth_index + h * e:][hankel[:la, :lb]]
+                block = form[h * e:][hankel[:la, :lb]]
                 block = c * block.transpose(0, 2, 1, 3).reshape(la * m, lb * m) % p
                 out[:, offsets[e]:offsets[e] + lb * m] += (
-                    powers[:qh, starts[j]:starts[j] + la * m] @ block.astype(np.float64)
-                ).astype(np.int64)
+                    powers[:qh, starts[j]:starts[j] + la * m] @ block)
         out %= p
         return out
 
     group = max(1, BLOCK // (qh * max(k, 1)))
-    for i in range(0, len(members), group):
-        n = min(group, len(members) - i)
+    for i in range(0, len(fs), group):
+        n = min(group, len(fs) - i)
         right = np.empty((k, qh, n))  # [., i_lo, n']: point i_lo of member i + n'
         for c in range(n):
-            right[:, :, c] = factor(*members[i + c]).T
+            right[:, :, c] = factor(fs[i + c]).T
         right = right.reshape(k, qh * n)
         rows = max(1, BLOCK // (n * qh))
         for r0 in range(first, last, rows):
@@ -427,10 +431,6 @@ def weyl_residues(f, N, lo=0, hi=None, method=None, budget=None):
     return trace[_digit_rows_direct(f, N, 1, lo, hi)[:, 0]]
 
 
-def _residue_blocks(fs, N, lo, hi):
-    return _split_blocks([(f, 0, f.field.trace) for f in fs], N, lo, hi)
-
-
 def stacked_residues(fs, N, lo=0, hi=None, budget=None):
     """weyl_residues of every f in the nonempty list fs, one row each.
 
@@ -439,7 +439,7 @@ def stacked_residues(fs, N, lo=0, hi=None, budget=None):
     """
     hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
     out = np.empty((len(fs), hi - lo), dtype=np.int64)
-    for i, start, block in _residue_blocks(fs, N, lo, hi):
+    for i, start, block in _split_blocks(fs, N, lo, hi):
         out[i:i + block.shape[1], start - lo:start - lo + len(block)] = block.T
     return out
 
@@ -453,7 +453,7 @@ def stacked_sums(fs, N, lo=0, hi=None, budget=None):
     hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
     p = fs[0].field.p
     counts = np.zeros((len(fs), p), dtype=np.int64)
-    for i, _, block in _residue_blocks(fs, N, lo, hi):
+    for i, _, block in _split_blocks(fs, N, lo, hi):
         n = block.shape[1]
         block += p * np.arange(n)  # member i + n' counts in [n' p, n' p + p)
         counts[i:i + n] += np.bincount(block.ravel(), minlength=n * p).reshape(n, p)
@@ -475,21 +475,24 @@ def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
 
     Returns an int64 array of shape (hi - lo, depth).  Row order matches the
     enumeration of G_N; column i - 1 holds the coefficient of t^-i, as a field
-    element code.
+    element code.  Coordinate c of the digit at t^-(1+s) is the trace of the
+    t^-1 digit of (beta_c t^s) f(x), for the dual basis beta of the power
+    basis, so the engine reads the depth * m twists (beta_c t^s) f.
     """
     if depth < 1:
         raise DomainError("depth must be at least 1")
     field = f.field
     hi = _check_range(field, N, lo, hi, method, budget, "cylinder count")
+    for r, coeff in f.terms:
+        _check_floor(coeff, r, N, depth)
     if method == "direct":
         return _digit_rows_direct(f, N, depth, lo, hi)
-    # member s * m + c is coordinate c of the digit at t^-(1+s)
-    members = [(f, s, lambda v, c=c: field.coords(v)[c])
-               for s in range(depth) for c in range(field.m)]
+    beta = _dual_basis(field)
+    twists = [f.scale_poly(Poly(field, (0,) * s + (b,))) for s in range(depth) for b in beta]
     codes = np.zeros((hi - lo, depth), dtype=np.int64)
-    for i, start, block in _split_blocks(members, N, lo, hi):
-        for member, coord in enumerate(block.T, i):
-            s, c = divmod(member, field.m)
+    for i, start, block in _split_blocks(twists, N, lo, hi):
+        for twist, coord in enumerate(block.T, i):
+            s, c = divmod(twist, field.m)
             codes[start - lo:start - lo + len(coord), s] += field.p ** c * coord
     return codes
 

@@ -13,7 +13,7 @@ from ffweyl.errors import BudgetError, DomainError, PrecisionError
 from ffweyl.expsum import (CharSum, ExpPoly, e_of, fractional_digit_rows,
                            orthogonality, stacked_residues, stacked_sums,
                            twisted_sum, weyl_residues, weyl_sum)
-from ffweyl.kinfty import RationalK, TruncSeries, kernel_element
+from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, parse_kelem
 
 from helpers import field, rand_exppoly, rand_poly, rand_rational
 
@@ -201,8 +201,9 @@ def test_kernel_certificate():
 
 def test_fractional_digit_rows_paths_agree():
     rng = random.Random(34)
-    for q in (2, 3, 4, 8, 9):
-        F = field(q)
+    for q, modulus in ((2, None), (3, None), (4, None), (8, None), (9, None),
+                       (8, "x^3+x^2+1"), (9, "x^2+x+2")):
+        F = field(q, modulus)
         for _ in range(6):
             N = rng.randrange(1, 4 if q <= 4 else 3)
             f = rand_exppoly(rng, F, max_exp=4, floor=-50)
@@ -225,6 +226,29 @@ def test_fractional_digit_rows_paths_agree():
         assert tab.counts == cylinder_counts(f, 2, 20, method="direct").counts
         assert tab.counts == Counter(map(tuple, direct.tolist()))
         assert all(type(c) is int for key in tab.counts for c in key)
+
+
+def test_dual_basis_reads_coordinates():
+    for q, modulus in ((2, None), (3, None), (4, None), (5, None), (7, None), (8, None),
+                       (9, None), (8, "x^3+x^2+1"), (9, "x^2+x+2")):
+        F = field(q, modulus)
+        beta = expsum._dual_basis(F)
+        assert len(beta) == F.m
+        for a in F.elements():
+            assert [F.trace(F.mul(b, a)) for b in beta] == list(F.coords(a))
+
+
+def test_digit_rows_name_the_requested_depth():
+    F3 = field(3)
+    f = ExpPoly(F3, {2: parse_kelem(F3, "t^-1 + 2*t^-3 + O(t^-6)")})
+    text = "coefficient of u^2 has floor -6; needs -9 for depth-3 evaluation over G_4"
+    for method in (None, "direct"):
+        with pytest.raises(PrecisionError) as err:
+            fractional_digit_rows(f, 4, 3, method=method)
+        assert str(err.value) == text
+        with pytest.raises(PrecisionError) as err:
+            cylinder_counts(f, 4, 3, method=method)
+        assert str(err.value) == text
 
 
 def test_exppoly_json_roundtrip():
