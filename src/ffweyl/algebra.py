@@ -10,6 +10,7 @@ every integer degree and can never collide with one.
 """
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import BudgetError, DomainError
@@ -18,6 +19,10 @@ NEG_INF = float("-inf")
 
 #: Default cap on q^N-style enumerations.
 DEFAULT_BUDGET = 1 << 24
+
+#: Budget messages write a count in decimal up to this many digits (CPython's
+#: default limit on int-to-str conversion) and a larger count q^e as "q^e".
+PRINT_DIGITS = 4300
 
 #: Field sizes the package is validated for (desk scale).
 SUPPORTED_Q = frozenset({2, 3, 4, 5, 7, 8, 9})
@@ -528,16 +533,44 @@ def parse_poly(field, s):
 # ---------------------------------------------------------------------------
 # Enumeration, irreducibles, roots.
 
-def gn_size(field, N):
+def gn_size(field, N, budget=None, what="enumeration"):
+    """q^N, the number of points of G_N, with power_count's early refusal."""
     if N < 0:
         raise DomainError(f"G_N needs N >= 0, got {N}")
-    return field.q ** N
+    return power_count(field.q, N, budget, what)
 
 
 def check_budget(count, budget=None, what="enumeration"):
     limit = DEFAULT_BUDGET if budget is None else budget
     if count > limit:
-        raise BudgetError(f"{what} of {count} points exceeds budget {limit}")
+        shown = count if count < 10 ** PRINT_DIGITS else f"over 10^{PRINT_DIGITS}"
+        raise BudgetError(f"{what} of {shown} points exceeds budget {limit}")
+
+
+def exceeds_unprintably(q, e, limit):
+    """Whether the exponent alone shows that q^e > limit, with q^e too long to
+    print: since q >= 2, q^e exceeds the limit once e passes its bit length."""
+    return e > limit.bit_length() and e * math.log10(q) >= PRINT_DIGITS
+
+
+def power_count(q, e, budget=None, what="enumeration"):
+    """q ** e, for a budget check that follows, or BudgetError before it is built.
+
+    A count that exceeds_unprintably is refused at once and written as "q^e",
+    so a huge exponent costs nothing; any other count is built, and a budget
+    check keeps its decimal message.
+    """
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if exceeds_unprintably(q, e, limit):
+        raise BudgetError(f"{what} of {q}^{e} points exceeds budget {limit}")
+    return q ** e
+
+
+def check_power(q, e, budget=None, what="enumeration"):
+    """check_budget of q ** e, which it returns; see power_count."""
+    count = power_count(q, e, budget, what)
+    check_budget(count, budget, what)
+    return count
 
 
 def poly_from_index(field, i, N):
@@ -557,7 +590,7 @@ def enumerate_GN(field, N, budget=None):
     varying fastest, so consumers may partition work by index range and the
     i-th element is poly_from_index(field, i, N).
     """
-    total = gn_size(field, N)
+    total = gn_size(field, N, budget)
     check_budget(total, budget)
     for i in range(total):
         yield poly_from_index(field, i, N)
@@ -570,7 +603,7 @@ def irreducibles(field, M, budget=None):
     cached = field._irr_cache.get(M)
     if cached is not None:
         return cached
-    check_budget(field.q ** M, budget, "irreducible search")
+    check_power(field.q, M, budget, "irreducible search")
     divisors = []
     for d in range(1, M // 2 + 1):
         divisors.extend(irreducibles(field, d, budget))
@@ -605,7 +638,7 @@ def roots_mod(phi, g, budget=None):
         raise DomainError("roots_mod needs a nonzero modulus")
     field = g.field
     N = len(g.coeffs) - 1
-    check_budget(field.q ** N, budget, "root search")
+    check_power(field.q, N, budget, "root search")
     const = phi.get(0, field.poly_zero) % g
     exps = sorted(r for r in phi if r >= 1 and not phi[r].is_zero())
     roots = []

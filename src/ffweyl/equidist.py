@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import check_budget, gn_size, poly_from_index
+from .algebra import check_budget, gn_size, poly_from_index, power_count
 from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
 from .exponents import cal_i
@@ -116,21 +116,20 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
     if D < 1:
         raise DomainError("the twist bound D must be positive")
     field = f.field
-    check_budget(sum(gn_size(field, N) for N in N_list) * (field.q ** D - 1),
+    points = sum(gn_size(field, N, budget, "twist scan") for N in N_list)
+    check_budget(points * (power_count(field.q, D, budget, "twist scan") - 1),
                  budget, "twist scan")
     rows = []
     for N in sorted(N_list):
         sup = 0.0
         witness = None
         for start in range(1, field.q ** D, TWIST_STACK):
-            # these twists are the members of one stacked sum over G_N
-            ms = [poly_from_index(field, mi, D)
-                  for mi in range(start, min(start + TWIST_STACK, field.q ** D))]
-            for m, hist in zip(ms, stacked_sums([f.scale_poly(m) for m in ms], N,
-                                                budget=budget)):
+            # these twist indices are the members of one stacked sum over G_N
+            twists = range(start, min(start + TWIST_STACK, field.q ** D))
+            for mi, hist in zip(twists, stacked_sums([f], N, budget=budget, twists=twists)):
                 sup = max(sup, hist.normalized())
                 if witness is None and hist.is_full():
-                    witness = str(m)
+                    witness = str(poly_from_index(field, mi, D))
         disc = None
         if depth:
             disc = discrepancy(cylinder_counts(f, N, depth, budget=budget), q=field.q)

@@ -15,21 +15,26 @@ contracts the tables through Lucas binomials and Hankel blocks of the
 coefficient digits.  The polynomials stack as columns of one float64 (BLAS)
 product, exact because every call checks that its dot products stay within
 2^53; it streams over blocks of x_hi rows, so weyl_sum never holds the q^N
-residues.  Any other digit is such a trace too: with beta_c the dual basis of
-the power basis under the trace form, coordinate c of the digit at t^-(1+s)
-of f(x) is the trace of the t^-1 digit of (beta_c t^s) f(x), so digit rows
-are a stack of twists.  The direct path (method="direct") walks points one by
-one through plain field arithmetic and is kept only as the independent oracle.
+residues.  The trace is F_p-linear in a twist m: write m's index in G_D
+(poly_from_index order) in base p, and digit i*log_p(q) + k is coordinate k
+of the coefficient of t^i, so the factors of m f are those coordinates times the
+factors of the basis twists e_k t^i f, built once per f and G_N.  Any other
+digit is such a trace too: with beta_c the dual basis of the power basis
+under the trace form, coordinate c of the digit at t^-(1+s) of f(x) is the
+trace of the t^-1 digit of (beta_c t^s) f(x), so digit rows are a stack of
+twists.  The direct path (method="direct") walks points one by one through
+plain field arithmetic and is kept only as the independent oracle.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Field, Poly, check_budget, parse_poly, poly_from_index
+from .algebra import Field, check_budget, check_power, parse_poly, poly_from_index
 from .errors import DomainError, PrecisionError
 from .exponents import lucas_binom
 from .kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd, kernel_element,
@@ -243,12 +248,13 @@ def required_floor(r, N, depth=1):
     return -(depth + r * max(N - 1, 0))
 
 
-def _check_floor(coeff, r, N, depth):
-    """-required_floor, after checking that a series coefficient reaches it."""
+def _check_floor(coeff, r, N, depth, shift=0):
+    """-required_floor, after checking that a series coefficient, multiplied
+    by a twist of degree shift (which raises its floor by shift), reaches it."""
     need = -required_floor(r, N, depth)
-    if isinstance(coeff, TruncSeries) and coeff.floor > -need:
+    if isinstance(coeff, TruncSeries) and coeff.floor + shift > -need:
         raise PrecisionError(
-            f"coefficient of u^{r} has floor {coeff.floor}; needs {-need} "
+            f"coefficient of u^{r} has floor {coeff.floor + shift}; needs {-need} "
             f"for depth-{depth} evaluation over G_{N}")
     return need
 
@@ -259,13 +265,16 @@ def _term_digit_vector(coeff, r, N, depth):
     return coeff.digits(-_check_floor(coeff, r, N, depth), -1)[::-1]
 
 
-def _bilinear_form(field, dvec):
-    """W[n, i, k] = Tr(e_i * e_k * d_n) for the power basis e_i = p^i, so that
-    Tr(a * b * d_n) = sum_{i,k} a_i b_k W[n, i, k] for coordinates a_i, b_k."""
+@functools.lru_cache(maxsize=None)
+def _trace_forms(field):
+    """T[kappa, d, i, k] = Tr(e_i e_k e_kappa d) for the power basis e_i = p^i,
+    so that Tr(a b e_kappa d) = sum_{i,k} a_i b_k T[kappa, d, i, k]."""
     mul, trace, p, m = field._mul, field._trace, field.p, field.m
-    pairs = [mul[p ** i][p ** k] for i in range(m) for k in range(m)]
-    return np.array([trace[mul[ab][d]] for d in dvec for ab in pairs],
-                    dtype=np.int64).reshape(len(dvec), m, m)
+    basis = [p ** i for i in range(m)]
+    forms = np.array([[[[trace[mul[mul[mul[a][b]][c]][d]] for b in basis] for a in basis]
+                       for d in range(field.q)] for c in basis], dtype=np.int64)
+    forms.flags.writeable = False  # shared by every caller
+    return forms
 
 
 def _dual_basis(field):
@@ -275,6 +284,55 @@ def _dual_basis(field):
     return [next(b for b in range(field.q)
                  if all(trace[mul[b][p ** k]] == (c == k) for k in range(m)))
             for c in range(m)]
+
+
+@functools.lru_cache(maxsize=64)
+def _twist_basis(twists, p, m):
+    """How a tuple or range of twist indices combines the basis twists e_k t^i.
+
+    Coordinate c = i*m + k of index t (q = p^m) is floor(t / p^c) mod p:
+    coordinate k of the coefficient of t^i, with e_k the element of code p^k.
+    Returns the shift i and element k of every basis twist some index reads,
+    the degree of every twist (-1 for the zero twist, which reads no digit),
+    their maximum, and the coordinates as a (basis twists x twists) matrix;
+    the arrays are shared by every caller, so they are read-only.
+    """
+    top = max(twists)
+    width = 0
+    while p ** width <= top:
+        width += 1
+    kind = np.int64 if top < 1 << 62 else object  # beyond int64: Python ints
+    scales = np.array([p ** c for c in range(width)], dtype=kind)
+    coords = (np.array(twists, dtype=kind)[:, None] // scales % p).astype(np.int64)
+    used = np.flatnonzero(coords.any(axis=0))
+    coords = coords[:, used]
+    shift, kappa = divmod(used, m)
+    degrees = ((coords > 0) * (shift + 1)).max(axis=1, initial=0) - 1
+    for a in (shift, kappa, degrees, coords):
+        a.flags.writeable = False
+    return shift, kappa, int(shift.max(initial=0)), degrees, coords.T
+
+
+@functools.lru_cache(maxsize=256)
+def _lucas_pairs(r, p):
+    """The pairs (j, C(r, j) mod p) with a nonzero binomial, j = 0..r."""
+    return tuple((j, c) for j in range(r + 1) if (c := lucas_binom(r, j, p)))
+
+
+@functools.lru_cache(maxsize=64)
+def _residues(p, size):
+    """The read-only table n mod p for n < size, so that mod p is one lookup."""
+    table = np.arange(size) % p
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _hankel(width):
+    """The read-only (width x width) grid a + b of Hankel positions."""
+    grid = np.add.outer(np.arange(width), np.arange(width))
+    grid.flags.writeable = False
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +382,28 @@ BLOCK = 1 << 16
 FLOAT_EXACT = 1 << 53
 
 
-def _split_blocks(fs, N, lo, hi):
-    """Tr of the t^-1 digit of f(x) for every f in fs, streamed over x in [lo, hi).
+def _split_blocks(fs, twists, N, lo, hi):
+    """Tr of the t^-1 digit of (m f)(x) for every f in fs and every twist m,
+    streamed over x in [lo, hi).
 
-    That trace is the character residue; any other digit or coordinate is
-    the trace of a twist (see fractional_digit_rows).  The polynomials share
-    one field and one power table over G_{N-h}; each contributes one factor
-    to a float64 product whose rows are the coordinates of x_hi^e.  Yields
-    (i, start, block): column c of block holds fs[i + c] at the indices
-    start, start + 1, ... of G_N, one row each, and no block holds more than
-    BLOCK entries unless one row of x_lo for one polynomial is already larger.
+    A twist is an index of G_D in poly_from_index order, and the residue is
+    F_p-linear in it: coordinate c = i*log_p(q) + k of index t, floor(t / p^c)
+    mod p, is coordinate k of the coefficient of t^i, so m f is the F_p-combination
+    of the basis twists e_k t^i f (e_k the element of code p^k) with those
+    coordinates.  Member i = len(twists) * a + b is twists[b] times fs[a].
+    Yields (i, start, block): column c of block holds member i + c at the
+    indices start, start + 1, ... of G_N, one row each, and no block holds
+    more than BLOCK entries unless one row of x_lo for one member is already
+    larger.
 
-    The small factor products run in int64; the streamed one runs in float64.
+    The polynomials share one field and one power table over G_{N-h}.  For
+    each f the engine builds only the basis factors that some twist reads,
+    from one digit vector per term and one int64 product per Lucas pair for
+    the whole basis; a member's factor is its coordinates times those, mod
+    p (the single twist 1 takes its factor as it is).  The factors form the
+    right side of a float64 product whose rows are the coordinates of x_hi^e.
     Every table entry is a coordinate below p, and every factor entry is
-    reduced mod p first, so each of its dot products is at most
+    reduced mod p, so each dot product of that product is at most
     (p - 1)^2 * k for its inner width k; that stays within 2^53, where
     float64 is exact, or the call raises before any product.
     """
@@ -348,15 +414,18 @@ def _split_blocks(fs, N, lo, hi):
     h = N // 2
     qh = field.q ** h
     first, last = lo // qh, -(-hi // qh)
-    powers, starts = _power_table(field, N - h, max(f.max_exp() for f in fs), max(qh, last))
-    # j -> C(r, j) mod p where nonzero, for every exponent r of some member
-    lucas = {r: [(j, c) for j in range(r + 1) if (c := lucas_binom(r, j, p))]
-             for f in fs for r, _ in f.terms}
+    twists = twists if isinstance(twists, range) else tuple(twists)
+    shift, kappa, deepest, degrees, combine = _twist_basis(twists, p, m)
+    terms = [f.terms if shift.size else () for f in fs]
+    powers, starts = _power_table(field, N - h, max((r for ts in terms for r, _ in ts),
+                                                    default=0), max(qh, last))
+    lucas = {r: _lucas_pairs(r, p) for ts in terms for r, _ in ts}
     # the exponents e = r - j of x_hi that some member reads, and where each sits in k
     ends = sorted({r - j for r, pairs in lucas.items() for j, _ in pairs})
     k = sum(starts[e + 1] - starts[e] for e in ends)
     if (p - 1) ** 2 * k > FLOAT_EXACT:
         raise DomainError(f"an inner width of {k} at p = {p} is beyond an exact float64 product")
+    residue = _residues(p, (p - 1) ** 2 * k + 1)  # of every value the product takes
     offsets = {}
     highs = np.empty((last - first, k))  # the left factor: x_hi^e for every e read
     col = 0
@@ -365,40 +434,63 @@ def _split_blocks(fs, N, lo, hi):
         col += starts[e + 1] - starts[e]
         highs[:, offsets[e]:col] = powers[first:last, starts[e]:starts[e + 1]]
     width = (starts[-1] - starts[-2]) // m
-    hankel = np.arange(width)[:, None] + np.arange(width)  # a + b, wide enough for every block
+    hankel = _hankel(width)
 
-    def factor(f):
-        """The (q^h x k) factor of one member, reduced mod p.
+    def basis(ts):
+        """The factors of the basis twists e_k t^i f, reduced mod p, as a
+        (k, q^h, basis twists) int64 array.
 
         The term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times
-        a Hankel block: ((a, i), (b, k)) -> Tr(e_i e_k d_{a+b+h*e}).
+        a Hankel block: ((a, i'), (b, k')) -> Tr(e_i' e_k' e_k d_{i+a+b+h*e}),
+        where d_s is the coefficient's digit at -(1+s).
         """
-        out = np.zeros((qh, k), dtype=np.int64)
-        for r, coeff in f.terms:
-            form = _bilinear_form(field, _term_digit_vector(coeff, r, N, 1))
+        # a twist of degree d raises a series floor by d: the direct path's
+        # error for the first twist, in order, whose digits run out
+        slack = min((required_floor(r, N) - c.floor for r, c in ts
+                     if isinstance(c, TruncSeries)), default=deepest)
+        if deepest > slack:
+            d = int(degrees[np.argmax((degrees > slack) & (degrees >= 0))])
+            for r, c in ts:
+                _check_floor(c, r, N, 1, d)
+        out = np.zeros((k, qh, shift.size), dtype=np.int64)
+        for r, coeff in ts:
+            need = -required_floor(r, N)
+            digits = np.array(coeff.digits(-need - deepest, -1)[::-1], dtype=np.int64)
+            # forms[s, b] = the bilinear form of the digit at -(1+s) of basis twist b
+            forms = _trace_forms(field)[kappa, digits[np.add.outer(np.arange(need), shift)]]
             for j, c in lucas[r]:
                 e = r - j
                 la = j * max(h - 1, 0) + 1  # x_lo^j has degree below j*(h-1)+1
                 lb = (starts[e + 1] - starts[e]) // m
-                block = form[h * e:][hankel[:la, :lb]]
-                block = c * block.transpose(0, 2, 1, 3).reshape(la * m, lb * m) % p
-                out[:, offsets[e]:offsets[e] + lb * m] += (
-                    powers[:qh, starts[j]:starts[j] + la * m] @ block)
+                block = forms[h * e + hankel[:la, :lb]]  # [a, b', basis twist, i', k']
+                block = block.transpose(0, 3, 1, 4, 2).reshape(la * m, -1)
+                if c > 1:  # traces are below p already
+                    block = c * block % p
+                product = powers[:qh, starts[j]:starts[j] + la * m] @ block
+                out[offsets[e]:offsets[e] + lb * m] += (
+                    product.reshape(qh, lb * m, -1).transpose(1, 0, 2))
         out %= p
         return out
 
+    T = len(twists)
+    single = T == 1 and twists[0] == 1  # the factor is the basis factor itself
     group = max(1, BLOCK // (qh * max(k, 1)))
-    for i in range(0, len(fs), group):
-        n = min(group, len(fs) - i)
-        right = np.empty((k, qh, n))  # [., i_lo, n']: point i_lo of member i + n'
-        for c in range(n):
-            right[:, :, c] = factor(fs[i + c]).T
-        right = right.reshape(k, qh * n)
+    held = None  # (index in fs, its basis factors)
+    for i in range(0, len(fs) * T, group):
+        n = min(group, len(fs) * T - i)
+        parts = []  # [., i_lo, n']: point i_lo of member i + n'
+        for fi in range(i // T, (i + n - 1) // T + 1):
+            if held is None or held[0] != fi:
+                held = fi, basis(terms[fi])
+            b0, b1 = max(i - fi * T, 0), min(i + n - fi * T, T)
+            parts.append(held[1] if single else held[1] @ combine[:, b0:b1] % p)
+        right = np.concatenate(parts, axis=2, dtype=float).reshape(k, qh * n)
         rows = max(1, BLOCK // (n * qh))
         for r0 in range(first, last, rows):
             r1 = min(r0 + rows, last)
-            out = (highs[r0 - first:r1 - first] @ right).astype(np.int64).reshape(-1, n)
-            out %= p  # row (i_hi - r0) * q^h + i_lo: C order is index order
+            out = (highs[r0 - first:r1 - first] @ right).astype(np.int64)
+            # mod p by table lookup; row (i_hi - r0) * q^h + i_lo: C order is index order
+            out = residue[out].reshape(-1, n)
             a, b = max(lo, r0 * qh), min(hi, r1 * qh)
             yield i, a, out[a - r0 * qh:b - r0 * qh]
 
@@ -410,8 +502,7 @@ def _check_range(field, N, lo, hi, method, budget, what):
     """The shared entry check; returns hi with its default filled in."""
     if N < 0:
         raise DomainError("N must be nonnegative")
-    total = field.q ** N
-    check_budget(total, budget, what)
+    total = check_power(field.q, N, budget, what)
     if hi is None:
         hi = total
     if not (0 <= lo <= hi <= total):
@@ -431,29 +522,31 @@ def weyl_residues(f, N, lo=0, hi=None, method=None, budget=None):
     return trace[_digit_rows_direct(f, N, 1, lo, hi)[:, 0]]
 
 
-def stacked_residues(fs, N, lo=0, hi=None, budget=None):
-    """weyl_residues of every f in the nonempty list fs, one row each.
+def stacked_residues(fs, N, lo=0, hi=None, budget=None, twists=(1,)):
+    """weyl_residues of m*f for every f in the nonempty list fs and every
+    twist index m (poly_from_index order), one row each, f-major.
 
-    The polynomials share one power table and one streamed product; the
-    budget is charged once, for q^N points, as for a single sum.
+    The members share one power table and one streamed product; the budget
+    is charged once, for q^N points, as for a single sum.
     """
     hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
-    out = np.empty((len(fs), hi - lo), dtype=np.int64)
-    for i, start, block in _split_blocks(fs, N, lo, hi):
+    out = np.empty((len(fs) * len(twists), hi - lo), dtype=np.int64)
+    for i, start, block in _split_blocks(fs, twists, N, lo, hi):
         out[i:i + block.shape[1], start - lo:start - lo + len(block)] = block.T
     return out
 
 
-def stacked_sums(fs, N, lo=0, hi=None, budget=None):
-    """weyl_sum of every f in the nonempty list fs, from one stacked product.
+def stacked_sums(fs, N, lo=0, hi=None, budget=None, twists=(1,)):
+    """weyl_sum of m*f for every f in the nonempty list fs and every twist
+    index m, f-major, from one stacked product.
 
     Each block of residues goes straight into the histograms, so memory stays
     at the block size whatever q^N is.
     """
     hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
     p = fs[0].field.p
-    counts = np.zeros((len(fs), p), dtype=np.int64)
-    for i, _, block in _split_blocks(fs, N, lo, hi):
+    counts = np.zeros((len(fs) * len(twists), p), dtype=np.int64)
+    for i, _, block in _split_blocks(fs, twists, N, lo, hi):
         n = block.shape[1]
         block += p * np.arange(n)  # member i + n' counts in [n' p, n' p + p)
         counts[i:i + n] += np.bincount(block.ravel(), minlength=n * p).reshape(n, p)
@@ -466,8 +559,8 @@ def weyl_sum(f, N, lo=0, hi=None, budget=None):
 
 
 def twisted_sum(f, m, N, lo=0, hi=None, budget=None):
-    """weyl_sum of m*f; the twist scales every coefficient by m."""
-    return weyl_sum(f.scale_poly(m), N, lo=lo, hi=hi, budget=budget)
+    """weyl_sum of m*f, read as the twist with m's index; m = 0 reads no digit."""
+    return stacked_sums([f], N, lo, hi, budget, twists=(m.code(),))[0]
 
 
 def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
@@ -477,7 +570,8 @@ def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
     enumeration of G_N; column i - 1 holds the coefficient of t^-i, as a field
     element code.  Coordinate c of the digit at t^-(1+s) is the trace of the
     t^-1 digit of (beta_c t^s) f(x), for the dual basis beta of the power
-    basis, so the engine reads the depth * m twists (beta_c t^s) f.
+    basis, so the engine reads the depth * m twists beta_c t^s, whose index
+    is beta_c q^s.
     """
     if depth < 1:
         raise DomainError("depth must be at least 1")
@@ -487,10 +581,9 @@ def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
         _check_floor(coeff, r, N, depth)
     if method == "direct":
         return _digit_rows_direct(f, N, depth, lo, hi)
-    beta = _dual_basis(field)
-    twists = [f.scale_poly(Poly(field, (0,) * s + (b,))) for s in range(depth) for b in beta]
+    twists = [b * field.q ** s for s in range(depth) for b in _dual_basis(field)]
     codes = np.zeros((hi - lo, depth), dtype=np.int64)
-    for i, start, block in _split_blocks(twists, N, lo, hi):
+    for i, start, block in _split_blocks([f], twists, N, lo, hi):
         for twist, coord in enumerate(block.T, i):
             s, c = divmod(twist, field.m)
             codes[start - lo:start - lo + len(coord), s] += field.p ** c * coord

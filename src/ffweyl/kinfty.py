@@ -119,7 +119,8 @@ def quotient_digits(num, den, lo, hi):
         return [num.coeff(e) for e in range(lo, hi + 1)]
     fa, fm, fn = den.field._add, den.field._mul, den.field._neg
     top = max(hi, -1)
-    s = list((Poly(den.field, num.coeffs[top + 1:]) % den).coeffs)
+    s = num.coeffs[top + 1:]  # already reduced when its degree is below den's
+    s = list(s if len(s) <= D else (Poly(den.field, s) % den).coeffs)
     s += [0] * (D - len(s))
     out = []
     for e in range(top, lo - 1, -1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import check_budget, enumerate_GN
+from .algebra import check_power, enumerate_GN
 from .errors import DomainError
 from .exponents import sprime
 
@@ -55,7 +55,7 @@ def _tuple_key(vecs, idxs, field, n_exps):
 def js_naive(K, s, N, field, budget=None):
     """Exact solution count by scanning all 2s-tuples; the oracle method."""
     limit = NAIVE_BUDGET if budget is None else budget
-    check_budget(field.q ** (2 * s * N), limit, "naive mean-value scan")
+    check_power(field.q, 2 * s * N, limit, "naive mean-value scan")
     exps = sorted(sprime(K, field.p))
     vecs = _power_vectors(field, exps, N)
     n = len(vecs)
@@ -81,7 +81,7 @@ def js_histogram(K, s, N, field, budget=None):
     """
     if s < 0 or N < 0:
         raise DomainError(f"s and N must be nonnegative, got s={s}, N={N}")
-    check_budget(field.q ** (s * N), budget, "histogram mean-value scan")
+    check_power(field.q, s * N, budget, "histogram mean-value scan")
     exps = sorted(sprime(K, field.p))
     vecs = _power_vectors(field, exps, N)
     n = len(vecs)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Poly, check_budget, enumerate_GN, gn_size, irreducibles,
-                      poly_crt, roots_mod)
+from .algebra import (Poly, check_budget, check_power, enumerate_GN,
+                      exceeds_unprintably, gn_size, irreducibles, poly_crt, roots_mod)
 from .errors import BudgetError, DomainError, HypothesisError
 from .expsum import CharSum, ExpPoly, weyl_sum
 from .kinfty import kmul_poly
@@ -104,6 +104,9 @@ def gm_build(field, M, phi=None, mode="literal", degree_budget=None,
     if mode not in ("literal", "squarefree"):
         raise DomainError(f"unknown mode {mode!r}")
     limit = GM_DEGREE_BUDGET if degree_budget is None else degree_budget
+    # deg g_M >= q^(M-2) in either mode, so a huge M is refused before the sum
+    if M > 2 and exceeds_unprintably(field.q, M - 2, limit):
+        raise BudgetError(f"deg g_M >= {field.q}^{M - 2} exceeds the budget {limit}")
     total_deg = gm_degree(field.q, M, mode)
     if total_deg > limit:
         raise BudgetError(f"deg g_M = {total_deg} exceeds the budget {limit}")
@@ -157,7 +160,7 @@ def t_mn(phi, alpha, M, N, field, gm=None, mode="literal", budget=None):
         gm = gm_build(field, M, phi, mode=mode, budget=budget)
     if gm.root is None:
         raise HypothesisError(f"modulus has no root: {gm.reason}")
-    check_budget(field.q ** N, budget, "congruence average")
+    check_power(field.q, N, budget, "congruence average")
     f = ExpPoly(field, {r: kmul_poly(alpha, c) for r, c in phi.items()})
     f = f.substitute(gm.modulus, gm.root)
     if N == 0:  # G_0 = {0} reads the constant term alone
@@ -188,7 +191,8 @@ def difference_search(A, phi, x_bound, budget=None):
     if len(A.elems) < 2:
         raise DomainError("the dense set needs at least two elements")
     field = A.field
-    check_budget(gn_size(field, x_bound), budget, "difference search")
+    check_budget(gn_size(field, x_bound, budget, "difference search"), budget,
+                 "difference search")
     elems = sorted(A.elems, key=lambda v: v.code())
     elem_set = A.elems
     exps = sorted(r for r in phi if r >= 1 and not phi[r].is_zero())

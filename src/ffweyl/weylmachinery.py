@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Poly, check_budget, enumerate_GN, is_irreducible, poly_gcd
+from .algebra import (Poly, check_budget, check_power, enumerate_GN, is_irreducible,
+                      poly_gcd, power_count)
 from .contfrac import approx_gap, dirichlet_approx, quality_bound
 from .errors import DomainError, HypothesisError, PrecisionError
 from .exponents import ktilde, maximal_elements
@@ -29,7 +30,8 @@ def weyl_shift_check(f, shifts, N, budget=None):
     if not shifts:
         raise DomainError("empty shift multiset")
     field = f.field
-    check_budget(field.q ** N * len(shifts), budget, "shift check")
+    check_budget(power_count(field.q, N, budget, "shift check") * len(shifts), budget,
+                 "shift check")
     lhs = CharSum.from_residues(
         field.p,
         [e_of(f.evaluate(x)) for x in enumerate_GN(field, N)]).scale(len(shifts))
@@ -171,8 +173,7 @@ def large_sieve_check(family, weights, N, K, rel_tol=1e-6, budget=None):
     field = family.points[0].field if family.points else None
     if field is None:
         raise DomainError("empty point family")
-    total = field.q ** N
-    check_budget(total, budget, "sieve evaluation")
+    total = check_power(field.q, N, budget, "sieve evaluation")
     weights = list(weights)
     if len(weights) != total:
         raise DomainError("weight vector must cover G_N")
@@ -218,7 +219,7 @@ def kth_power_classes(g, k, budget=None):
     if g.is_zero():
         raise DomainError("zero modulus")
     field = g.field
-    check_budget(field.q ** max(g.deg, 0), budget, "residue split")
+    check_power(field.q, max(g.deg, 0), budget, "residue split")
     units = [x for x in enumerate_GN(field, max(g.deg, 0))
              if poly_gcd(x, g) == field.poly_one]
     return [tuple(c) for c in split_by_kth_power(units, g, k)]

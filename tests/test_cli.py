@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -151,6 +152,54 @@ def test_budget_is_checked_before_building(capsys):
                               "1 / t", "--M", "5", "--N", "1", "--budget", "1000"], capsys)
     assert code == 3 and not out
     assert json.loads(err)["error"]["message"] == "deg g_M = 28602 exceeds the budget 64"
+
+
+_F3_LIN = json.dumps({"field": "q=3", "terms": [{"exp": 1, "coeff": {"rat": ["1", "t^2+1"]}}]})
+_TMN = ["sieve-tmn", "--field", "q=3", "--phi", "u^2", "--alpha", "1 / t+1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["weyl", "--field", "q=3", "--f", _F3_LIN, "--N", "10000000"],
+     "character sum of 3^10000000 points exceeds budget 16777216"),
+    (["equidist", "--field", "q=3", "--f", _F3_LIN, "--N", "1", "--D", "10000000"],
+     "twist scan of 3^10000000 points exceeds budget 16777216"),
+    (["probe", "--field", "q=3", "--f", _F3_LIN, "--k", "1", "--N", "10000000", "--eta", "1"],
+     "character sum of 3^10000000 points exceeds budget 16777216"),
+    (["js", "--field", "q=3", "--set", "1,2", "--s", "2", "--N", "10000000"],
+     "histogram mean-value scan of 3^20000000 points exceeds budget 16777216"),
+    (_TMN + ["--M", "2", "--N", "10000000"],
+     "congruence average of 3^10000000 points exceeds budget 16777216"),
+    (["intersective", "--field", "q=3", "--phi", "u^2", "--A", '{"elems":["0","1"]}',
+      "--N", "2", "--xbound", "10000000"],
+     "difference search of 3^10000000 points exceeds budget 16777216"),
+    (_TMN + ["--M", "10000000", "--N", "1"], "deg g_M >= 3^9999998 exceeds the budget 64"),
+    # both factors print, their product would not
+    (["equidist", "--field", "q=2", "--f", '{"field":"q=2","terms":[]}', "--N", "9000",
+      "--D", "9000"], "twist scan of over 10^4300 points exceeds budget 16777216"),
+])
+def test_huge_exponents_are_refused_before_any_power(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and not out
+    assert json.loads(err)["error"] == {"type": "BudgetError", "message": message}
+
+
+def test_printable_counts_keep_their_decimal_text(capsys):
+    code, _, err = run_cli(["weyl", "--field", "q=3", "--f", _F3_LIN, "--N", "30"], capsys)
+    assert code == 3
+    assert json.loads(err)["error"]["message"] == \
+        f"character sum of {3 ** 30} points exceeds budget 16777216"
+
+
+def test_zero_twist_reads_no_digit(capsys):
+    # the series cannot serve N = 3 at u^3, but the twist 0 reads none of it
+    f_json = json.dumps({"field": "q=2", "terms": [
+        {"exp": 3, "coeff": {"series": "t^-1 + O(t^-2)", "floor": -2}}]})
+    argv = ["weyl", "--field", "q=2", "--f", f_json, "--N", "3"]
+    assert run_cli(argv + ["--m", "1"], capsys)[0] == 2
+    doc = run_json(argv + ["--m", "0"], capsys)
+    assert doc["result"]["counts"] == [8, 0] and doc["result"]["is_full"] is True
 
 
 def test_malformed_input_exits_2(capsys):

@@ -15,7 +15,7 @@ from ffweyl.expsum import (CharSum, ExpPoly, e_of, fractional_digit_rows,
                            twisted_sum, weyl_residues, weyl_sum)
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, parse_kelem
 
-from helpers import field, rand_exppoly, rand_poly, rand_rational
+from helpers import field, rand_exppoly, rand_poly, rand_rational, rand_series
 
 
 def lin(F, alpha):
@@ -60,6 +60,12 @@ def test_twisted_sum_examples():
     assert twisted_sum(f, F2.poly_one, 2).counts == weyl_sum(f, 2).counts
     assert twisted_sum(f, F2.poly_zero, 2).counts == (4, 0)
     assert twisted_sum(f, F2.poly_t, 1).counts == (1, 1)
+    # the zero twist reads no digit, so a series too shallow for N is no error
+    shallow = ExpPoly(F2, {3: TruncSeries.from_digits(F2, -2, {-1: 1})})
+    with pytest.raises(PrecisionError):
+        twisted_sum(shallow, F2.poly_one, 3)
+    assert twisted_sum(shallow, F2.poly_zero, 3).counts == (8, 0)
+    assert twisted_sum(shallow, F2.poly_zero, 3, 2, 7).counts == (5, 0)
 
 
 def test_orthogonality_exhaustive_small():
@@ -287,10 +293,10 @@ def _record_blocks(monkeypatch, seen):
     (first member, members, points)."""
     engine = expsum._split_blocks
 
-    def recording(members, N, lo, hi):
+    def recording(fs, twists, N, lo, hi):
         blocks = []
         seen.append(blocks)
-        for i, start, block in engine(members, N, lo, hi):
+        for i, start, block in engine(fs, twists, N, lo, hi):
             blocks.append((i, block.shape[1], len(block)))
             yield i, start, block
 
@@ -333,6 +339,64 @@ def test_stacked_engine_matches_single_and_direct(monkeypatch, block):
         assert any(len(g) > 1 for g in groups)
         assert any(len(blocks) > len(g) and any(width > 1 for _, width, _ in blocks)
                    for blocks, g in zip(seen, groups))
+
+
+@pytest.mark.parametrize("q, modulus", [
+    (2, None), (3, None), (4, None), (5, None), (7, None), (8, None), (9, None),
+    (4, "x^2+x+1"), (8, "x^3+x^2+1"), (9, "x^2+x+2")])
+def test_twist_basis_matches_scaled_direct(monkeypatch, q, modulus):
+    """Twists read as F_p-combinations of the basis twists e_k t^i give the
+    residues of f.scale_poly(m) on the direct path, with groups split small."""
+    monkeypatch.setattr(expsum, "BLOCK", 16)
+    seen = []
+    _record_blocks(monkeypatch, seen)
+    rng = random.Random(37 * q + len(modulus or ""))
+    F = field(q, modulus)
+    D = 2 if q <= 5 else 1
+    twist_lists = [(0,), (1,), (0, 1, q, q * q),  # 0, 1 and t^i
+                   tuple(rng.sample(range(q ** 3), 5)) + (0,),  # mixed degrees
+                   tuple(range(q ** D)), tuple(range(1, q ** D))]
+    for N in range(3 if q <= 5 else 2):
+        fs = [ExpPoly(F, {r: c for r, c in zip(rng.sample(range(6), 3), (
+            rand_rational(rng, F, 3), rand_series(rng, F, -60),
+            kernel_element(F, -60, rng.randrange(50))))}) for _ in range(2)]
+        for twists in twist_lists:
+            direct = [weyl_residues(f.scale_poly(poly_from_index(F, t, 3)), N, method="direct")
+                      for f in fs for t in twists]
+            stack = stacked_residues(fs, N, twists=twists)
+            assert np.array_equal(stack, np.array(direct).reshape(stack.shape))
+            sums = [CharSum.from_residues(F.p, d) for d in direct]
+            assert stacked_sums(fs, N, twists=twists) == sums
+            for lo, hi in _slices(rng, q, N):
+                assert np.array_equal(stacked_residues(fs, N, lo, hi, twists=twists),
+                                      stack[:, lo:hi])
+                assert stacked_sums(fs, N, lo, hi, twists=twists) == \
+                    [CharSum.from_residues(F.p, d[lo:hi]) for d in direct]
+            for t, s in zip(twists, sums):
+                assert twisted_sum(fs[0], poly_from_index(F, t, 3), N) == s
+    assert any(len({i for i, _, _ in blocks}) > 1 for blocks in seen)
+
+
+def test_twists_raise_the_direct_error_of_the_first_shallow_twist():
+    rng = random.Random(38)
+    for q in (2, 3, 4, 9):
+        F = field(q)
+        N = 3
+        # the u^2 coefficient serves twists of degree at most 1
+        f = ExpPoly(F, {1: rand_rational(rng, F, 3),
+                        2: rand_series(rng, F, expsum.required_floor(2, N) - 1)})
+        twists = (0, 1, q, q * q, q * q + 1)
+        with pytest.raises(PrecisionError) as err:
+            weyl_residues(f.scale_poly(poly_from_index(F, q * q, 3)), N, method="direct")
+        for call in (lambda: stacked_sums([f], N, twists=twists),
+                     lambda: stacked_residues([f, f], N, 1, 5, twists=twists[::-1])):
+            with pytest.raises(PrecisionError) as info:
+                call()
+            assert str(info.value) == str(err.value)
+        assert stacked_sums([f], N, twists=twists[:3]) == [
+            CharSum.from_residues(F.p, weyl_residues(f.scale_poly(poly_from_index(F, t, 3)),
+                                                     N, method="direct"))
+            for t in twists[:3]]
 
 
 def test_stacked_members_share_one_field():
