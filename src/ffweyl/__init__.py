@@ -8,8 +8,8 @@ from .algebra import (NEG_INF, Field, Poly, enumerate_GN, irreducibles,
 from .errors import (BudgetError, DomainError, FFWeylError, HypothesisError,
                      PrecisionError)
 from .expsum import CharSum, ExpPoly, e_of, orthogonality, twisted_sum, weyl_sum
-from .kinfty import (RationalK, TruncSeries, expand_rational, frac_res,
-                     kernel_element, ord_norm, parse_kelem, tmap)
+from .kinfty import (RationalK, TruncSeries, kernel_element, ord_norm,
+                     parse_kelem, tmap)
 
 __all__ = [
     "__version__",
@@ -18,6 +18,6 @@ __all__ = [
     "BudgetError", "DomainError", "FFWeylError", "HypothesisError",
     "PrecisionError",
     "CharSum", "ExpPoly", "e_of", "orthogonality", "twisted_sum", "weyl_sum",
-    "RationalK", "TruncSeries", "expand_rational", "frac_res",
-    "kernel_element", "ord_norm", "parse_kelem", "tmap",
+    "RationalK", "TruncSeries", "kernel_element", "ord_norm", "parse_kelem",
+    "tmap",
 ]

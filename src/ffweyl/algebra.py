@@ -140,9 +140,6 @@ class Field:
     def add(self, a, b):
         return self._add[a][b]
 
-    def sub(self, a, b):
-        return self._add[a][self._neg[b]]
-
     def neg(self, a):
         return self._neg[a]
 

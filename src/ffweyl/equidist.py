@@ -16,7 +16,7 @@ from .algebra import check_budget, gn_size, poly_from_index, power_count
 from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
 from .exponents import cal_i
-from .expsum import ExpPoly, fractional_digit_rows, stacked_sums
+from .expsum import ExpPoly, count_rows, fractional_digit_rows, stacked_sums
 from .kinfty import RationalK, kadd, tmap
 
 
@@ -57,10 +57,8 @@ def cylinder_counts(f, N, depth=None, method=None, budget=None):
         if depth < 1:
             raise PrecisionError("coefficient floors allow no digit at all")
     rows = fractional_digit_rows(f, N, depth, method=method, budget=budget)
-    rows = rows[np.lexsort(rows.T[::-1])]  # lexicographic, so equal rows form runs
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    sizes = np.diff(np.r_[starts, len(rows)])
-    counts = dict(zip(map(tuple, rows[starts].tolist()), sizes.tolist()))
+    prefixes, sizes = count_rows(rows, np.ones(len(rows), dtype=np.int64))
+    counts = dict(zip(map(tuple, prefixes.tolist()), sizes.tolist()))
     return CylinderTable(depth, len(rows), counts)
 
 

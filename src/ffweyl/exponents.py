@@ -123,11 +123,16 @@ class DerivedSets(NamedTuple):
     maximal: frozenset
 
 
+def check_positive(K):
+    """DomainError unless every element of K is a positive integer."""
+    if any(r < 1 for r in K):
+        raise DomainError("the digit order is defined on positive integers")
+
+
 def derived_sets(K, p):
     """Every derived set of K, after checking that p is prime and K positive."""
     if not _is_prime(p):
         raise DomainError(f"p = {p} is not prime")
-    if any(r < 1 for r in K):
-        raise DomainError("the digit order is defined on positive integers")
+    check_positive(K)
     return DerivedSets(shadow(K, p), kstar(K, p), sprime(K, p),
                        ktilde(K, p), maximal_elements(K, p))

@@ -142,9 +142,6 @@ class ExpPoly:
     def constant(self):
         return self.coeff(0)
 
-    def max_exp(self):
-        return max((r for r, _ in self.terms), default=0)
-
     def scale_poly(self, m):
         """The polynomial m*f, every coefficient multiplied by m."""
         return ExpPoly(self.field, {r: kmul_poly(c, m) for r, c in self.terms})
@@ -370,6 +367,15 @@ def _power_table(field, n, top, rows):
     for block in blocks:
         starts.append(starts[-1] + block.shape[1])
     return np.concatenate(blocks, axis=1), starts
+
+
+def count_rows(rows, weights):
+    """The distinct rows of a 2-d array, in lexicographic order, and the summed
+    weights of each one's copies."""
+    order = np.lexsort(rows.T[::-1])  # lexicographic, so equal rows form runs
+    rows = rows[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    return rows[starts], np.add.reduceat(weights[order], starts)
 
 
 #: Entries (points times members) in one block of the streamed product.  A

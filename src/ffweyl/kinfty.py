@@ -92,7 +92,7 @@ class RationalK:
         return kadd(self, other)
 
     def __sub__(self, other):
-        return kadd(self, kneg(other))
+        return kadd(self, -other)
 
     def __str__(self):
         if self.den.deg == 0:
@@ -216,7 +216,7 @@ class TruncSeries:
         return kadd(self, other)
 
     def __sub__(self, other):
-        return kadd(self, kneg(other))
+        return kadd(self, -other)
 
     def __str__(self):
         terms = {self.floor + i: c for i, c in enumerate(self.coeffs) if c}
@@ -231,10 +231,6 @@ class TruncSeries:
 
 # ---------------------------------------------------------------------------
 # Mixed arithmetic.  KElem means RationalK | TruncSeries throughout.
-
-def kneg(alpha):
-    return -alpha
-
 
 def kadd(a, b):
     if isinstance(a, RationalK) and isinstance(b, RationalK):
@@ -313,11 +309,6 @@ def truncate(alpha, floor):
                        alpha.coeffs[floor - alpha.floor:] if alpha.coeffs else ())
 
 
-def expand_rational(alpha, floor):
-    """Truncated-series view of an exact rational down to the given floor."""
-    return alpha.expand(floor)
-
-
 def ord_norm(alpha):
     """(ord, |alpha|) with |alpha| = q^ord as an exact Fraction (0 for ord -inf)."""
     o = alpha.ord()
@@ -326,11 +317,6 @@ def ord_norm(alpha):
     q = alpha.field.q
     norm = Fraction(q) ** o
     return o, norm
-
-
-def frac_res(alpha):
-    """(fractional part, residue code) of alpha."""
-    return alpha.frac(), alpha.res()
 
 
 def ord_vs(alpha, bound):

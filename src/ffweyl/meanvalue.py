@@ -1,20 +1,25 @@
-"""Brute-force power-sum mean values.
+"""Exact power-sum mean values.
 
 J_s counts solutions of the simultaneous power-sum equations over G_N, with
 the exponent list reduced to its coprime-to-p representatives (raising both
 sides to p-th powers makes the dropped equations automatic).  Two methods:
 a naive scan over all 2s-tuples, kept deliberately independent as an oracle,
-and a histogram method that buckets s-tuples by their power-sum key and sums
-squared bucket sizes.
+and a count convolution over the residue engine's power table: c_1(v) counts
+the x whose power coordinates are v, c_{t+1} = c_t * c_1 adds rows mod p,
+and J_s is the sum of c_s(v)^2.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import check_power, enumerate_GN
 from .errors import DomainError
-from .exponents import sprime
+from .exponents import check_positive, sprime
+from .expsum import BLOCK, _power_table, count_rows
 
 #: The naive scan enumerates q^(2sN) tuples; keep it oracle-sized.
 NAIVE_BUDGET = 10 ** 6
@@ -28,73 +33,74 @@ class ExponentProfile:
     s_min: int  # psi*phi + psi, the smallest s the mean-value bound covers
 
 
-def profile(K, p):
+def _reduced(K, p, s=0, N=0):
+    """The sorted reduced exponents of K, after checking the arguments."""
     if not K:
         raise DomainError("profile of the empty exponent set")
-    sp = sorted(sprime(K, p))
+    check_positive(K)
+    if s < 0 or N < 0:
+        raise DomainError(f"s and N must be nonnegative, got s={s}, N={N}")
+    return sorted(sprime(K, p))
+
+
+def profile(K, p):
+    sp = _reduced(K, p)
     return ExponentProfile(len(sp), max(sp), sum(sp), len(sp) * max(sp) + len(sp))
-
-
-def _power_vectors(field, exps, N):
-    """x -> (x^i for i in exps) for every x in G_N, in enumeration order."""
-    out = []
-    for x in enumerate_GN(field, N):
-        out.append(tuple(x ** i for i in exps))
-    return out
-
-
-def _tuple_key(vecs, idxs, field, n_exps):
-    acc = [field.poly_zero] * n_exps
-    for i in idxs:
-        vec = vecs[i]
-        for k in range(n_exps):
-            acc[k] = acc[k] + vec[k]
-    return tuple(acc)
 
 
 def js_naive(K, s, N, field, budget=None):
     """Exact solution count by scanning all 2s-tuples; the oracle method."""
+    exps = _reduced(K, field.p, s, N)
     limit = NAIVE_BUDGET if budget is None else budget
     check_power(field.q, 2 * s * N, limit, "naive mean-value scan")
-    exps = sorted(sprime(K, field.p))
-    vecs = _power_vectors(field, exps, N)
-    n = len(vecs)
-    count = 0
-    idx = [0] * (2 * s)
-    total = n ** (2 * s)
-    for code in range(total):
-        c = code
-        for slot in range(2 * s):
-            idx[slot] = c % n
-            c //= n
-        left = _tuple_key(vecs, idx[:s], field, len(exps))
-        right = _tuple_key(vecs, idx[s:], field, len(exps))
-        if left == right:
-            count += 1
-    return count
+    powers = [[x ** k for k in exps] for x in enumerate_GN(field, N)]
+
+    def power_sums(xs):
+        return [sum(column, field.poly_zero) for column in zip(*xs)]
+
+    return sum(power_sums(xs[:s]) == power_sums(xs[s:])
+               for xs in itertools.product(powers, repeat=2 * s))
 
 
 def js_histogram(K, s, N, field, budget=None):
-    """Exact solution count as the sum of squared power-sum-bucket sizes.
+    """Exact solution count as the sum of squared power-sum counts.
 
-    Keys are exact polynomial tuples; no hashing shortcuts.
+    Rows are the exact coordinate vectors; counts are int64, exact because
+    no count exceeds q^(sN), which is checked to stay below 2^63.
     """
-    if s < 0 or N < 0:
-        raise DomainError(f"s and N must be nonnegative, got s={s}, N={N}")
-    check_power(field.q, s * N, budget, "histogram mean-value scan")
-    exps = sorted(sprime(K, field.p))
-    vecs = _power_vectors(field, exps, N)
-    n = len(vecs)
-    buckets = {}
-    idx = [0] * s
-    for code in range(n ** s):
-        c = code
-        for slot in range(s):
-            idx[slot] = c % n
-            c //= n
-        key = _tuple_key(vecs, idx, field, len(exps))
-        buckets[key] = buckets.get(key, 0) + 1
-    return sum(b * b for b in buckets.values())
+    exps = _reduced(K, field.p, s, N)
+    tuples = check_power(field.q, s * N, budget, "histogram mean-value scan")
+    if tuples > np.iinfo(np.int64).max:
+        raise DomainError(f"q^(sN) = {field.q}^{s * N} overflows the int64 counts")
+    # the table holds all of G_N, an enumeration under the default budget
+    table, starts = _power_table(field, N, exps[-1], check_power(field.q, N))
+    coords = np.concatenate([table[:, starts[k]:starts[k + 1]] for k in exps], axis=1)
+    unit = count_rows(coords.astype(np.int8), np.ones(len(coords), dtype=np.int64))
+    counts = (np.zeros((1, coords.shape[1]), dtype=np.int8), np.ones(1, dtype=np.int64))
+    for _ in range(s):
+        counts = _convolve(counts, unit, field.p)
+    return sum(c * c for c in counts[1].tolist())
+
+
+def _convolve(counts, unit, p):
+    """Counts of the row sums mod p of all pairs of rows, one from each count,
+    weighted by the product of their counts.
+
+    Pairs are formed at most BLOCK at a time, and their counts are merged
+    in once they outnumber the rows merged so far.
+    """
+    rows, weights = counts
+    unit_rows, unit_weights = unit
+    step = max(1, BLOCK // len(unit_rows))
+    held = [(rows[:0], weights[:0])]  # the merged counts, then unmerged chunks
+    for a in range(0, len(rows), step):
+        pairs = (rows[a:a + step, None] + unit_rows) % p
+        held.append(count_rows(pairs.reshape(-1, rows.shape[1]),
+                               (weights[a:a + step, None] * unit_weights).ravel()))
+        if sum(len(r) for r, _ in held[1:]) >= len(held[0][0]) or a + step >= len(rows):
+            held = [count_rows(np.concatenate([r for r, _ in held]),
+                               np.concatenate([w for _, w in held]))]
+    return held[0]
 
 
 def growth_table(K, s, N_list, field, budget=None):

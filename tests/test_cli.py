@@ -233,6 +233,7 @@ def test_malformed_input_exits_2(capsys):
                   '{"elems": ["0", "1"]}', "--N", "2", "--xbound=-2"],
                  ["js", "--field", "q=2", "--set", "1", "--s=-1", "--N", "1"],
                  ["js", "--field", "q=2", "--set", "1", "--s", "1", "--N=-1"],
+                 ["js", "--field", "q=2", "--set", "0", "--s", "1", "--N", "1"],
                  ["weyl", "--field", "q=2", "--f", "{}", "--N", "abc"],
                  ["equidist", "--field", "q=2", "--f", f_json, "--N", "-2..1", "--D", "1"],
                  []):

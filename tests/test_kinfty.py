@@ -5,10 +5,9 @@ import pytest
 
 from ffweyl.algebra import NEG_INF, parse_poly
 from ffweyl.errors import DomainError, PrecisionError
-from ffweyl.kinfty import (RationalK, TruncSeries, expand_rational, frac_res,
-                           frac_ord_vs, kadd, kernel_element, kmul, kmul_poly,
-                           kmul_scalar, ord_norm, ord_vs, parse_kelem, tmap,
-                           truncate)
+from ffweyl.kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd,
+                           kernel_element, kmul, kmul_poly, kmul_scalar,
+                           ord_norm, ord_vs, parse_kelem, tmap, truncate)
 
 from helpers import field, rand_poly, rand_rational, rand_series
 
@@ -52,10 +51,11 @@ def test_ultrametric_fuzz():
 def test_frac_res_examples():
     F2, F3 = field(2), field(3)
     al = kadd(RationalK(F2.poly_t), RationalK(F2.poly_one, F2.poly_t))
-    frac, res = frac_res(al)
+    frac, res = al.frac(), al.res()
     assert res == 1 and frac == RationalK(F2.poly_one, F2.poly_t)
     # a polynomial has zero fractional part and residue
-    frac, res = frac_res(RationalK(parse_poly(F3, "t^2+2")))
+    poly = RationalK(parse_poly(F3, "t^2+2"))
+    frac, res = poly.frac(), poly.res()
     assert res == 0 and frac.is_zero()
     # F_3: 1/(t-1) = t^-1 + t^-2 + ... so res = 1
     assert RationalK(F3.poly_one, parse_poly(F3, "t-1")).res() == 1
@@ -63,13 +63,13 @@ def test_frac_res_examples():
 
 def test_expand_examples():
     F2 = field(2)
-    assert expand_rational(RationalK(F2.poly_zero), -6).is_zero_to_floor()
-    s = expand_rational(RationalK(F2.poly_one, F2.poly_t), -3)
+    assert RationalK(F2.poly_zero).expand(-6).is_zero_to_floor()
+    s = RationalK(F2.poly_one, F2.poly_t).expand(-3)
     assert s.coeffs == (0, 0, 1) and s.floor == -3
-    s = expand_rational(RationalK(F2.poly_one, parse_poly(F2, "t+1")), -4)
+    s = RationalK(F2.poly_one, parse_poly(F2, "t+1")).expand(-4)
     assert [s.digit(e) for e in (-1, -2, -3, -4)] == [1, 1, 1, 1]
     with pytest.raises(DomainError):
-        expand_rational(RationalK(F2.poly_one, parse_poly(F2, "t^3")), -2)
+        RationalK(F2.poly_one, parse_poly(F2, "t^3")).expand(-2)
 
 
 def test_expand_recompose_and_res_agreement_fuzz():

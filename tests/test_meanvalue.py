@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from ffweyl.errors import BudgetError, DomainError
@@ -7,13 +9,17 @@ from ffweyl.meanvalue import growth_table, js_histogram, js_naive, profile
 from helpers import field
 
 # Golden values recorded from the naive 2s-tuple oracle (plus, for the
-# q=2 K={1,2} case, an independent xor-sum recount).
+# q=2 K={1,2} case, an independent xor-sum recount).  The s=3 values, beyond
+# the oracle's budget, were recorded from a walk over all s-tuples that
+# bucketed them by their power sums in polynomial arithmetic.
 GOLDEN = {
     (2, (1, 2), 2, 2): 64,
     (2, (1, 3), 2, 2): 40,
     (3, (2,), 2, 1): 15,
     (3, (2,), 2, 2): 153,
     (3, (1, 3), 2, 2): 729,
+    (2, (1, 2, 3), 3, 5): 484352,
+    (2, (1, 2, 3), 3, 6): 4086784,
 }
 
 
@@ -47,12 +53,14 @@ def test_js_independent_recount_q2():
 
 def test_oracle_equivalence_sweep():
     instances = 0
-    for q in (2, 3):
-        F = field(q)
+    for q, modulus in ((2, None), (3, None), (4, None), (5, None), (8, None),
+                       (9, None), (9, "x^2+x+2")):
+        F = field(q, modulus)
         for K in ({1}, {2}, {1, 2}, {1, 3}):
             for s in (1, 2):
                 for N in (1, 2):
-                    assert q ** (2 * s * N) <= 10 ** 6
+                    if q ** (2 * s * N) > 10 ** 4:
+                        continue  # keeps the oracle's scans short
                     a = js_naive(K, s, N, F)
                     b = js_histogram(K, s, N, F)
                     assert a == b, (q, K, s, N)
@@ -61,7 +69,24 @@ def test_oracle_equivalence_sweep():
                     if key in GOLDEN:
                         assert a == GOLDEN[key]
                     instances += 1
-    assert instances == 32
+    assert instances == 92
+
+
+def test_golden_beyond_the_oracle():
+    for (q, K, s, N), want in GOLDEN.items():
+        if s == 3:
+            assert js_histogram(set(K), s, N, field(q)) == want
+
+
+def test_histogram_memory_bound():
+    # measured peak 8.1 MB (tracemalloc, numpy allocations included)
+    tracemalloc.start()
+    try:
+        js_histogram({1, 2, 3}, 3, 6, field(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10 ** 6
 
 
 def test_monotone_in_N():
@@ -86,6 +111,28 @@ def test_budget_errors():
         js_naive({1}, 3, 3, F3)  # 3^18 far beyond the naive budget
     with pytest.raises(BudgetError):
         js_histogram({1}, 2, 3, F3, budget=10)
+
+
+def test_int64_count_guard():
+    F2 = field(2)
+    # 2^63 tuples would overflow an int64 count, whatever the budget
+    with pytest.raises(DomainError, match="int64"):
+        js_histogram({1}, 3, 21, F2, budget=1 << 70)
+    # 2^62 passes the guard and is refused by the G_31 enumeration instead
+    with pytest.raises(BudgetError, match="enumeration"):
+        js_histogram({1}, 2, 31, F2, budget=1 << 70)
+
+
+def test_bad_arguments_raise_domain_errors():
+    F2 = field(2)
+    for K, s, N in (({1}, -1, 1), ({1}, 1, -1), ({0}, 1, 1), ({-3}, 1, 1),
+                    ({0, 1}, 1, 1), (set(), 1, 1)):
+        for fn in (js_naive, js_histogram):
+            with pytest.raises(DomainError):
+                fn(K, s, N, F2)
+    for K in ({0}, {-3, 2}):
+        with pytest.raises(DomainError):
+            profile(K, 2)
 
 
 def test_reduced_exponents_drive_the_system():
