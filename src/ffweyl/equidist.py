@@ -76,14 +76,14 @@ def discrepancy(table, q):
     """max over all depth-d prefixes of |count/total - q^-d|, exact.
 
     The maximum runs over every prefix, including those with zero count.
+    Each term is |count q^d - total| / (total q^d), so the maximum is taken
+    over the integer numerators and divided once.
     """
-    flat = Fraction(1, q ** table.depth)
-    worst = Fraction(0)
-    for c in table.counts.values():
-        worst = max(worst, abs(Fraction(c, table.total) - flat))
-    if len(table.counts) < q ** table.depth:
-        worst = max(worst, flat)  # some prefix has count zero
-    return worst
+    cells = q ** table.depth
+    worst = max((abs(c * cells - table.total) for c in table.counts.values()), default=0)
+    if len(table.counts) < cells:
+        worst = max(worst, table.total)  # some prefix has count zero
+    return Fraction(worst, table.total * cells)
 
 
 @dataclass(frozen=True)

@@ -370,12 +370,34 @@ def _power_table(field, n, top, rows):
 
 
 def count_rows(rows, weights):
-    """The distinct rows of a 2-d array, in lexicographic order, and the summed
-    weights of each one's copies."""
-    order = np.lexsort(rows.T[::-1])  # lexicographic, so equal rows form runs
-    rows = rows[order]
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    return rows[starts], np.add.reduceat(weights[order], starts)
+    """The distinct rows of a 2-d array of nonnegative integers, in
+    lexicographic order, and the summed weights of each one's copies.
+
+    Each row is packed into one int64 key that sorts as the row does: the
+    columns are read most significant first, and each is folded in as
+    key * base + column, with base the column's maximum plus one.  When the
+    next column would carry the key's span past 2^63, the key is first
+    replaced by its dense rank among the keys, which keeps their order and
+    leaves a span of at most len(rows); so the keys stay exact for rows of
+    any width, as long as len(rows) times each base stays within 2^63.
+    Equal rows form runs of one plain argsort of the keys; the sort need not
+    be stable, because the rows of a run are equal and int64 sums do not
+    depend on their order.
+    """
+    key = np.zeros(len(rows), dtype=np.int64)
+    span = 1  # every key lies in [0, span)
+    for col in rows.T:
+        base = int(col.max()) + 1
+        if span * base > 1 << 63:
+            ranks, key = np.unique(key, return_inverse=True)
+            span = len(ranks)
+        key *= base
+        key += col
+        span *= base
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    return rows[order[starts]], np.add.reduceat(weights[order], starts)
 
 
 #: Entries (points times members) in one block of the streamed product.  A

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from ffweyl import equidist, expsum
 
 from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
-from ffweyl.equidist import (cor53_probe, cylinder_counts, discrepancy,
+from ffweyl.equidist import (CylinderTable, cor53_probe, cylinder_counts, discrepancy,
                              reduce_qp, refine_to_parent, weyl_scan)
 from ffweyl.errors import DomainError, PrecisionError
 from ffweyl.expsum import CharSum, ExpPoly, required_floor, twisted_sum, weyl_residues
@@ -92,6 +93,23 @@ def test_linear_rational_cylinder_closed_form():
         assert discrepancy(tab, F.q) == max(
             abs(Fraction(oracle.get(pref, 0), F.q ** N) - Fraction(1, F.q ** depth))
             for pref in {p_ for p_ in oracle} | {(0,) * depth})
+
+
+def test_discrepancy_matches_the_definition():
+    rng = random.Random(67)
+    for _ in range(400):
+        q, depth = rng.choice((2, 3, 4, 5, 9)), rng.randrange(1, 4)
+        cells = list(itertools.product(range(q), repeat=depth))
+        hit = rng.sample(cells, rng.randrange(1, len(cells) + 1))
+        counts = {pref: rng.randrange(1, 10 ** rng.randrange(1, 7)) for pref in hit}
+        tab = CylinderTable(depth, sum(counts.values()), counts)
+        # every one of the q^d prefixes, the zero cells listed
+        zero_filled = {pref: counts.get(pref, 0) for pref in cells}
+        expected = max(abs(Fraction(c, tab.total) - Fraction(1, q ** depth))
+                       for c in zero_filled.values())
+        got = discrepancy(tab, q)
+        assert type(got) is Fraction and got == expected
+        assert discrepancy(CylinderTable(depth, tab.total, zero_filled), q) == expected
 
 
 def test_weyl_scan_zero_polynomial():

@@ -2,15 +2,16 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ffweyl import expsum
 from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
-from ffweyl.equidist import cylinder_counts
+from ffweyl.equidist import cylinder_counts, discrepancy
 from ffweyl.errors import BudgetError, DomainError, PrecisionError
-from ffweyl.expsum import (CharSum, ExpPoly, e_of, fractional_digit_rows,
+from ffweyl.expsum import (CharSum, ExpPoly, count_rows, e_of, fractional_digit_rows,
                            orthogonality, stacked_residues, stacked_sums,
                            twisted_sum, weyl_residues, weyl_sum)
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, parse_kelem
@@ -223,7 +224,7 @@ def test_fractional_digit_rows_paths_agree():
             # digit 1 of the rows matches the residue source of e_of
             for row, x in zip(a[:16], enumerate_GN(F, N)):
                 assert row[0] == f.evaluate(x).digit(-1)
-    # q^depth far above 2^63: the cylinder count must not pack rows into one int
+    # q^depth above 2^63: the rows' packed int64 keys need a rank step
     F = field(9)
     for _ in range(3):
         f = ExpPoly(F, {r: rand_rational(rng, F, 3) for r in (1, 2, 4)})
@@ -232,6 +233,80 @@ def test_fractional_digit_rows_paths_agree():
         assert tab.counts == cylinder_counts(f, 2, 20, method="direct").counts
         assert tab.counts == Counter(map(tuple, direct.tolist()))
         assert all(type(c) is int for key in tab.counts for c in key)
+
+
+def _counter_oracle(rows, weights):
+    counts = Counter()
+    for row, w in zip(rows.tolist(), weights.tolist()):
+        counts[tuple(row)] += w
+    return sorted(counts.items())
+
+
+def _rows_from_pool(rng, q, n, width, dtype, pool):
+    """n rows drawn from `pool` random rows, so that most rows repeat."""
+    distinct = rng.integers(0, q, size=(pool, width))
+    return distinct[rng.integers(0, pool, size=n)].astype(dtype)
+
+
+@pytest.mark.parametrize("q, width, dtype, rank_steps", [
+    (2, 3, np.int64, 0),     # one key
+    (7, 22, np.int64, 0),    # 7^22 < 2^63: still one key
+    (127, 9, np.int8, 0),
+    (9, 24, np.int64, 1),    # 9^20 > 2^63: one rank step
+    (9, 21, np.int8, 1),
+    (2, 200, np.int8, 3),    # p = 2, several rank steps
+    (2, 89, np.int64, 1),
+])
+def test_count_rows_matches_a_counter(monkeypatch, q, width, dtype, rank_steps):
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    rng = np.random.default_rng(q * 1000 + width)
+    for trial in range(6):
+        n = int(rng.integers(200, 400))
+        pool = 150 if trial == 0 else int(rng.integers(1, 150))
+        rows = _rows_from_pool(rng, q, n, width, dtype, pool)
+        if trial % 2:
+            rows[:, rng.integers(0, width)] = 0  # an all-zero column
+        weights = rng.integers(0, 1 << 40, size=n)
+        calls.clear()
+        distinct, sums = count_rows(rows, weights)
+        oracle = _counter_oracle(rows, weights)
+        assert distinct.dtype == rows.dtype and sums.dtype == np.int64
+        assert [tuple(r) for r in distinct.tolist()] == [r for r, _ in oracle]
+        assert sums.tolist() == [w for _, w in oracle]
+        # a column of zeros or a pool of one row can make rows narrower than q^width
+        assert len(calls) <= rank_steps
+        if trial == 0:
+            assert len(calls) == rank_steps
+
+
+def test_count_rows_small_cases():
+    w = np.array([1 << 40], dtype=np.int64)
+    one = np.array([[3, 0, 5]], dtype=np.int8)
+    distinct, sums = count_rows(one, w)
+    assert distinct.tolist() == [[3, 0, 5]] and sums.tolist() == [1 << 40]
+    same = np.repeat(one, 1000, axis=0)
+    distinct, sums = count_rows(same, np.full(1000, 1 << 40, dtype=np.int64))
+    assert distinct.tolist() == [[3, 0, 5]] and sums.tolist() == [1000 << 40]
+    zeros = np.zeros((5, 4), dtype=np.int64)
+    distinct, sums = count_rows(zeros, np.arange(5, dtype=np.int64))
+    assert distinct.tolist() == [[0, 0, 0, 0]] and sums.tolist() == [10]
+
+
+def test_cylinder_counts_memory_bound():
+    F2 = field(2)
+    f = ExpPoly(F2, {3: kernel_element(F2, -80, 1)})
+    cylinder_counts(f, 16, 3)
+    tracemalloc.start()
+    try:
+        tab = cylinder_counts(f, 16, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab.total == 2 ** 16 and discrepancy(tab, 2) == Fraction(5, 2048)
+    # measured peak 4.0 MB (4.5 MB with a column-wise lexsort)
+    assert peak < 8 << 20, peak
 
 
 def test_dual_basis_reads_coordinates():
