@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import check_budget, gn_size, poly_from_index, power_count
+from .algebra import PRINT_DIGITS, check_budget, gn_size, poly_from_index, power_count
 from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
 from .exponents import cal_i
@@ -109,7 +109,10 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
 
     A decreasing sup profile is evidence for equidistribution; a twist with
     an exactly full histogram certifies failure at that N and is recorded as
-    a witness.
+    a witness.  Before any sum, the digit rows of the largest N are charged
+    as fractional_digit_rows charges them, and a depth whose q^depth has
+    PRINT_DIGITS digits or more is refused: a discrepancy's reduced
+    denominator can be q^depth, too long to print.
     """
     if D < 1:
         raise DomainError("the twist bound D must be positive")
@@ -117,6 +120,13 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
     points = sum(gn_size(field, N, budget, "twist scan") for N in N_list)
     check_budget(points * (power_count(field.q, D, budget, "twist scan") - 1),
                  budget, "twist scan")
+    if depth:
+        widest = gn_size(field, max(N_list, default=0), budget, "cylinder count")
+        check_budget(widest * depth * field.m, budget, "cylinder count")
+        # q >= 2 and 2^(4k) > 10^k, so the capped power decides the same
+        if field.q ** min(depth, 4 * PRINT_DIGITS) >= 10 ** (PRINT_DIGITS - 1):
+            raise DomainError(f"the depth-{depth} discrepancy denominator "
+                              f"{field.q}^{depth} has at least {PRINT_DIGITS} digits")
     rows = []
     for N in sorted(N_list):
         sup = 0.0

@@ -19,11 +19,12 @@ residues.  The trace is F_p-linear in a twist m: write m's index in G_D
 (poly_from_index order) in base p, and digit i*log_p(q) + k is coordinate k
 of the coefficient of t^i, so the factors of m f are those coordinates times the
 factors of the basis twists e_k t^i f, built once per f and G_N.  Any other
-digit is such a trace too: with beta_c the dual basis of the power basis
-under the trace form, coordinate c of the digit at t^-(1+s) of f(x) is the
-trace of the t^-1 digit of (beta_c t^s) f(x), so digit rows are a stack of
-twists.  The direct path (method="direct") walks points one by one through
-plain field arithmetic and is kept only as the independent oracle.
+digit is read through the basis twists themselves: the trace of the t^-1
+digit of (e_k t^s) f(x) is Tr(e_k d_s), for d_s the digit at t^-(1+s) of
+f(x), and since the trace form is nondegenerate the m traces of one shift
+name d_s through one lookup in a q-entry table.  The direct path
+(method="direct") walks points one by one through plain field arithmetic and
+is kept only as the independent oracle.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Field, check_budget, check_power, parse_poly, poly_from_index
+from .algebra import Field, check_budget, parse_poly, poly_from_index, power_count
 from .errors import DomainError, PrecisionError
 from .exponents import lucas_binom
 from .kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd, kernel_element,
@@ -274,13 +275,12 @@ def _trace_forms(field):
     return forms
 
 
-def _dual_basis(field):
-    """Codes of beta_0, ..., beta_{m-1} with Tr(beta_c * p^k) = [c == k], so that
-    Tr(beta_c * a) is coordinate c of a under the field's own modulus."""
-    mul, trace, p, m = field._mul, field._trace, field.p, field.m
-    return [next(b for b in range(field.q)
-                 if all(trace[mul[b][p ** k]] == (c == k) for k in range(m)))
-            for c in range(m)]
+def _trace_codes(field):
+    """The code of d at the key sum_k Tr(e_k d) p^k, for every d: the trace
+    form is nondegenerate, so the keys permute the q codes (the identity at
+    q = p).  Tr(e_k d) is T[k, d, 0, 0] of _trace_forms, as e_0 = 1."""
+    keys = field.p ** np.arange(field.m) @ _trace_forms(field)[:, :, 0, 0]
+    return np.argsort(keys)
 
 
 @functools.lru_cache(maxsize=64)
@@ -290,9 +290,11 @@ def _twist_basis(twists, p, m):
     Coordinate c = i*m + k of index t (q = p^m) is floor(t / p^c) mod p:
     coordinate k of the coefficient of t^i, with e_k the element of code p^k.
     Returns the shift i and element k of every basis twist some index reads,
-    the degree of every twist (-1 for the zero twist, which reads no digit),
-    their maximum, and the coordinates as a (basis twists x twists) matrix;
-    the arrays are shared by every caller, so they are read-only.
+    their largest shift, the degree of every twist (-1 for the zero twist,
+    which reads no digit), and the coordinates as a (basis twists x twists)
+    matrix, or None when that matrix is the identity: the twists are the basis
+    twists, in order.  The arrays are shared by every caller, so they are
+    read-only.
     """
     top = max(twists)
     width = 0
@@ -307,7 +309,16 @@ def _twist_basis(twists, p, m):
     degrees = ((coords > 0) * (shift + 1)).max(axis=1, initial=0) - 1
     for a in (shift, kappa, degrees, coords):
         a.flags.writeable = False
-    return shift, kappa, int(shift.max(initial=0)), degrees, coords.T
+    square = coords.shape[0] == coords.shape[1]
+    combine = None if square and np.array_equal(coords, np.eye(len(coords))) else coords.T
+    return shift, kappa, int(shift.max(initial=0)), degrees, combine
+
+
+def _digit_basis(depth, m):
+    """The basis twists e_k t^s for s < depth and k < m, s-major, in the form
+    _twist_basis returns; each has degree s, and there is no combine matrix."""
+    shift, kappa = np.divmod(np.arange(depth * m), m)
+    return shift, kappa, depth - 1, shift, None
 
 
 @functools.lru_cache(maxsize=256)
@@ -410,15 +421,17 @@ BLOCK = 1 << 16
 FLOAT_EXACT = 1 << 53
 
 
-def _split_blocks(fs, twists, N, lo, hi):
+def _split_blocks(fs, basis, N, lo, hi):
     """Tr of the t^-1 digit of (m f)(x) for every f in fs and every twist m,
     streamed over x in [lo, hi).
 
-    A twist is an index of G_D in poly_from_index order, and the residue is
-    F_p-linear in it: coordinate c = i*log_p(q) + k of index t, floor(t / p^c)
-    mod p, is coordinate k of the coefficient of t^i, so m f is the F_p-combination
-    of the basis twists e_k t^i f (e_k the element of code p^k) with those
-    coordinates.  Member i = len(twists) * a + b is twists[b] times fs[a].
+    The residue is F_p-linear in the twist, so each twist m is an
+    F_p-combination of basis twists e_k t^i (e_k the element of code p^k).
+    `basis` names them as _twist_basis or _digit_basis does: the shift i and
+    element k of each basis twist, their largest shift, each twist's degree,
+    and the (basis twists x twists) combine matrix, or None when the twists
+    are the basis twists themselves, in order.  Member i = T * a + b, for T
+    twists, is twist b times fs[a].
     Yields (i, start, block): column c of block holds member i + c at the
     indices start, start + 1, ... of G_N, one row each, and no block holds
     more than BLOCK entries unless one row of x_lo for one member is already
@@ -427,9 +440,10 @@ def _split_blocks(fs, twists, N, lo, hi):
     The polynomials share one field and one power table over G_{N-h}.  For
     each f the engine builds only the basis factors that some twist reads,
     from one digit vector per term and one int64 product per Lucas pair for
-    the whole basis; a member's factor is its coordinates times those, mod
-    p (the single twist 1 takes its factor as it is).  The factors form the
-    right side of a float64 product whose rows are the coordinates of x_hi^e.
+    the whole basis; a member's factor is its column of the combine matrix
+    times those, mod p, or with no combine matrix the basis factor itself.
+    The factors form the right side of a float64 product whose rows are the
+    coordinates of x_hi^e.
     Every table entry is a coordinate below p, and every factor entry is
     reduced mod p, so each dot product of that product is at most
     (p - 1)^2 * k for its inner width k; that stays within 2^53, where
@@ -442,8 +456,7 @@ def _split_blocks(fs, twists, N, lo, hi):
     h = N // 2
     qh = field.q ** h
     first, last = lo // qh, -(-hi // qh)
-    twists = twists if isinstance(twists, range) else tuple(twists)
-    shift, kappa, deepest, degrees, combine = _twist_basis(twists, p, m)
+    shift, kappa, deepest, degrees, combine = basis
     terms = [f.terms if shift.size else () for f in fs]
     powers, starts = _power_table(field, N - h, max((r for ts in terms for r, _ in ts),
                                                     default=0), max(qh, last))
@@ -500,8 +513,7 @@ def _split_blocks(fs, twists, N, lo, hi):
         out %= p
         return out
 
-    T = len(twists)
-    single = T == 1 and twists[0] == 1  # the factor is the basis factor itself
+    T = shift.size if combine is None else combine.shape[1]
     group = max(1, BLOCK // (qh * max(k, 1)))
     held = None  # (index in fs, its basis factors)
     for i in range(0, len(fs) * T, group):
@@ -511,7 +523,8 @@ def _split_blocks(fs, twists, N, lo, hi):
             if held is None or held[0] != fi:
                 held = fi, basis(terms[fi])
             b0, b1 = max(i - fi * T, 0), min(i + n - fi * T, T)
-            parts.append(held[1] if single else held[1] @ combine[:, b0:b1] % p)
+            parts.append(held[1][:, :, b0:b1] if combine is None
+                         else held[1] @ combine[:, b0:b1] % p)
         right = np.concatenate(parts, axis=2, dtype=float).reshape(k, qh * n)
         rows = max(1, BLOCK // (n * qh))
         for r0 in range(first, last, rows):
@@ -526,11 +539,13 @@ def _split_blocks(fs, twists, N, lo, hi):
 # ---------------------------------------------------------------------------
 # Residues of the character at every point of an index range.
 
-def _check_range(field, N, lo, hi, method, budget, what):
-    """The shared entry check; returns hi with its default filled in."""
+def _check_range(field, N, lo, hi, method, budget, what, per_point=1):
+    """The shared entry check, which charges per_point units for each of the
+    q^N points; returns hi with its default filled in."""
     if N < 0:
         raise DomainError("N must be nonnegative")
-    total = check_power(field.q, N, budget, what)
+    total = power_count(field.q, N, budget, what)
+    check_budget(total * per_point, budget, what)
     if hi is None:
         hi = total
     if not (0 <= lo <= hi <= total):
@@ -550,6 +565,13 @@ def weyl_residues(f, N, lo=0, hi=None, method=None, budget=None):
     return trace[_digit_rows_direct(f, N, 1, lo, hi)[:, 0]]
 
 
+def _index_basis(fs, twists):
+    """_twist_basis of a tuple or range of twist indices, in the field of fs."""
+    field = fs[0].field
+    return _twist_basis(twists if isinstance(twists, range) else tuple(twists),
+                        field.p, field.m)
+
+
 def stacked_residues(fs, N, lo=0, hi=None, budget=None, twists=(1,)):
     """weyl_residues of m*f for every f in the nonempty list fs and every
     twist index m (poly_from_index order), one row each, f-major.
@@ -559,7 +581,7 @@ def stacked_residues(fs, N, lo=0, hi=None, budget=None, twists=(1,)):
     """
     hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
     out = np.empty((len(fs) * len(twists), hi - lo), dtype=np.int64)
-    for i, start, block in _split_blocks(fs, twists, N, lo, hi):
+    for i, start, block in _split_blocks(fs, _index_basis(fs, twists), N, lo, hi):
         out[i:i + block.shape[1], start - lo:start - lo + len(block)] = block.T
     return out
 
@@ -574,7 +596,7 @@ def stacked_sums(fs, N, lo=0, hi=None, budget=None, twists=(1,)):
     hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
     p = fs[0].field.p
     counts = np.zeros((len(fs) * len(twists), p), dtype=np.int64)
-    for i, _, block in _split_blocks(fs, twists, N, lo, hi):
+    for i, _, block in _split_blocks(fs, _index_basis(fs, twists), N, lo, hi):
         n = block.shape[1]
         block += p * np.arange(n)  # member i + n' counts in [n' p, n' p + p)
         counts[i:i + n] += np.bincount(block.ravel(), minlength=n * p).reshape(n, p)
@@ -596,26 +618,31 @@ def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
 
     Returns an int64 array of shape (hi - lo, depth).  Row order matches the
     enumeration of G_N; column i - 1 holds the coefficient of t^-i, as a field
-    element code.  Coordinate c of the digit at t^-(1+s) is the trace of the
-    t^-1 digit of (beta_c t^s) f(x), for the dual basis beta of the power
-    basis, so the engine reads the depth * m twists beta_c t^s, whose index
-    is beta_c q^s.
+    element code.  The budget is charged for depth * log_p(q) residues at
+    each of the q^N points, on either path.  The engine reads the basis
+    twists e_k t^s themselves: member s*m + k at x is Tr(e_k d_s), for d_s
+    the digit at t^-(1+s) of f(x), and column s gathers sum_k Tr(e_k d_s) p^k,
+    which _trace_codes turns into the code of d_s in place.
     """
     if depth < 1:
         raise DomainError("depth must be at least 1")
     field = f.field
-    hi = _check_range(field, N, lo, hi, method, budget, "cylinder count")
+    p, m = field.p, field.m
+    hi = _check_range(field, N, lo, hi, method, budget, "cylinder count", depth * m)
     for r, coeff in f.terms:
         _check_floor(coeff, r, N, depth)
     if method == "direct":
         return _digit_rows_direct(f, N, depth, lo, hi)
-    twists = [b * field.q ** s for s in range(depth) for b in _dual_basis(field)]
     codes = np.zeros((hi - lo, depth), dtype=np.int64)
-    for i, start, block in _split_blocks([f], twists, N, lo, hi):
-        for twist, coord in enumerate(block.T, i):
-            s, c = divmod(twist, field.m)
-            codes[start - lo:start - lo + len(coord), s] += field.p ** c * coord
-    return codes
+    for i, start, block in _split_blocks([f], _digit_basis(depth, m), N, lo, hi):
+        rows = codes[start - lo:start - lo + len(block)]
+        for c in range(min(m, block.shape[1])):
+            # members i + c, i + c + m, ... hold element k at shifts s, s + 1, ...
+            s, k = divmod(i + c, m)
+            traces = block[:, c::m]
+            rows[:, s:s + traces.shape[1]] += p ** k * traces
+    # in place: mode="raise" would first buffer a copy of codes
+    return np.take(_trace_codes(field), codes, out=codes, mode="clip")
 
 
 def _digit_rows_direct(f, N, depth, lo, hi):

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -348,3 +349,37 @@ def test_parse_upoly():
     F3 = field(3)
     phi = parse_upoly(F3, "2*u^2 - u")
     assert phi[2] == parse_poly(F3, "2") and phi[1] == parse_poly(F3, "2")
+
+
+_F2_RAT = json.dumps({"field": "q=2", "terms": [
+    {"exp": 1, "coeff": {"rat": ["t+1", "t^5+t^2+1"]}},
+    {"exp": 3, "coeff": {"rat": ["1", "t^7+t+1"]}}]})
+
+
+def test_digit_rows_charge_every_digit_before_any_sum(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["equidist", "--field", "q=2", "--f", _F2_RAT, "--N", "10",
+                              "--D", "1", "--depth", "20000"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and not out
+    # q^N * depth * log_p(q) = 1024 * 20000 digit residues
+    message = "cylinder count of 20480000 points exceeds budget 16777216"
+    assert json.loads(err)["error"] == {"type": "BudgetError", "message": message}
+
+
+@pytest.mark.parametrize("q, f_json, first", [
+    (2, _F2_RAT, 14281),   # 2^14281 is the least power of 2 with 4300 digits
+    (3, _F3_LIN, 9011)], ids=["q=2", "q=3"])
+def test_unprintable_discrepancy_is_refused_before_any_sum(capsys, q, f_json, first):
+    scan = ["equidist", "--field", f"q={q}", "--f", f_json, "--N", "1", "--D", "1", "--depth"]
+    for depth in (first, 30000):
+        start = time.perf_counter()
+        code, out, err = run_cli(scan + [str(depth)], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == {"type": "DomainError", "message":
+                                            f"the depth-{depth} discrepancy denominator "
+                                            f"{q}^{depth} has at least 4300 digits"}
+    doc = run_json(scan + [str(first - 1)], capsys)
+    disc = doc["result"]["rows"][0]["discrepancy"]
+    assert len(str(Fraction(disc).denominator)) <= 4299

@@ -16,7 +16,7 @@ from ffweyl.expsum import (CharSum, ExpPoly, count_rows, e_of, fractional_digit_
                            twisted_sum, weyl_residues, weyl_sum)
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, parse_kelem
 
-from helpers import field, rand_exppoly, rand_poly, rand_rational, rand_series
+from helpers import field, rand_exppoly, rand_monic, rand_poly, rand_rational, rand_series
 
 
 def lin(F, alpha):
@@ -196,6 +196,19 @@ def test_precision_and_budget_errors():
         weyl_sum(ExpPoly(F2, {}), 24, budget=1 << 10)
 
 
+def test_digit_rows_charge_each_digit_coordinate():
+    F4 = field(4)
+    f = ExpPoly(F4, {1: rand_rational(random.Random(40), F4, 2)})
+    shallow = ExpPoly(F4, {2: TruncSeries.from_digits(F4, -2, {-1: 1})})
+    for method in (None, "direct"):
+        # q^N * depth * log_p(q) = 16 * 3 * 2, charged before any floor is read
+        for g in (f, shallow):
+            with pytest.raises(BudgetError) as err:
+                fractional_digit_rows(g, 2, 3, method=method, budget=95)
+            assert str(err.value) == "cylinder count of 96 points exceeds budget 95"
+        assert fractional_digit_rows(f, 2, 3, method=method, budget=96).shape == (16, 3)
+
+
 def test_kernel_certificate():
     # sampled-digit zeros force the full sum at the characteristic exponent
     for q in (2, 3):
@@ -208,8 +221,8 @@ def test_kernel_certificate():
 
 def test_fractional_digit_rows_paths_agree():
     rng = random.Random(34)
-    for q, modulus in ((2, None), (3, None), (4, None), (8, None), (9, None),
-                       (8, "x^3+x^2+1"), (9, "x^2+x+2")):
+    for q, modulus in ((2, None), (3, None), (4, None), (5, None), (7, None), (8, None),
+                       (9, None), (8, "x^3+x^2+1"), (9, "x^2+x+2")):
         F = field(q, modulus)
         for _ in range(6):
             N = rng.randrange(1, 4 if q <= 4 else 3)
@@ -224,6 +237,11 @@ def test_fractional_digit_rows_paths_agree():
             # digit 1 of the rows matches the residue source of e_of
             for row, x in zip(a[:16], enumerate_GN(F, N)):
                 assert row[0] == f.evaluate(x).digit(-1)
+        # q^70 is past int64, where twist indices beta_c q^s no longer fit
+        f = rand_exppoly(rng, F, max_exp=4, floor=-90, with_const=1)
+        deep = fractional_digit_rows(f, 2, 70)
+        assert deep.dtype == np.int64 and deep.shape == (F.q ** 2, 70)
+        assert deep.tobytes() == fractional_digit_rows(f, 2, 70, method="direct").tobytes()
     # q^depth above 2^63: the rows' packed int64 keys need a rank step
     F = field(9)
     for _ in range(3):
@@ -294,6 +312,22 @@ def test_count_rows_small_cases():
     assert distinct.tolist() == [[0, 0, 0, 0]] and sums.tolist() == [10]
 
 
+def test_deep_digit_rows_are_linear_in_depth():
+    F2 = field(2)
+    f = ExpPoly(F2, {1: RationalK(parse_poly(F2, "t+1"), parse_poly(F2, "t^5+t^2+1")),
+                     3: RationalK(F2.poly_one, parse_poly(F2, "t^7+t+1"))})
+    direct = fractional_digit_rows(f, 3, 2000, method="direct")
+    tracemalloc.start()
+    try:
+        rows = fractional_digit_rows(f, 3, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, direct)
+    # measured peak 1.0 MB; a (depth x depth) int64 array alone would be 32 MB
+    assert peak < 4 << 20, peak
+
+
 def test_cylinder_counts_memory_bound():
     F2 = field(2)
     f = ExpPoly(F2, {3: kernel_element(F2, -80, 1)})
@@ -309,14 +343,17 @@ def test_cylinder_counts_memory_bound():
     assert peak < 8 << 20, peak
 
 
-def test_dual_basis_reads_coordinates():
+def test_trace_codes_invert_the_basis_traces():
     for q, modulus in ((2, None), (3, None), (4, None), (5, None), (7, None), (8, None),
                        (9, None), (8, "x^3+x^2+1"), (9, "x^2+x+2")):
         F = field(q, modulus)
-        beta = expsum._dual_basis(F)
-        assert len(beta) == F.m
-        for a in F.elements():
-            assert [F.trace(F.mul(b, a)) for b in beta] == list(F.coords(a))
+        codes = expsum._trace_codes(F)
+        assert len(codes) == F.q and sorted(codes.tolist()) == list(F.elements())
+        for d in F.elements():
+            traces = [F.trace(F.mul(F.p ** k, d)) for k in range(F.m)]
+            assert codes[F.from_coords(traces)] == d
+        if F.m == 1:
+            assert codes.tolist() == list(F.elements())
 
 
 def test_digit_rows_name_the_requested_depth():
@@ -368,10 +405,10 @@ def _record_blocks(monkeypatch, seen):
     (first member, members, points)."""
     engine = expsum._split_blocks
 
-    def recording(fs, twists, N, lo, hi):
+    def recording(fs, basis, N, lo, hi):
         blocks = []
         seen.append(blocks)
-        for i, start, block in engine(fs, twists, N, lo, hi):
+        for i, start, block in engine(fs, basis, N, lo, hi):
             blocks.append((i, block.shape[1], len(block)))
             yield i, start, block
 
@@ -472,6 +509,19 @@ def test_twists_raise_the_direct_error_of_the_first_shallow_twist():
             CharSum.from_residues(F.p, weyl_residues(f.scale_poly(poly_from_index(F, t, 3)),
                                                      N, method="direct"))
             for t in twists[:3]]
+
+
+def test_twists_past_int64_match_the_scaled_direct_sum():
+    rng = random.Random(39)
+    for q, degree in ((2, 70), (9, 25)):
+        F = field(q)
+        m = rand_monic(rng, F, degree)
+        assert m.code() >= 1 << 63
+        f = ExpPoly(F, {1: rand_rational(rng, F, 3), 2: rand_series(rng, F, -(degree + 10)),
+                        3: rand_rational(rng, F, 2)})
+        for N in (1, 2):
+            direct = weyl_residues(f.scale_poly(m), N, method="direct")
+            assert twisted_sum(f, m, N) == CharSum.from_residues(F.p, direct)
 
 
 def test_stacked_members_share_one_field():
