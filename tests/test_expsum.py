@@ -312,7 +312,7 @@ def test_count_rows_small_cases():
     assert distinct.tolist() == [[0, 0, 0, 0]] and sums.tolist() == [10]
 
 
-def test_deep_digit_rows_are_linear_in_depth():
+def test_deep_digit_rows_memory_bound():
     F2 = field(2)
     f = ExpPoly(F2, {1: RationalK(parse_poly(F2, "t+1"), parse_poly(F2, "t^5+t^2+1")),
                      3: RationalK(F2.poly_one, parse_poly(F2, "t^7+t+1"))})
