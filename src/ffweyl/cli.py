@@ -46,11 +46,12 @@ def _fmt_ord(v):
 
 
 def _parse_int_list(text):
-    """Accept '3', '1,2,5' and '1..12' (inclusive range); never empty."""
+    """Accept '3', '1,2,5' and '1..12' (an inclusive range, kept as a range,
+    so that a long one costs nothing until it is read); never empty."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..")
-        out = list(range(int(lo), int(hi) + 1))
+        out = range(int(lo), int(hi) + 1)
     else:
         out = [int(part) for part in text.split(",") if part.strip()]
     if not out:
@@ -195,7 +196,7 @@ def _cmd_equidist(args):
     csv = [(r.N, _fmt_float_str(r.sup), r.witness,
             None if r.discrepancy is None else str(r.discrepancy)) for r in rows]
     _emit(args, "equidist", field,
-          {"N": N_list, "D": args.D, "depth": args.depth}, result,
+          {"N": list(N_list), "D": args.D, "depth": args.depth}, result,
           (("N", "sup_m", "witness", "discrepancy"), csv))
 
 

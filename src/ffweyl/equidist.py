@@ -16,13 +16,9 @@ from .algebra import PRINT_DIGITS, check_budget, gn_size, poly_from_index, power
 from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
 from .exponents import cal_i
-from .expsum import ExpPoly, count_rows, fractional_digit_rows, stacked_sums
+from .expsum import (BLOCK, CharSum, ExpPoly, _check_floor, _digit_row_blocks,
+                     _split_blocks, _trace_digits, count_rows, count_stream)
 from .kinfty import RationalK, kadd, tmap
-
-
-#: At most this many twists are stacked into one sum, so that a large q^D
-#: never holds every twisted polynomial at once.
-TWIST_STACK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -46,20 +42,24 @@ def allowed_depth(f, N):
     return depth
 
 
+def _table(depth, total, counted):
+    prefixes, sizes = counted
+    return CylinderTable(depth, total, dict(zip(map(tuple, prefixes.tolist()), sizes.tolist())))
+
+
 def cylinder_counts(f, N, depth=None, method=None, budget=None):
     """Counts of the first `depth` fractional digits of f(x) over G_N.
 
     When depth is omitted it defaults to min(3, what the precision allows).
+    The rows are counted block by block as they stream.
     """
     if depth is None:
         limit = allowed_depth(f, N)
         depth = 3 if limit is None else min(3, limit)
         if depth < 1:
             raise PrecisionError("coefficient floors allow no digit at all")
-    rows = fractional_digit_rows(f, N, depth, method=method, budget=budget)
-    prefixes, sizes = count_rows(rows, np.ones(len(rows), dtype=np.int64))
-    counts = dict(zip(map(tuple, prefixes.tolist()), sizes.tolist()))
-    return CylinderTable(depth, len(rows), counts)
+    total, blocks = _digit_row_blocks(f, N, depth, method=method, budget=budget)
+    return _table(depth, total, count_stream((rows, None) for _, rows in blocks))
 
 
 def refine_to_parent(table):
@@ -104,6 +104,25 @@ class Verdict:
         return any(r.witness is not None for r in self.rows)
 
 
+def _twist_counts(traces, sizes, p):
+    """The histogram counts of every twist of G_D, in index order from 0, in
+    blocks, at points whose distinct rows of the first D log_p(q) basis-twist
+    traces are traces, with sizes copies each.  Twist t has coordinates
+    floor(t / p^c) mod p, and its residue is their dot product with the
+    traces, mod p.  A block holds the p^c twists that share their higher
+    coordinates, with c as large as keeps its residues within BLOCK, so the
+    lower part of the residues is one product for every block.
+    """
+    w = low = traces.shape[1]
+    while low and p ** low * len(sizes) > BLOCK:
+        low -= 1
+    base = np.arange(p ** low)[:, None] // p ** np.arange(low) % p @ traces[:, :low].T
+    for a in range(p ** (w - low)):
+        high = np.array([a // p ** c % p for c in range(w - low)], dtype=np.int64)
+        res = (base + traces[:, low:] @ high) % p  # [twist, distinct row]
+        yield ((res[:, None] == np.arange(p)[:, None]) @ sizes).tolist()
+
+
 def weyl_scan(f, N_list, D, depth=None, budget=None):
     """Per-N sup over nonzero twists m in G_D of |sum e(m f)| / q^N.
 
@@ -113,34 +132,55 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
     as fractional_digit_rows charges them, and a depth whose q^depth has
     PRINT_DIGITS digits or more is refused: a discrepancy's reduced
     denominator can be q^depth, too long to print.
+
+    Each N takes one engine pass over the basis twists e_k t^s with
+    s < max(D, depth), counts the distinct rows of their traces, and reads
+    every twist histogram and the cylinder counts off those counts.  Each N
+    checks the floors of its twists in index order before its depth, so it
+    raises as twisted_sum and then cylinder_counts would.
     """
     if D < 1:
         raise DomainError("the twist bound D must be positive")
+    if depth is not None and depth < 1:
+        raise DomainError("depth must be at least 1")
     field = f.field
+    p, m = field.p, field.m
     points = sum(gn_size(field, N, budget, "twist scan") for N in N_list)
     check_budget(points * (power_count(field.q, D, budget, "twist scan") - 1),
                  budget, "twist scan")
-    if depth:
+    if depth is not None:
         widest = gn_size(field, max(N_list, default=0), budget, "cylinder count")
-        check_budget(widest * depth * field.m, budget, "cylinder count")
+        check_budget(widest * depth * m, budget, "cylinder count")
         # q >= 2 and 2^(4k) > 10^k, so the capped power decides the same
         if field.q ** min(depth, 4 * PRINT_DIGITS) >= 10 ** (PRINT_DIGITS - 1):
             raise DomainError(f"the depth-{depth} discrepancy denominator "
                               f"{field.q}^{depth} has at least {PRINT_DIGITS} digits")
     rows = []
     for N in sorted(N_list):
+        for d in range(D):  # the twists of degree d read d digits deeper
+            for r, c in f.terms:
+                _check_floor(c, r, N, 1, d)
+        if depth is not None:
+            for r, c in f.terms:
+                _check_floor(c, r, N, depth)
+        total = field.q ** N
+        traces, sizes = count_stream(
+            (block, None) for _, block in _split_blocks([f], max(D, depth or 1) * m, N, 0, total))
         sup = 0.0
         witness = None
-        for start in range(1, field.q ** D, TWIST_STACK):
-            # these twist indices are the members of one stacked sum over G_N
-            twists = range(start, min(start + TWIST_STACK, field.q ** D))
-            for mi, hist in zip(twists, stacked_sums([f], N, budget=budget, twists=twists)):
-                sup = max(sup, hist.normalized())
-                if witness is None and hist.is_full():
-                    witness = str(poly_from_index(field, mi, D))
+        hists = (CharSum(p, tuple(row))
+                 for block in _twist_counts(traces[:, :D * m], sizes, p) for row in block)
+        next(hists)  # the zero twist is not scanned
+        for mi, hist in enumerate(hists, 1):
+            sup = max(sup, hist.normalized())
+            if witness is None and hist.is_full():
+                witness = str(poly_from_index(field, mi, D))
         disc = None
-        if depth:
-            disc = discrepancy(cylinder_counts(f, N, depth, budget=budget), q=field.q)
+        if depth is not None:
+            prefixes = _trace_digits(field, traces[:, :depth * m])
+            if D > depth:  # rows that differ past the depth share a prefix
+                prefixes, sizes = count_rows(prefixes, sizes)
+            disc = discrepancy(_table(depth, total, (prefixes, sizes)), q=field.q)
         rows.append(ScanRow(N, sup, witness, disc))
     flags = {"failure_certificate": any(r.witness is not None for r in rows)}
     return Verdict(tuple(rows), flags)

@@ -7,30 +7,26 @@ is finally requested.  The zero test "all counts equal" is exact because p is
 prime (the minimal polynomial of a primitive p-th root of unity over Q is
 1 + x + ... + x^{p-1}).
 
-The character reads one thing from f(x): the trace of its t^-1 digit, and
-one engine computes exactly that, for every q and for many polynomials over
-one G_N at once.  It splits x = x_lo + t^h x_hi with h = N // 2, tabulates
+The character reads one thing from f(x): the trace of its t^-1 digit.  One
+engine computes it for every q, for many polynomials over one G_N at once, and
+for the basis twists e_k t^s of each (e_k the element of code p^k): the trace
+of the t^-1 digit of (e_k t^s) f(x) is Tr(e_k d_s), for d_s the digit at
+t^-(1+s) of f(x).  It splits x = x_lo + t^h x_hi with h = N // 2, tabulates
 the coordinates of the powers of x_lo over G_h and of x_hi over G_{N-h}, and
 contracts the tables through Lucas binomials and Hankel blocks of the
-coefficient digits.  The polynomials stack as columns of one float64 (BLAS)
-product, exact because every call checks that its dot products stay within
-2^53; it streams over blocks of x_hi rows, so weyl_sum never holds the q^N
-residues.  The trace is F_p-linear in a twist m: write m's index in G_D
-(poly_from_index order) in base p, and digit i*log_p(q) + k is coordinate k
-of the coefficient of t^i, so the factors of m f are those coordinates times the
-factors of the basis twists e_k t^i f, built once per f and G_N.  Any other
-digit is read through the basis twists themselves: the trace of the t^-1
-digit of (e_k t^s) f(x) is Tr(e_k d_s), for d_s the digit at t^-(1+s) of
-f(x), and since the trace form is nondegenerate the m traces of one shift
-name d_s through one lookup in a q-entry table.  The direct path
-(method="direct") walks points one by one through plain field arithmetic and
-is kept only as the independent oracle.
+coefficient digits in one float64 (BLAS) product, exact because every call
+checks that its dot products stay within 2^53, and streamed over blocks of
+x_hi rows, so weyl_sum never holds the q^N residues.  A sum reads e_0 = 1
+alone, twisted_sum scales f by its twist, and digit rows read depth log_p(q)
+basis twists, whose traces name each digit through one lookup in a q-entry
+table, as the trace form is nondegenerate.  The direct path (method="direct")
+walks points one by one through plain field arithmetic and is kept only as
+the independent oracle.
 """
 from __future__ import annotations
 
 import cmath
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,14 +225,6 @@ class ExpPoly:
             coeffs[r] = c
         return cls(field, coeffs)
 
-    @classmethod
-    def parse(cls, field_or_text, text=None, default_seed=0):
-        if text is None:
-            obj = json.loads(field_or_text)
-            return cls.from_json(obj, default_seed=default_seed)
-        obj = json.loads(text)
-        return cls.from_json(obj, field=field_or_text, default_seed=default_seed)
-
 
 # ---------------------------------------------------------------------------
 # Digit vectors and the bilinear forms they define on coordinates.
@@ -283,42 +271,15 @@ def _trace_codes(field):
     return np.argsort(keys)
 
 
-@functools.lru_cache(maxsize=64)
-def _twist_basis(twists, p, m):
-    """How a tuple or range of twist indices combines the basis twists e_k t^i.
-
-    Coordinate c = i*m + k of index t (q = p^m) is floor(t / p^c) mod p:
-    coordinate k of the coefficient of t^i, with e_k the element of code p^k.
-    Returns the shift i and element k of every basis twist some index reads,
-    their largest shift, the degree of every twist (-1 for the zero twist,
-    which reads no digit), and the coordinates as a (basis twists x twists)
-    matrix, or None when that matrix is the identity: the twists are the basis
-    twists, in order.  The arrays are shared by every caller, so they are
-    read-only.
-    """
-    top = max(twists)
-    width = 0
-    while p ** width <= top:
-        width += 1
-    kind = np.int64 if top < 1 << 62 else object  # beyond int64: Python ints
-    scales = np.array([p ** c for c in range(width)], dtype=kind)
-    coords = (np.array(twists, dtype=kind)[:, None] // scales % p).astype(np.int64)
-    used = np.flatnonzero(coords.any(axis=0))
-    coords = coords[:, used]
-    shift, kappa = divmod(used, m)
-    degrees = ((coords > 0) * (shift + 1)).max(axis=1, initial=0) - 1
-    for a in (shift, kappa, degrees, coords):
-        a.flags.writeable = False
-    square = coords.shape[0] == coords.shape[1]
-    combine = None if square and np.array_equal(coords, np.eye(len(coords))) else coords.T
-    return shift, kappa, int(shift.max(initial=0)), degrees, combine
-
-
-def _digit_basis(depth, m):
-    """The basis twists e_k t^s for s < depth and k < m, s-major, in the form
-    _twist_basis returns; each has degree s, and there is no combine matrix."""
-    shift, kappa = np.divmod(np.arange(depth * m), m)
-    return shift, kappa, depth - 1, shift, None
+def _trace_digits(field, traces):
+    """The digit codes named by rows of basis-twist traces: column s*m + k of
+    traces holds Tr(e_k d_s), and column s of the result the code of d_s."""
+    p, m = field.p, field.m
+    keys = traces[:, ::m].copy()
+    for k in range(1, m):
+        keys += p ** k * traces[:, k::m]
+    # in place: mode="raise" would first buffer a copy of keys
+    return np.take(_trace_codes(field), keys, out=keys, mode="clip")
 
 
 @functools.lru_cache(maxsize=256)
@@ -380,40 +341,75 @@ def _power_table(field, n, top, rows):
     return np.concatenate(blocks, axis=1), starts
 
 
-def count_rows(rows, weights):
-    """The distinct rows of a 2-d array of nonnegative integers, in
-    lexicographic order, and the summed weights of each one's copies.
+def count_rows(rows, weights=None):
+    """The distinct rows of a nonempty 2-d array of nonnegative integers, in
+    lexicographic order, and the int64 summed weights of each one's copies
+    (each row weighs 1 when weights is None).
 
-    Each row is packed into one int64 key that sorts as the row does: the
-    columns are read most significant first, and each is folded in as
-    key * base + column, with base the column's maximum plus one.  When the
-    next column would carry the key's span past 2^63, the key is first
-    replaced by its dense rank among the keys, which keeps their order and
-    leaves a span of at most len(rows); so the keys stay exact for rows of
-    any width, as long as len(rows) times each base stays within 2^63.
-    Equal rows form runs of one plain argsort of the keys; the sort need not
-    be stable, because the rows of a run are equal and int64 sums do not
-    depend on their order.
+    Each row is packed into one int64 key that sorts as the row does, folding
+    the columns in most significant first as key * base + column, with base
+    the column's maximum plus one.  When the next column would carry the
+    key's span past 2^63, the key is first replaced by its dense rank, which
+    keeps its order and leaves a span of at most len(rows).  Unweighted keys
+    that span at most len(rows) values with no rank taken are counted by one
+    bincount and read back as rows from their digits; any others form runs
+    of one plain argsort, which need not be stable, as a run's rows are equal.
     """
     key = np.zeros(len(rows), dtype=np.int64)
     span = 1  # every key lies in [0, span)
-    for col in rows.T:
-        base = int(col.max()) + 1
+    bases = [top + 1 for top in rows.max(axis=0).tolist()]
+    ranked = False
+    for col, base in zip(rows.T, bases):
         if span * base > 1 << 63:
             ranks, key = np.unique(key, return_inverse=True)
-            span = len(ranks)
-        key *= base
-        key += col
+            span, ranked = len(ranks), True
+        if span > 1:
+            key *= base
+            key += col
+        else:  # every key is 0
+            key = col.astype(np.int64)
         span *= base
+    if weights is None and not ranked and span <= len(rows):
+        sizes = np.bincount(key, minlength=span)
+        key = np.flatnonzero(sizes)
+        distinct = np.empty((len(key), len(bases)), dtype=rows.dtype)
+        for c in range(len(bases) - 1, -1, -1):  # the keys' digits are the columns
+            key, distinct[:, c] = np.divmod(key, bases[c])
+        return distinct, sizes[sizes > 0]
     order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    if weights is None:
+        return rows[order[starts]], np.diff(starts, append=len(key))
     return rows[order[starts]], np.add.reduceat(weights[order], starts)
 
 
-#: Entries (points times members) in one block of the streamed product.  A
-#: group of stacked members keeps its float64 factor within as many entries,
-#: unless the factor of one member alone is larger.
+def count_stream(chunks):
+    """count_rows of the concatenation of a nonempty stream of (rows, weights)
+    chunks, with each chunk counted as it comes.
+
+    The counts of the chunks wait beside the merged counts of the earlier
+    ones, and are merged in once they outnumber both the merged rows and
+    BLOCK, so the stream is never held whole, and each distinct row is
+    recounted a bounded number of times on average.
+    """
+    def merge(parts):
+        return count_rows(np.concatenate([r for r, _ in parts]),
+                          np.concatenate([w for _, w in parts]))
+
+    held = []  # the merged counts, then the counts of the chunks since
+    waiting = 0  # rows in the counts of the chunks since
+    for rows, weights in chunks:
+        held.append(count_rows(rows, weights))
+        waiting += len(held[-1][0])
+        if len(held) > 1 and waiting >= max(len(held[0][0]), BLOCK):
+            held, waiting = [merge(held)], 0
+    return merge(held) if len(held) > 1 else held[0]
+
+
+#: Entries (points times members) in one block of the streamed product; a
+#: block is larger only when one row of x_hi, q^h points of every member,
+#: is already larger.
 BLOCK = 1 << 16
 
 #: float64 holds every integer up to 2^53, so the streamed product is exact
@@ -421,46 +417,39 @@ BLOCK = 1 << 16
 FLOAT_EXACT = 1 << 53
 
 
-def _split_blocks(fs, basis, N, lo, hi):
-    """Tr of the t^-1 digit of (m f)(x) for every f in fs and every twist m,
-    streamed over x in [lo, hi).
+def _split_blocks(fs, width, N, lo, hi):
+    """Tr of the t^-1 digit of (e_k t^s f)(x), which is Tr(e_k d_s) for d_s
+    the digit at t^-(1+s) of f(x), for every f in fs and each of the first
+    `width` basis twists, s-major (member s*m + k), over x in [lo, hi).
 
-    The residue is F_p-linear in the twist, so each twist m is an
-    F_p-combination of basis twists e_k t^i (e_k the element of code p^k).
-    `basis` names them as _twist_basis or _digit_basis does: the shift i and
-    element k of each basis twist, their largest shift, each twist's degree,
-    and the (basis twists x twists) combine matrix, or None when the twists
-    are the basis twists themselves, in order.  Member i = T * a + b, for T
-    twists, is twist b times fs[a].
-    Yields (i, start, block): column c of block holds member i + c at the
-    indices start, start + 1, ... of G_N, one row each, and no block holds
-    more than BLOCK entries unless one row of x_lo for one member is already
-    larger.
-
-    The polynomials share one field and one power table over G_{N-h}.  For
-    each f the engine builds only the basis factors that some twist reads,
-    from one digit vector per term and one int64 product per Lucas pair for
-    the whole basis; a member's factor is its column of the combine matrix
-    times those, mod p, or with no combine matrix the basis factor itself.
-    The factors form the right side of a float64 product whose rows are the
-    coordinates of x_hi^e.
-    Every table entry is a coordinate below p, and every factor entry is
-    reduced mod p, so each dot product of that product is at most
-    (p - 1)^2 * k for its inner width k; that stays within 2^53, where
-    float64 is exact, or the call raises before any product.
+    Yields (start, block): column width*a + b of block holds member b of
+    fs[a] at the indices start, start + 1, ... of G_N, one row each.  Every
+    block carries all members, and no block holds more than BLOCK entries
+    unless one row of x_hi is already larger.  Member s*m + k reads s digits
+    deeper than the character, so the floors are first checked as for depth
+    (width - 1) // m + 1.
+    The polynomials share one field and one power table over G_{N-h}.  Each
+    f's factors come from one digit vector per term and one int64 product
+    per Lucas pair for all its members; they form the right side of a
+    float64 product whose rows are the coordinates of x_hi^e.  Every table
+    entry is a coordinate below p, and every factor entry is reduced mod p,
+    so each dot product is at most (p - 1)^2 * k for the inner width k; that
+    stays within 2^53, where float64 is exact, or the call raises first.
     """
     field = fs[0].field
     if any(f.field != field for f in fs):
         raise DomainError("stacked polynomials must share one field")
     p, m = field.p, field.m
+    deepest = (width - 1) // m
+    for f in fs:
+        for r, c in f.terms:
+            _check_floor(c, r, N, deepest + 1)
     h = N // 2
     qh = field.q ** h
     first, last = lo // qh, -(-hi // qh)
-    shift, kappa, deepest, degrees, combine = basis
-    terms = [f.terms if shift.size else () for f in fs]
-    powers, starts = _power_table(field, N - h, max((r for ts in terms for r, _ in ts),
+    powers, starts = _power_table(field, N - h, max((r for f in fs for r, _ in f.terms),
                                                     default=0), max(qh, last))
-    lucas = {r: _lucas_pairs(r, p) for ts in terms for r, _ in ts}
+    lucas = {r: _lucas_pairs(r, p) for f in fs for r, _ in f.terms}
     # the exponents e = r - j of x_hi that some member reads, and where each sits in k
     ends = sorted({r - j for r, pairs in lucas.items() for j, _ in pairs})
     k = sum(starts[e + 1] - starts[e] for e in ends)
@@ -474,36 +463,28 @@ def _split_blocks(fs, basis, N, lo, hi):
         offsets[e] = col
         col += starts[e + 1] - starts[e]
         highs[:, offsets[e]:col] = powers[first:last, starts[e]:starts[e + 1]]
-    width = (starts[-1] - starts[-2]) // m
-    hankel = _hankel(width)
+    hankel = _hankel((starts[-1] - starts[-2]) // m)
+    shift, kappa = np.divmod(np.arange(width), m)
 
-    def basis(ts):
-        """The factors of the basis twists e_k t^i f, reduced mod p, as a
-        (k, q^h, basis twists) int64 array.
+    def factors(f):
+        """The factors of the members of f, reduced mod p, as a
+        (k, q^h, width) int64 array.
 
         The term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times
-        a Hankel block: ((a, i'), (b, k')) -> Tr(e_i' e_k' e_k d_{i+a+b+h*e}),
+        a Hankel block: ((a, i'), (b, k')) -> Tr(e_i' e_k' e_k d_{s+a+b+h*e}),
         where d_s is the coefficient's digit at -(1+s).
         """
-        # a twist of degree d raises a series floor by d: the direct path's
-        # error for the first twist, in order, whose digits run out
-        slack = min((required_floor(r, N) - c.floor for r, c in ts
-                     if isinstance(c, TruncSeries)), default=deepest)
-        if deepest > slack:
-            d = int(degrees[np.argmax((degrees > slack) & (degrees >= 0))])
-            for r, c in ts:
-                _check_floor(c, r, N, 1, d)
-        out = np.zeros((k, qh, shift.size), dtype=np.int64)
-        for r, coeff in ts:
+        out = np.zeros((k, qh, width), dtype=np.int64)
+        for r, coeff in f.terms:
             need = -required_floor(r, N)
             digits = np.array(coeff.digits(-need - deepest, -1)[::-1], dtype=np.int64)
-            # forms[s, b] = the bilinear form of the digit at -(1+s) of basis twist b
+            # forms[s, b] = the bilinear form of the digit at -(1+s) of member b
             forms = _trace_forms(field)[kappa, digits[np.add.outer(np.arange(need), shift)]]
             for j, c in lucas[r]:
                 e = r - j
                 la = j * max(h - 1, 0) + 1  # x_lo^j has degree below j*(h-1)+1
                 lb = (starts[e + 1] - starts[e]) // m
-                block = forms[h * e + hankel[:la, :lb]]  # [a, b', basis twist, i', k']
+                block = forms[h * e + hankel[:la, :lb]]  # [a, b', member, i', k']
                 block = block.transpose(0, 3, 1, 4, 2).reshape(la * m, -1)
                 if c > 1:  # traces are below p already
                     block = c * block % p
@@ -513,27 +494,16 @@ def _split_blocks(fs, basis, N, lo, hi):
         out %= p
         return out
 
-    T = shift.size if combine is None else combine.shape[1]
-    group = max(1, BLOCK // (qh * max(k, 1)))
-    held = None  # (index in fs, its basis factors)
-    for i in range(0, len(fs) * T, group):
-        n = min(group, len(fs) * T - i)
-        parts = []  # [., i_lo, n']: point i_lo of member i + n'
-        for fi in range(i // T, (i + n - 1) // T + 1):
-            if held is None or held[0] != fi:
-                held = fi, basis(terms[fi])
-            b0, b1 = max(i - fi * T, 0), min(i + n - fi * T, T)
-            parts.append(held[1][:, :, b0:b1] if combine is None
-                         else held[1] @ combine[:, b0:b1] % p)
-        right = np.concatenate(parts, axis=2, dtype=float).reshape(k, qh * n)
-        rows = max(1, BLOCK // (n * qh))
-        for r0 in range(first, last, rows):
-            r1 = min(r0 + rows, last)
-            out = (highs[r0 - first:r1 - first] @ right).astype(np.int64)
-            # mod p by table lookup; row (i_hi - r0) * q^h + i_lo: C order is index order
-            out = residue[out].reshape(-1, n)
-            a, b = max(lo, r0 * qh), min(hi, r1 * qh)
-            yield i, a, out[a - r0 * qh:b - r0 * qh]
+    n = len(fs) * width
+    right = np.concatenate([factors(f) for f in fs], axis=2, dtype=float).reshape(k, qh * n)
+    rows = max(1, BLOCK // (n * qh))
+    for r0 in range(first, last, rows):
+        r1 = min(r0 + rows, last)
+        out = (highs[r0 - first:r1 - first] @ right).astype(np.int64)
+        # mod p by table lookup; row (i_hi - r0) * q^h + i_lo: C order is index order
+        out = residue[out].reshape(-1, n)
+        a, b = max(lo, r0 * qh), min(hi, r1 * qh)
+        yield a, out[a - r0 * qh:b - r0 * qh]
 
 
 # ---------------------------------------------------------------------------
@@ -565,41 +535,31 @@ def weyl_residues(f, N, lo=0, hi=None, method=None, budget=None):
     return trace[_digit_rows_direct(f, N, 1, lo, hi)[:, 0]]
 
 
-def _index_basis(fs, twists):
-    """_twist_basis of a tuple or range of twist indices, in the field of fs."""
-    field = fs[0].field
-    return _twist_basis(twists if isinstance(twists, range) else tuple(twists),
-                        field.p, field.m)
+def stacked_residues(fs, N, lo=0, hi=None, budget=None):
+    """weyl_residues of every f in the nonempty list fs, one row each.
 
-
-def stacked_residues(fs, N, lo=0, hi=None, budget=None, twists=(1,)):
-    """weyl_residues of m*f for every f in the nonempty list fs and every
-    twist index m (poly_from_index order), one row each, f-major.
-
-    The members share one power table and one streamed product; the budget
-    is charged once, for q^N points, as for a single sum.
+    The polynomials share one power table and one streamed product; the
+    budget is charged once, for q^N points, as for a single sum.
     """
     hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
-    out = np.empty((len(fs) * len(twists), hi - lo), dtype=np.int64)
-    for i, start, block in _split_blocks(fs, _index_basis(fs, twists), N, lo, hi):
-        out[i:i + block.shape[1], start - lo:start - lo + len(block)] = block.T
+    out = np.empty((len(fs), hi - lo), dtype=np.int64)
+    for start, block in _split_blocks(fs, 1, N, lo, hi):
+        out[:, start - lo:start - lo + len(block)] = block.T
     return out
 
 
-def stacked_sums(fs, N, lo=0, hi=None, budget=None, twists=(1,)):
-    """weyl_sum of m*f for every f in the nonempty list fs and every twist
-    index m, f-major, from one stacked product.
+def stacked_sums(fs, N, lo=0, hi=None, budget=None):
+    """weyl_sum of every f in the nonempty list fs, from one stacked product.
 
     Each block of residues goes straight into the histograms, so memory stays
     at the block size whatever q^N is.
     """
     hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
-    p = fs[0].field.p
-    counts = np.zeros((len(fs) * len(twists), p), dtype=np.int64)
-    for i, _, block in _split_blocks(fs, _index_basis(fs, twists), N, lo, hi):
-        n = block.shape[1]
-        block += p * np.arange(n)  # member i + n' counts in [n' p, n' p + p)
-        counts[i:i + n] += np.bincount(block.ravel(), minlength=n * p).reshape(n, p)
+    p, n = fs[0].field.p, len(fs)
+    counts = np.zeros((n, p), dtype=np.int64)
+    for _, block in _split_blocks(fs, 1, N, lo, hi):
+        block += p * np.arange(n)  # polynomial a counts in [a p, a p + p)
+        counts += np.bincount(block.ravel(), minlength=n * p).reshape(n, p)
     return [CharSum(p, tuple(row)) for row in counts.tolist()]
 
 
@@ -609,8 +569,22 @@ def weyl_sum(f, N, lo=0, hi=None, budget=None):
 
 
 def twisted_sum(f, m, N, lo=0, hi=None, budget=None):
-    """weyl_sum of m*f, read as the twist with m's index; m = 0 reads no digit."""
-    return stacked_sums([f], N, lo, hi, budget, twists=(m.code(),))[0]
+    """weyl_sum of m*f; the zero twist reads no digit."""
+    return weyl_sum(f.scale_poly(m), N, lo, hi, budget)
+
+
+def _digit_row_blocks(f, N, depth, lo=0, hi=None, method=None, budget=None):
+    """hi, and the rows of fractional_digit_rows as (start, rows) blocks, after
+    its checks; on the engine path the blocks stream, and a floor too shallow
+    for depth raises as the first block is drawn."""
+    if depth < 1:
+        raise DomainError("depth must be at least 1")
+    field = f.field
+    hi = _check_range(field, N, lo, hi, method, budget, "cylinder count", depth * field.m)
+    if method == "direct":
+        return hi, [(lo, _digit_rows_direct(f, N, depth, lo, hi))]
+    return hi, ((start, _trace_digits(field, block))
+                for start, block in _split_blocks([f], depth * field.m, N, lo, hi))
 
 
 def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
@@ -619,37 +593,20 @@ def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):
     Returns an int64 array of shape (hi - lo, depth).  Row order matches the
     enumeration of G_N; column i - 1 holds the coefficient of t^-i, as a field
     element code.  The budget is charged for depth * log_p(q) residues at
-    each of the q^N points, on either path.  The engine reads the basis
-    twists e_k t^s themselves: member s*m + k at x is Tr(e_k d_s), for d_s
-    the digit at t^-(1+s) of f(x), and column s gathers sum_k Tr(e_k d_s) p^k,
-    which _trace_codes turns into the code of d_s in place.
+    each of the q^N points, on either path.  The engine reads the
+    depth * log_p(q) basis twists e_k t^s, and _trace_codes turns each
+    shift's traces Tr(e_k d_s) into the code of d_s.
     """
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
-    field = f.field
-    p, m = field.p, field.m
-    hi = _check_range(field, N, lo, hi, method, budget, "cylinder count", depth * m)
-    for r, coeff in f.terms:
-        _check_floor(coeff, r, N, depth)
-    if method == "direct":
-        return _digit_rows_direct(f, N, depth, lo, hi)
-    codes = np.zeros((hi - lo, depth), dtype=np.int64)
-    for i, start, block in _split_blocks([f], _digit_basis(depth, m), N, lo, hi):
-        rows = codes[start - lo:start - lo + len(block)]
-        for c in range(min(m, block.shape[1])):
-            # members i + c, i + c + m, ... hold element k at shifts s, s + 1, ...
-            s, k = divmod(i + c, m)
-            traces = block[:, c::m]
-            rows[:, s:s + traces.shape[1]] += p ** k * traces
-    # in place: mode="raise" would first buffer a copy of codes
-    return np.take(_trace_codes(field), codes, out=codes, mode="clip")
+    hi, blocks = _digit_row_blocks(f, N, depth, lo, hi, method, budget)
+    codes = np.empty((hi - lo, depth), dtype=np.int64)
+    for start, rows in blocks:
+        codes[start - lo:start - lo + len(rows)] = rows
+    return codes
 
 
 def _digit_rows_direct(f, N, depth, lo, hi):
     field = f.field
-    terms = []
-    for r, coeff in f.terms:
-        terms.append((r, _term_digit_vector(coeff, r, N, depth)))
+    terms = [(r, _term_digit_vector(coeff, r, N, depth)) for r, coeff in f.terms]
     add, mul = field.add, field.mul
     rows = np.zeros((hi - lo, depth), dtype=np.int64)
     for row, i in enumerate(range(lo, hi)):

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import check_power, enumerate_GN
 from .errors import DomainError
 from .exponents import check_positive, sprime
-from .expsum import BLOCK, _power_table, count_rows
+from .expsum import BLOCK, _power_table, count_rows, count_stream
 
 #: The naive scan enumerates q^(2sN) tuples; keep it oracle-sized.
 NAIVE_BUDGET = 10 ** 6
@@ -62,20 +62,26 @@ def js_naive(K, s, N, field, budget=None):
                for xs in itertools.product(powers, repeat=2 * s))
 
 
+def _checked(K, s, N, field, budget):
+    """The reduced exponents, after js_histogram's checks of (s, N)."""
+    exps = _reduced(K, field.p, s, N)
+    tuples = check_power(field.q, s * N, budget, "histogram mean-value scan")
+    if tuples > np.iinfo(np.int64).max:
+        raise DomainError(f"q^(sN) = {field.q}^{s * N} overflows the int64 counts")
+    return exps
+
+
 def js_histogram(K, s, N, field, budget=None):
     """Exact solution count as the sum of squared power-sum counts.
 
     Rows are the exact coordinate vectors; counts are int64, exact because
     no count exceeds q^(sN), which is checked to stay below 2^63.
     """
-    exps = _reduced(K, field.p, s, N)
-    tuples = check_power(field.q, s * N, budget, "histogram mean-value scan")
-    if tuples > np.iinfo(np.int64).max:
-        raise DomainError(f"q^(sN) = {field.q}^{s * N} overflows the int64 counts")
+    exps = _checked(K, s, N, field, budget)
     # the table holds all of G_N, an enumeration under the default budget
     table, starts = _power_table(field, N, exps[-1], check_power(field.q, N))
     coords = np.concatenate([table[:, starts[k]:starts[k + 1]] for k in exps], axis=1)
-    unit = count_rows(coords.astype(np.int8), np.ones(len(coords), dtype=np.int64))
+    unit = count_rows(coords.astype(np.int8))
     counts = (np.zeros((1, coords.shape[1]), dtype=np.int8), np.ones(1, dtype=np.int64))
     for _ in range(s):
         counts = _convolve(counts, unit, field.p)
@@ -86,26 +92,21 @@ def _convolve(counts, unit, p):
     """Counts of the row sums mod p of all pairs of rows, one from each count,
     weighted by the product of their counts.
 
-    Pairs are formed at most BLOCK at a time, and their counts are merged
-    in once they outnumber the rows merged so far.
+    Pairs are formed at most BLOCK at a time, and counted as one stream.
     """
     rows, weights = counts
     unit_rows, unit_weights = unit
     step = max(1, BLOCK // len(unit_rows))
-    held = [(rows[:0], weights[:0])]  # the merged counts, then unmerged chunks
-    for a in range(0, len(rows), step):
-        pairs = (rows[a:a + step, None] + unit_rows) % p
-        held.append(count_rows(pairs.reshape(-1, rows.shape[1]),
-                               (weights[a:a + step, None] * unit_weights).ravel()))
-        if sum(len(r) for r, _ in held[1:]) >= len(held[0][0]) or a + step >= len(rows):
-            held = [count_rows(np.concatenate([r for r, _ in held]),
-                               np.concatenate([w for _, w in held]))]
-    return held[0]
+    return count_stream((((rows[a:a + step, None] + unit_rows) % p).reshape(-1, rows.shape[1]),
+                         (weights[a:a + step, None] * unit_weights).ravel())
+                        for a in range(0, len(rows), step))
 
 
 def growth_table(K, s, N_list, field, budget=None):
     """Rows (N, J_s, J_s / q^(N*(2s-kappa))): exploratory, never pass/fail."""
     prof = profile(K, field.p)
+    for N in N_list:  # in the list's order, and before any count: a long range fails at once
+        _checked(K, s, N, field, budget)
     rows = []
     for N in sorted(N_list):
         j = js_histogram(K, s, N, field, budget=budget)

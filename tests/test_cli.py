@@ -1,5 +1,6 @@
 import json
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -383,3 +384,35 @@ def test_unprintable_discrepancy_is_refused_before_any_sum(capsys, q, f_json, fi
     doc = run_json(scan + [str(first - 1)], capsys)
     disc = doc["result"]["rows"][0]["discrepancy"]
     assert len(str(Fraction(disc).denominator)) <= 4299
+
+
+def test_depth_below_one_is_refused(capsys):
+    for depth in ("0", "-2"):
+        code, out, err = run_cli(["equidist", "--field", "q=2", "--f", _F2_RAT, "--N", "1..3",
+                                  "--D", "1", "--depth", depth], capsys)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == {"type": "DomainError",
+                                            "message": "depth must be at least 1"}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["equidist", "--field", "q=2", "--f", _F2_RAT, "--N", "1..100000000", "--D", "1"],
+     "twist scan of 2^14285 points exceeds budget 16777216"),
+    (["js", "--field", "q=2", "--set", "1,2", "--s", "1", "--N", "1..100000000"],
+     "histogram mean-value scan of 33554432 points exceeds budget 16777216"),
+    (["sieve-tmn", "--field", "q=2", "--phi", "u^2", "--alpha", "1 / t+1", "--M", "2",
+      "--N", "1..100000000"],
+     "congruence average of 33554432 points exceeds budget 16777216")],
+    ids=["equidist", "js", "sieve-tmn"])
+def test_long_n_ranges_are_refused_without_being_listed(argv, message):
+    # under a 2 GB address space, a list of 10^8 ints would be a MemoryError
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ffweyl.cli"] + argv, capture_output=True,
+                          text=True, timeout=120, preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 15
+    assert proc.returncode == 3 and not proc.stdout
+    assert json.loads(proc.stderr) == {"error": {"type": "BudgetError", "message": message}}

@@ -163,12 +163,14 @@ def _twist_loop(f, N, D):
 
 @pytest.mark.parametrize("block", [5, expsum.BLOCK])
 def test_weyl_scan_matches_twist_loop(monkeypatch, block):
+    # a small block size splits both the engine's points and the twists
     monkeypatch.setattr(expsum, "BLOCK", block)
-    monkeypatch.setattr(equidist, "TWIST_STACK", 5)  # several stacks per N as well
+    monkeypatch.setattr(equidist, "BLOCK", block)
     rng = random.Random(38)
     witnesses = 0
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        F = field(q)
+    for q, modulus in ((2, None), (3, None), (4, None), (5, None), (7, None), (8, None),
+                       (9, None), (4, "x^2+x+1"), (8, "x^3+x^2+1"), (9, "x^2+x+2")):
+        F = field(q, modulus)
         D = 3 if q == 2 else 2 if q <= 5 else 1
         Ns = [1, 2, 3, 4] if q <= 3 else [1, 2]
         for _ in range(3):
@@ -184,35 +186,89 @@ def test_weyl_scan_matches_twist_loop(monkeypatch, block):
     assert witnesses
 
 
-def test_weyl_scan_raises_the_first_failing_twist(monkeypatch):
-    monkeypatch.setattr(equidist, "TWIST_STACK", 3)
+def test_twist_counts_are_in_index_order(monkeypatch):
+    rng = random.Random(40)
+    for q, D, block in ((2, 4, 8), (3, 2, 5), (4, 2, 7), (9, 1, 5), (5, 2, 1 << 16)):
+        monkeypatch.setattr(equidist, "BLOCK", block)  # blocks of p^c twists, c < D m
+        F = field(q)
+        N = 2
+        f = ExpPoly(F, {1: rand_rational(rng, F, 3), 2: rand_rational(rng, F, 2)})
+        block = next(expsum._split_blocks([f], D * F.m, N, 0, q ** N))[1]
+        traces, sizes = expsum.count_rows(block)
+        counts = [tuple(row) for part in equidist._twist_counts(traces, sizes, F.p)
+                  for row in part]
+        assert counts == [twisted_sum(f, poly_from_index(F, t, D), N).counts
+                          for t in range(q ** D)]
+
+
+def _scan_loop_error(f, Ns, D, depth):
+    """The text of the first error of the scan as one twisted sum at a time,
+    in scan order, each N's twists before its cylinder counts; or None."""
+    F = f.field
+    try:
+        for n in sorted(Ns):
+            for mi in range(1, F.q ** D):
+                twisted_sum(f, poly_from_index(F, mi, D), n)
+            if depth is not None:
+                cylinder_counts(f, n, depth, method="direct")
+    except PrecisionError as exc:
+        return str(exc)
+    return None
+
+
+def test_weyl_scan_raises_the_first_failing_twist():
     rng = random.Random(39)
     failed = passed = 0
+    kinds = set()
     for q in (2, 3, 4, 5, 7, 8, 9):
         F = field(q)
-        for _ in range(4):
+        for _ in range(6):
             N = rng.randrange(1, 4)
-            # floors a twist of degree 0, 1 or 2 may or may not exhaust
+            # floors a twist of degree 0, 1 or 2, or a depth of 1 to 3, may or may not exhaust
             f = ExpPoly(F, {r: rand_series(rng, F, required_floor(r, N) - rng.randrange(3))
                             for r in rng.sample(range(1, 4), 2)})
             D = 3 if q <= 3 else 2
-            expected = None
-            try:  # the scan as one twisted sum at a time, in scan order
-                for n in range(1, N + 1):
-                    for mi in range(1, q ** D):
-                        twisted_sum(f, poly_from_index(F, mi, D), n)
-            except PrecisionError as exc:
-                expected = str(exc)
+            depth = rng.choice((None, 1, 2, 3))
+            expected = _scan_loop_error(f, range(1, N + 1), D, depth)
             if expected is None:
-                weyl_scan(f, list(range(1, N + 1)), D)
+                weyl_scan(f, list(range(1, N + 1)), D, depth)
                 passed += 1
                 continue
             with pytest.raises(PrecisionError) as info:
-                weyl_scan(f, list(range(1, N + 1)), D)
+                weyl_scan(f, list(range(1, N + 1)), D, depth)
             assert str(info.value) == expected
             assert expected.startswith("coefficient of u^") and "has floor" in expected
+            kinds.add(expected.split("for ")[1].split()[0])
             failed += 1
     assert failed and passed
+    assert "depth-1" in kinds and kinds - {"depth-1"}  # twist texts and depth texts
+
+
+def test_weyl_scan_raises_twist_before_depth_n_by_n():
+    F2 = field(2)
+    # the u^2 floor -4 serves, over G_2, twists of degree at most 1 and depth
+    # at most 2, and over G_3 not even the untwisted sum
+    f = ExpPoly(F2, {1: RationalK(F2.poly_one, parse_poly(F2, "t^2+t+1")),
+                     2: TruncSeries.from_digits(F2, -4, {-1: 1, -3: 1})})
+    text = "coefficient of u^2 has floor {}; needs {} for depth-{} evaluation over G_{}"
+    for Ns, D, depth, args in [([2], 3, 3, (-2, -3, 1, 2)),  # the twist t^2 first
+                               ([2], 2, 3, (-4, -5, 3, 2)),
+                               ([3, 2], 2, 3, (-4, -5, 3, 2)),  # N = 2 comes first
+                               ([2, 3], 2, 2, (-4, -5, 1, 3))]:
+        assert _scan_loop_error(f, Ns, D, depth) == text.format(*args)
+        with pytest.raises(PrecisionError) as info:
+            weyl_scan(f, Ns, D, depth)
+        assert str(info.value) == text.format(*args)
+
+
+def test_weyl_scan_refuses_depth_below_one(monkeypatch):
+    monkeypatch.setattr(equidist, "_split_blocks", lambda *a: pytest.fail("a sum ran"))
+    F2 = field(2)
+    # so shallow that any sum would raise PrecisionError first
+    f = ExpPoly(F2, {3: TruncSeries.from_digits(F2, -2, {-1: 1})})
+    for depth in (0, -2):
+        with pytest.raises(DomainError, match="^depth must be at least 1$"):
+            weyl_scan(f, [1, 2], 1, depth=depth)
 
 
 def test_weyl_scan_pseudo_irrational_decay():

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffweyl import expsum
+from ffweyl import equidist, expsum
 from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
-from ffweyl.equidist import cylinder_counts, discrepancy
+from ffweyl.equidist import cylinder_counts, discrepancy, weyl_scan
 from ffweyl.errors import BudgetError, DomainError, PrecisionError
 from ffweyl.expsum import (CharSum, ExpPoly, count_rows, e_of, fractional_digit_rows,
                            orthogonality, stacked_residues, stacked_sums,
@@ -312,6 +312,73 @@ def test_count_rows_small_cases():
     assert distinct.tolist() == [[0, 0, 0, 0]] and sums.tolist() == [10]
 
 
+@pytest.mark.parametrize("q, width, dtype", [
+    (2, 1, np.int64), (2, 3, np.int64), (7, 4, np.int8), (3, 12, np.int64), (2, 70, np.int8)])
+def test_unweighted_count_rows_matches_a_counter(monkeypatch, q, width, dtype):
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    rng = np.random.default_rng(q * 100 + width)
+    for pool in (1, 5, 300):
+        rows = _rows_from_pool(rng, q, 400, width, dtype, pool)
+        calls.clear()
+        distinct, sizes = count_rows(rows)
+        oracle = _counter_oracle(rows, np.ones(len(rows), dtype=np.int64))
+        assert distinct.dtype == rows.dtype and sizes.dtype == np.int64
+        assert [tuple(r) for r in distinct.tolist()] == [r for r, _ in oracle]
+        assert sizes.tolist() == [w for _, w in oracle]
+        # a bincount exactly when the keys span at most the 400 rows, with no rank step
+        span = np.prod([int(c) + 1 for c in rows.max(axis=0)], dtype=object)
+        assert len(calls) == (span <= 400)
+
+
+def test_count_stream_matches_one_count(monkeypatch):
+    monkeypatch.setattr(expsum, "BLOCK", 50)  # merges as well as waiting chunks
+    rng = np.random.default_rng(41)
+    for weighted in (False, True):
+        for pool in (3, 40, 2000):
+            chunks = [_rows_from_pool(rng, 3, int(rng.integers(1, 120)), 5, np.int64, pool)
+                      for _ in range(int(rng.integers(1, 30)))]
+            weights = [rng.integers(0, 1 << 30, size=len(c)) if weighted else None
+                       for c in chunks]
+            distinct, sums = expsum.count_stream(zip(chunks, weights))
+            rows = np.concatenate(chunks)
+            want = count_rows(rows, np.concatenate(weights) if weighted else None)
+            assert np.array_equal(distinct, want[0]) and np.array_equal(sums, want[1])
+
+
+def test_weyl_scan_makes_one_engine_pass_per_n(monkeypatch):
+    seen = []
+    _record_blocks(monkeypatch, seen)
+    rng = random.Random(42)
+    for q, D, depth in ((2, 3, 2), (4, 1, 3), (9, 2, None), (3, 2, 5)):
+        F = field(q)
+        f = ExpPoly(F, {1: rand_rational(rng, F, 3), 3: rand_rational(rng, F, 2)})
+        seen.clear()
+        weyl_scan(f, [3, 1, 2], D, depth)
+        assert [(N, width) for _, N, width, _ in seen] == \
+            [(N, max(D, depth or 1) * F.m) for N in (1, 2, 3)]
+
+
+def test_scan_and_cylinder_counts_memory_bound():
+    F2 = field(2)
+    f = ExpPoly(F2, {3: kernel_element(F2, -80, 1),
+                     1: RationalK(F2.poly_one, parse_poly(F2, "t^3+t+1"))})
+    results = []
+    for call in (lambda: weyl_scan(f, [20], 2, depth=3).rows[0].discrepancy,
+                 lambda: discrepancy(cylinder_counts(f, 20, 3), 2)):
+        call()
+        tracemalloc.start()
+        try:
+            results.append(call())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 3.8 and 4.3 MB; 2^20 rows of three int64 digits alone take 24 MB
+        assert peak < 8 << 20, peak
+    assert results == [Fraction(1, 1024)] * 2
+
+
 def test_deep_digit_rows_memory_bound():
     F2 = field(2)
     f = ExpPoly(F2, {1: RationalK(parse_poly(F2, "t+1"), parse_poly(F2, "t^5+t^2+1")),
@@ -401,18 +468,19 @@ def test_exppoly_drops_exact_zero_and_rejects_negative():
 
 
 def _record_blocks(monkeypatch, seen):
-    """Wrap the engine so that each call appends its blocks to seen, each as
-    (first member, members, points)."""
+    """Wrap the engine, at every import site, so that each call appends
+    (q^(N//2), N, width, blocks) to seen, each block as (start, members, points)."""
     engine = expsum._split_blocks
 
-    def recording(fs, basis, N, lo, hi):
+    def recording(fs, width, N, lo, hi):
         blocks = []
-        seen.append(blocks)
-        for i, start, block in engine(fs, basis, N, lo, hi):
-            blocks.append((i, block.shape[1], len(block)))
-            yield i, start, block
+        seen.append((fs[0].field.q ** (N // 2), N, width, blocks))
+        for start, block in engine(fs, width, N, lo, hi):
+            blocks.append((start, block.shape[1], len(block)))
+            yield start, block
 
-    monkeypatch.setattr(expsum, "_split_blocks", recording)
+    for module in (expsum, equidist):
+        monkeypatch.setattr(module, "_split_blocks", recording)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, expsum.BLOCK])
@@ -442,51 +510,51 @@ def test_stacked_engine_matches_single_and_direct(monkeypatch, block):
             assert np.array_equal(rows, fractional_digit_rows(fs[0], N, 3, method="direct"))
             lo, hi = _slices(rng, q, N)[-1]
             assert np.array_equal(fractional_digit_rows(fs[0], N, 3, lo, hi), rows[lo:hi])
-    # a block outgrows the block size only for a single member, and the small
-    # sizes split members into groups and groups into several row blocks
-    assert all(width * points <= block or width == 1
-               for blocks in seen for _, width, points in blocks)
-    groups = [{i for i, _, _ in blocks} for blocks in seen]
+    # every block carries every member, and outgrows the block size only
+    # within one row of x_hi, which holds q^h points
+    for qh, _, _, blocks in seen:
+        assert len({members for _, members, _ in blocks}) <= 1
+        assert all(members * points <= block or start // qh == (start + points - 1) // qh
+                   for start, members, points in blocks)
     if block in (7, 64):
-        assert any(len(g) > 1 for g in groups)
-        assert any(len(blocks) > len(g) and any(width > 1 for _, width, _ in blocks)
-                   for blocks, g in zip(seen, groups))
+        # the small sizes split stacks of several members into several row blocks
+        assert any(len(blocks) > 1 and blocks[0][1] > 1 for _, _, _, blocks in seen)
 
 
 @pytest.mark.parametrize("q, modulus", [
     (2, None), (3, None), (4, None), (5, None), (7, None), (8, None), (9, None),
     (4, "x^2+x+1"), (8, "x^3+x^2+1"), (9, "x^2+x+2")])
 def test_twist_basis_matches_scaled_direct(monkeypatch, q, modulus):
-    """Twists read as F_p-combinations of the basis twists e_k t^i give the
-    residues of f.scale_poly(m) on the direct path, with groups split small."""
+    """The engine's members are the basis twists e_k t^s; twist m's residues
+    are its coordinates dotted with them mod p, and twisted_sum, which scales
+    f, gives the histogram of f.scale_poly(m) on the direct path."""
     monkeypatch.setattr(expsum, "BLOCK", 16)
     seen = []
     _record_blocks(monkeypatch, seen)
     rng = random.Random(37 * q + len(modulus or ""))
     F = field(q, modulus)
+    p, m = F.p, F.m
     D = 2 if q <= 5 else 1
     twist_lists = [(0,), (1,), (0, 1, q, q * q),  # 0, 1 and t^i
                    tuple(rng.sample(range(q ** 3), 5)) + (0,),  # mixed degrees
-                   tuple(range(q ** D)), tuple(range(1, q ** D))]
+                   tuple(range(q ** D))]
     for N in range(3 if q <= 5 else 2):
         fs = [ExpPoly(F, {r: c for r, c in zip(rng.sample(range(6), 3), (
             rand_rational(rng, F, 3), rand_series(rng, F, -60),
             kernel_element(F, -60, rng.randrange(50))))}) for _ in range(2)]
-        for twists in twist_lists:
-            direct = [weyl_residues(f.scale_poly(poly_from_index(F, t, 3)), N, method="direct")
-                      for f in fs for t in twists]
-            stack = stacked_residues(fs, N, twists=twists)
-            assert np.array_equal(stack, np.array(direct).reshape(stack.shape))
-            sums = [CharSum.from_residues(F.p, d) for d in direct]
-            assert stacked_sums(fs, N, twists=twists) == sums
-            for lo, hi in _slices(rng, q, N):
-                assert np.array_equal(stacked_residues(fs, N, lo, hi, twists=twists),
-                                      stack[:, lo:hi])
-                assert stacked_sums(fs, N, lo, hi, twists=twists) == \
-                    [CharSum.from_residues(F.p, d[lo:hi]) for d in direct]
-            for t, s in zip(twists, sums):
-                assert twisted_sum(fs[0], poly_from_index(F, t, 3), N) == s
-    assert any(len({i for i, _, _ in blocks}) > 1 for blocks in seen)
+        for lo, hi in [(0, q ** N)] + _slices(rng, q, N):
+            members = np.empty((hi - lo, 2 * 3 * m), dtype=np.int64)
+            for start, block in expsum._split_blocks(fs, 3 * m, N, lo, hi):
+                members[start - lo:start - lo + len(block)] = block
+            for a, f in enumerate(fs):
+                basis = members[:, 3 * m * a:3 * m * (a + 1)]
+                for t in (t for twists in twist_lists for t in twists):
+                    twist = poly_from_index(F, t, 3)
+                    direct = weyl_residues(f.scale_poly(twist), N, lo, hi, method="direct")
+                    coords = [t // p ** c % p for c in range(3 * m)]
+                    assert np.array_equal(basis @ coords % p, direct)
+                    assert twisted_sum(f, twist, N, lo, hi) == CharSum.from_residues(p, direct)
+    assert any(len(blocks) > 1 for _, _, _, blocks in seen)
 
 
 def test_twists_raise_the_direct_error_of_the_first_shallow_twist():
@@ -497,18 +565,20 @@ def test_twists_raise_the_direct_error_of_the_first_shallow_twist():
         # the u^2 coefficient serves twists of degree at most 1
         f = ExpPoly(F, {1: rand_rational(rng, F, 3),
                         2: rand_series(rng, F, expsum.required_floor(2, N) - 1)})
-        twists = (0, 1, q, q * q, q * q + 1)
         with pytest.raises(PrecisionError) as err:
             weyl_residues(f.scale_poly(poly_from_index(F, q * q, 3)), N, method="direct")
-        for call in (lambda: stacked_sums([f], N, twists=twists),
-                     lambda: stacked_residues([f, f], N, 1, 5, twists=twists[::-1])):
+        for call in (lambda: twisted_sum(f, poly_from_index(F, q * q + 1, 3), N, 1, 5),
+                     lambda: weyl_scan(f, [N], 3), lambda: weyl_scan(f, [N], 3, depth=3)):
             with pytest.raises(PrecisionError) as info:
                 call()
             assert str(info.value) == str(err.value)
-        assert stacked_sums([f], N, twists=twists[:3]) == [
-            CharSum.from_residues(F.p, weyl_residues(f.scale_poly(poly_from_index(F, t, 3)),
-                                                     N, method="direct"))
-            for t in twists[:3]]
+        row, = weyl_scan(f, [N], 2).rows
+        sums = [twisted_sum(f, poly_from_index(F, t, 2), N) for t in range(q * q)]
+        assert sums[0] == CharSum(F.p, (q ** N,) + (0,) * (F.p - 1))
+        assert row.sup == max(s.normalized() for s in sums[1:])
+        for t, s in enumerate(sums):
+            direct = weyl_residues(f.scale_poly(poly_from_index(F, t, 2)), N, method="direct")
+            assert s == CharSum.from_residues(F.p, direct)
 
 
 def test_twists_past_int64_match_the_scaled_direct_sum():

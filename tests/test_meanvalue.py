@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -140,3 +141,16 @@ def test_reduced_exponents_drive_the_system():
     F2 = field(2)
     assert sprime({2}, 2) == {1}
     assert js_naive({2}, 2, 1, F2) == js_naive({1}, 2, 1, F2)
+
+
+def test_growth_table_checks_every_n_before_any_count():
+    F2 = field(2)
+    start = time.perf_counter()
+    # 2^25 tuples at N = 25 exceed the budget; a list of the range would not fit
+    with pytest.raises(BudgetError, match="^histogram mean-value scan of 33554432 points"):
+        growth_table(frozenset({1, 2}), 1, range(1, 10 ** 12), F2)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(DomainError, match="s and N must be nonnegative"):
+        growth_table(frozenset({1, 2}), 1, [3, -1, 30], F2)
+    assert [row[:2] for row in growth_table(frozenset({1}), 1, range(3, 0, -1), F2)] == \
+        [(1, 2), (2, 4), (3, 8)]
