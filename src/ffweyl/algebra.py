@@ -10,6 +10,7 @@ every integer degree and can never collide with one.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -26,6 +27,10 @@ PRINT_DIGITS = 4300
 
 #: Field sizes the package is validated for (desk scale).
 SUPPORTED_Q = frozenset({2, 3, 4, 5, 7, 8, 9})
+
+#: Fields Field.parse keeps: more than the default and custom moduli of
+#: every supported q together.
+FIELD_CACHE = 32
 
 
 def _is_prime(n):
@@ -183,7 +188,15 @@ class Field:
 
     @classmethod
     def parse(cls, spec):
-        """Parse a field spec string like 'q=9', 'q=2^3' or 'q=4 modulus=x^2+x+1'."""
+        """The field named by a spec string like 'q=9', 'q=2^3' or
+        'q=4 modulus=x^2+x+1'.
+
+        Specs that name the same (p, m, modulus) give one shared Field per
+        process, built once with its tables, prime subfield and irreducible
+        cache; a modulus equal to the default one names the default field, so
+        'q=9', 'q=3^2' and 'q=9 modulus=x^2+1' give the same object.  Fields
+        are immutable; Field(p, m, modulus) itself builds a fresh one.
+        """
         parts = re.split(r"[,\s]+", spec.strip())
         q_part = None
         mod_part = None
@@ -212,8 +225,11 @@ class Field:
                     raise DomainError(f"q = {int(q_part)} is not a prime power")
                 q //= p
                 m += 1
-        modulus = parse_fp_poly(mod_part, p) if mod_part else None
-        return cls(p, m, modulus)
+        field = _shared_field(p, m, None)  # checks p, m and q before the modulus
+        if not mod_part:
+            return field
+        modulus = parse_fp_poly(mod_part, p)
+        return field if modulus == field.modulus else _shared_field(p, m, modulus)
 
     def __eq__(self, other):
         return (isinstance(other, Field)
@@ -224,6 +240,11 @@ class Field:
 
     def __repr__(self):
         return f"Field({self.spec_string()!r})"
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE)
+def _shared_field(p, m, modulus):
+    return Field(p, m, modulus)
 
 
 def parse_fp_poly(s, p):

@@ -9,11 +9,12 @@ reproduce byte-identical artifacts.  Validation and precision problems exit
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import __version__
-from .algebra import NEG_INF, Field, _split_terms, parse_poly
+from .algebra import NEG_INF, Field, _split_terms, check_budget, parse_poly
 from .contfrac import approx_quality, cf_expand, convergents
 from .equidist import weyl_scan
 from .errors import BudgetError, DomainError, FFWeylError
@@ -57,6 +58,14 @@ def _parse_int_list(text):
     if not out:
         raise DomainError(f"empty integer list {text!r}")
     return out
+
+
+def _parse_int_set(text, budget):
+    """The exponent set of --set, its length charged against the budget
+    before the set is built."""
+    items = _parse_int_list(text)
+    check_budget(len(items), budget, "exponent set")
+    return frozenset(items)
 
 
 def _load_json_arg(text):
@@ -133,7 +142,8 @@ def _emit(args, command, field, params, result, csv_rows=None):
 # Subcommands.
 
 def _cmd_exponents(args):
-    sets = derived_sets(frozenset(_parse_int_list(args.set)), args.p)
+    K = _parse_int_set(args.set, args.budget)
+    sets = derived_sets(K, args.p)
     wanted = [w.strip() for w in args.emit.split(",") if w.strip()]
     known = {"shadow", "kstar", "sprime", "ktilde", "maximal"}
     bad = set(wanted) - known
@@ -141,7 +151,7 @@ def _cmd_exponents(args):
         raise FFWeylError(f"unknown emit keys {sorted(bad)}")
     result = {name: sorted(getattr(sets, name)) for name in wanted}
     rows = [(name, " ".join(str(v) for v in result[name])) for name in wanted]
-    _emit(args, "exponents", None, {"p": args.p, "set": sorted(_parse_int_list(args.set))},
+    _emit(args, "exponents", None, {"p": args.p, "set": sorted(K)},
           result, (("set", "elements"), rows))
 
 
@@ -202,7 +212,7 @@ def _cmd_equidist(args):
 
 def _cmd_js(args):
     field = Field.parse(args.field)
-    K = frozenset(_parse_int_list(args.set))
+    K = _parse_int_set(args.set, args.budget)
     prof = profile(K, field.p)
     rows = growth_table(K, args.s, _parse_int_list(args.N), field,
                         budget=args.budget)
@@ -316,7 +326,10 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    main call; callers must not mutate it."""
     parser = _Parser(
         prog="ffweyl",
         description="Exact function-field character-sum experiments.")

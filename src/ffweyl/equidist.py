@@ -166,15 +166,16 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
         total = field.q ** N
         traces, sizes = count_stream(
             (block, None) for _, block in _split_blocks([f], max(D, depth or 1) * m, N, 0, total))
-        sup = 0.0
-        witness = None
-        hists = (CharSum(p, tuple(row))
-                 for block in _twist_counts(traces[:, :D * m], sizes, p) for row in block)
-        next(hists)  # the zero twist is not scanned
-        for mi, hist in enumerate(hists, 1):
-            sup = max(sup, hist.normalized())
-            if witness is None and hist.is_full():
-                witness = str(poly_from_index(field, mi, D))
+        counts = (tuple(row)
+                  for block in _twist_counts(traces[:, :D * m], sizes, p) for row in block)
+        next(counts)  # the zero twist is not scanned
+        first = {}  # each distinct histogram -> the first twist that has it
+        for mi, row in enumerate(counts, 1):
+            first.setdefault(row, mi)
+        hists = [(CharSum(p, row), mi) for row, mi in first.items()]
+        sup = max(hist.normalized() for hist, _ in hists)
+        witness = next((str(poly_from_index(field, mi, D))
+                        for hist, mi in hists if hist.is_full()), None)
         disc = None
         if depth is not None:
             prefixes = _trace_digits(field, traces[:, :depth * m])

@@ -3,15 +3,9 @@ from ffweyl.algebra import Field, Poly, poly_from_index
 from ffweyl.expsum import ExpPoly
 from ffweyl.kinfty import RationalK, TruncSeries
 
-_FIELD_CACHE = {}
-
 
 def field(q, modulus=None):
-    key = (q, modulus)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = Field.parse(f"q={q}") if modulus is None else \
-            Field.parse(f"q={q} modulus={modulus}")
-    return _FIELD_CACHE[key]
+    return Field.parse(f"q={q}" if modulus is None else f"q={q} modulus={modulus}")
 
 
 def rand_poly(rng, F, max_deg):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ffweyl import algebra
 from ffweyl.algebra import (NEG_INF, Field, Poly, enumerate_GN, gn_size,
                             irreducibles, is_irreducible, parse_poly,
                             poly_crt, poly_from_index, poly_gcd, poly_xgcd,
@@ -46,6 +47,21 @@ def test_custom_moduli():
             Field.parse(spec)
     with pytest.raises(DomainError, match="monic"):
         Field.parse("q=9 modulus=2*x^2+x+1")
+
+
+def test_parse_shares_one_field_per_modulus():
+    F9 = Field.parse("q=9")
+    assert F9 is Field.parse("q=3^2") is Field.parse("q=9 modulus=x^2+1")
+    assert Field.parse("q=4") is Field.parse("q=4 modulus=x^2+x+1")
+    for spec in ("q=9 modulus=x^2+x+2", "q=8 modulus=x^3+x^2+1"):
+        F = Field.parse(spec)
+        assert F is Field.parse(spec) and F is not Field.parse(spec.split()[0])
+        assert F.spec_string() == spec
+    assert Field(3, 2) == F9 and Field(3, 2) is not F9  # the constructor builds afresh
+    assert algebra._shared_field.cache_info().maxsize is not None
+    # p is checked before the modulus is read: p = 0 once divided by zero
+    with pytest.raises(DomainError, match="characteristic 0 is not prime"):
+        Field.parse("q=0^2 modulus=x^2+1")
 
 
 def test_field_arith_examples():

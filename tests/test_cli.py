@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import resource
@@ -9,6 +10,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+from ffweyl import cli
 from ffweyl.cli import main, parse_upoly
 from ffweyl.algebra import parse_poly
 from ffweyl.schemas import SCHEMAS
@@ -237,6 +239,7 @@ def test_malformed_input_exits_2(capsys):
                  ["js", "--field", "q=2", "--set", "1", "--s", "1", "--N=-1"],
                  ["js", "--field", "q=2", "--set", "0", "--s", "1", "--N", "1"],
                  ["weyl", "--field", "q=2", "--f", "{}", "--N", "abc"],
+                 ["cf", "--field", "q=0^2 modulus=x^2+1", "--alpha", "1 / t"],
                  ["equidist", "--field", "q=2", "--f", f_json, "--N", "-2..1", "--D", "1"],
                  []):
         code, out, err = run_cli(argv, capsys)
@@ -395,8 +398,56 @@ def test_depth_below_one_is_refused(capsys):
                                             "message": "depth must be at least 1"}
 
 
+def _fresh_process(argv, **kwargs):
+    proc = subprocess.run([sys.executable, "-m", "ffweyl.cli"] + argv, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_leaks_nothing_between_commands(capsys, monkeypatch):
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        argparse.ArgumentParser.__init__(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    weyl = ["weyl", "--field", "q=2", "--f", _F2_RAT, "--N", "4"]
+    exponents = ["exponents", "--p", "2", "--set", "1,3"]
+    sequence = (["--seed", "5", "--out", "csv"] + exponents,  # global options before
+                exponents,  # the default JSON and seed
+                exponents + ["--out", "csv", "--seed", "7"],  # and after the subcommand
+                ["--budget", "10"] + weyl,  # exit 3
+                weyl,
+                weyl[:-2],  # no --N: exit 2
+                weyl)
+    fresh = {}
+    codes = []
+    for argv in sequence:
+        result = run_cli(argv, capsys)
+        if not codes:
+            assert built  # the first call builds the parser
+            first = len(built)
+        codes.append(result[0])
+        if tuple(argv) not in fresh:
+            fresh[tuple(argv)] = _fresh_process(argv)
+        assert result == fresh[tuple(argv)], argv
+    assert len(built) == first
+    assert codes == [0, 0, 0, 3, 0, 2, 0]
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _run_limited(argv):
+    """argv in a fresh process under a 2 GB address space, where a list of
+    10^8 ints would be a MemoryError; it must finish within 15 s."""
+    start = time.perf_counter()
+    result = _fresh_process(argv, preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 15
+    return result
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -409,10 +460,18 @@ def _limit_address_space():
      "congruence average of 33554432 points exceeds budget 16777216")],
     ids=["equidist", "js", "sieve-tmn"])
 def test_long_n_ranges_are_refused_without_being_listed(argv, message):
-    # under a 2 GB address space, a list of 10^8 ints would be a MemoryError
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "ffweyl.cli"] + argv, capture_output=True,
-                          text=True, timeout=120, preexec_fn=_limit_address_space)
-    assert time.perf_counter() - start < 15
-    assert proc.returncode == 3 and not proc.stdout
-    assert json.loads(proc.stderr) == {"error": {"type": "BudgetError", "message": message}}
+    code, out, err = _run_limited(argv)
+    assert code == 3 and not out
+    assert json.loads(err) == {"error": {"type": "BudgetError", "message": message}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--p", "2", "--set", "1..100000000"],
+    ["js", "--field", "q=2", "--set", "1..100000000", "--s", "1", "--N", "1"]],
+    ids=["exponents", "js"])
+def test_long_exponent_sets_are_refused_before_they_are_built(argv):
+    code, out, err = _run_limited(argv)
+    assert code == 3 and not out
+    assert json.loads(err) == {"error": {
+        "type": "BudgetError",
+        "message": "exponent set of 100000000 points exceeds budget 16777216"}}
