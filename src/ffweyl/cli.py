@@ -143,12 +143,12 @@ def _emit(args, command, field, params, result, csv_rows=None):
 
 def _cmd_exponents(args):
     K = _parse_int_set(args.set, args.budget)
-    sets = derived_sets(K, args.p)
     wanted = [w.strip() for w in args.emit.split(",") if w.strip()]
     known = {"shadow", "kstar", "sprime", "ktilde", "maximal"}
     bad = set(wanted) - known
     if bad:
         raise FFWeylError(f"unknown emit keys {sorted(bad)}")
+    sets = derived_sets(K, args.p)
     result = {name: sorted(getattr(sets, name)) for name in wanted}
     rows = [(name, " ".join(str(v) for v in result[name])) for name in wanted]
     _emit(args, "exponents", None, {"p": args.p, "set": sorted(K)},
@@ -248,7 +248,7 @@ def _cmd_probe(args):
           (("M", "a", "g", "quality", "ord_g"), csv))
 
 
-def _parse_dense_set(field, N, obj):
+def _parse_dense_set(field, N, obj, budget):
     def polys(key):
         value = obj.get(key)
         if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
@@ -263,14 +263,14 @@ def _parse_dense_set(field, N, obj):
         if not isinstance(obj["mod"], str):
             raise DomainError("dense set 'mod' must be a polynomial string")
         return DenseSet.from_residues(field, N, parse_poly(field, obj["mod"]),
-                                      polys("residues"))
+                                      polys("residues"), budget)
     raise FFWeylError("dense set needs 'elems' or 'mod'/'residues'")
 
 
 def _cmd_intersective(args):
     field = Field.parse(args.field)
     phi = parse_upoly(field, args.phi)
-    A = _parse_dense_set(field, args.N, _load_json_arg(args.A))
+    A = _parse_dense_set(field, args.N, _load_json_arg(args.A), args.budget)
     witness = difference_search(A, phi, args.xbound, budget=args.budget)
     wit = None
     if witness is not None:

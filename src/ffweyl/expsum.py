@@ -8,8 +8,8 @@ prime (the minimal polynomial of a primitive p-th root of unity over Q is
 1 + x + ... + x^{p-1}).
 
 The character reads one thing from f(x): the trace of its t^-1 digit.  One
-engine computes it for every q, for many polynomials over one G_N at once, and
-for the basis twists e_k t^s of each (e_k the element of code p^k): the trace
+engine computes it for every q, one polynomial per pass, and for the basis
+twists e_k t^s of that polynomial (e_k the element of code p^k): the trace
 of the t^-1 digit of (e_k t^s) f(x) is Tr(e_k d_s), for d_s the digit at
 t^-(1+s) of f(x).  It splits x = x_lo + t^h x_hi with h = N // 2, tabulates
 the coordinates of the powers of x_lo over G_h and of x_hi over G_{N-h}, and
@@ -417,39 +417,35 @@ BLOCK = 1 << 16
 FLOAT_EXACT = 1 << 53
 
 
-def _split_blocks(fs, width, N, lo, hi):
+def _split_blocks(f, width, N, lo, hi):
     """Tr of the t^-1 digit of (e_k t^s f)(x), which is Tr(e_k d_s) for d_s
-    the digit at t^-(1+s) of f(x), for every f in fs and each of the first
-    `width` basis twists, s-major (member s*m + k), over x in [lo, hi).
+    the digit at t^-(1+s) of f(x), for each of the first `width` basis
+    twists, s-major (member s*m + k), over x in [lo, hi).
 
-    Yields (start, block): column width*a + b of block holds member b of
-    fs[a] at the indices start, start + 1, ... of G_N, one row each.  Every
-    block carries all members, and no block holds more than BLOCK entries
-    unless one row of x_hi is already larger.  Member s*m + k reads s digits
-    deeper than the character, so the floors are first checked as for depth
+    Yields (start, block): column b of block holds member b at the indices
+    start, start + 1, ... of G_N, one row each.  Every block carries all
+    members, and no block holds more than BLOCK entries unless one row of
+    x_hi is already larger.  Member s*m + k reads s digits deeper than the
+    character, so the floors are first checked as for depth
     (width - 1) // m + 1.
-    The polynomials share one field and one power table over G_{N-h}.  Each
-    f's factors come from one digit vector per term and one int64 product
-    per Lucas pair for all its members; they form the right side of a
-    float64 product whose rows are the coordinates of x_hi^e.  Every table
-    entry is a coordinate below p, and every factor entry is reduced mod p,
-    so each dot product is at most (p - 1)^2 * k for the inner width k; that
-    stays within 2^53, where float64 is exact, or the call raises first.
+    The factors come from one digit vector per term and one int64 product
+    per Lucas pair for all members; they form the right side of a float64
+    product whose rows are the coordinates of x_hi^e.  Every table entry is
+    a coordinate below p, and every factor entry is reduced mod p, so each
+    dot product is at most (p - 1)^2 * k for the inner width k; that stays
+    within 2^53, where float64 is exact, or the call raises first.
     """
-    field = fs[0].field
-    if any(f.field != field for f in fs):
-        raise DomainError("stacked polynomials must share one field")
+    field = f.field
     p, m = field.p, field.m
     deepest = (width - 1) // m
-    for f in fs:
-        for r, c in f.terms:
-            _check_floor(c, r, N, deepest + 1)
+    for r, c in f.terms:
+        _check_floor(c, r, N, deepest + 1)
     h = N // 2
     qh = field.q ** h
     first, last = lo // qh, -(-hi // qh)
-    powers, starts = _power_table(field, N - h, max((r for f in fs for r, _ in f.terms),
-                                                    default=0), max(qh, last))
-    lucas = {r: _lucas_pairs(r, p) for f in fs for r, _ in f.terms}
+    powers, starts = _power_table(field, N - h, max((r for r, _ in f.terms), default=0),
+                                  max(qh, last))
+    lucas = {r: _lucas_pairs(r, p) for r, _ in f.terms}
     # the exponents e = r - j of x_hi that some member reads, and where each sits in k
     ends = sorted({r - j for r, pairs in lucas.items() for j, _ in pairs})
     k = sum(starts[e + 1] - starts[e] for e in ends)
@@ -465,43 +461,35 @@ def _split_blocks(fs, width, N, lo, hi):
         highs[:, offsets[e]:col] = powers[first:last, starts[e]:starts[e + 1]]
     hankel = _hankel((starts[-1] - starts[-2]) // m)
     shift, kappa = np.divmod(np.arange(width), m)
-
-    def factors(f):
-        """The factors of the members of f, reduced mod p, as a
-        (k, q^h, width) int64 array.
-
-        The term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times
-        a Hankel block: ((a, i'), (b, k')) -> Tr(e_i' e_k' e_k d_{s+a+b+h*e}),
-        where d_s is the coefficient's digit at -(1+s).
-        """
-        out = np.zeros((k, qh, width), dtype=np.int64)
-        for r, coeff in f.terms:
-            need = -required_floor(r, N)
-            digits = np.array(coeff.digits(-need - deepest, -1)[::-1], dtype=np.int64)
-            # forms[s, b] = the bilinear form of the digit at -(1+s) of member b
-            forms = _trace_forms(field)[kappa, digits[np.add.outer(np.arange(need), shift)]]
-            for j, c in lucas[r]:
-                e = r - j
-                la = j * max(h - 1, 0) + 1  # x_lo^j has degree below j*(h-1)+1
-                lb = (starts[e + 1] - starts[e]) // m
-                block = forms[h * e + hankel[:la, :lb]]  # [a, b', member, i', k']
-                block = block.transpose(0, 3, 1, 4, 2).reshape(la * m, -1)
-                if c > 1:  # traces are below p already
-                    block = c * block % p
-                product = powers[:qh, starts[j]:starts[j] + la * m] @ block
-                out[offsets[e]:offsets[e] + lb * m] += (
-                    product.reshape(qh, lb * m, -1).transpose(1, 0, 2))
-        out %= p
-        return out
-
-    n = len(fs) * width
-    right = np.concatenate([factors(f) for f in fs], axis=2, dtype=float).reshape(k, qh * n)
-    rows = max(1, BLOCK // (n * qh))
+    # The right factor, reduced mod p, as a (k, q^h, width) int64 array.  The
+    # term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times a
+    # Hankel block: ((a, i'), (b, k')) -> Tr(e_i' e_k' e_k d_{s+a+b+h*e}),
+    # where d_s is the coefficient's digit at -(1+s).
+    right = np.zeros((k, qh, width), dtype=np.int64)
+    for r, coeff in f.terms:
+        need = -required_floor(r, N)
+        digits = np.array(coeff.digits(-need - deepest, -1)[::-1], dtype=np.int64)
+        # forms[s, b] = the bilinear form of the digit at -(1+s) of member b
+        forms = _trace_forms(field)[kappa, digits[np.add.outer(np.arange(need), shift)]]
+        for j, c in lucas[r]:
+            e = r - j
+            la = j * max(h - 1, 0) + 1  # x_lo^j has degree below j*(h-1)+1
+            lb = (starts[e + 1] - starts[e]) // m
+            block = forms[h * e + hankel[:la, :lb]]  # [a, b', member, i', k']
+            block = block.transpose(0, 3, 1, 4, 2).reshape(la * m, -1)
+            if c > 1:  # traces are below p already
+                block = c * block % p
+            product = powers[:qh, starts[j]:starts[j] + la * m] @ block
+            right[offsets[e]:offsets[e] + lb * m] += (
+                product.reshape(qh, lb * m, -1).transpose(1, 0, 2))
+    right %= p
+    right = right.reshape(k, qh * width).astype(float)
+    rows = max(1, BLOCK // (width * qh))
     for r0 in range(first, last, rows):
         r1 = min(r0 + rows, last)
         out = (highs[r0 - first:r1 - first] @ right).astype(np.int64)
         # mod p by table lookup; row (i_hi - r0) * q^h + i_lo: C order is index order
-        out = residue[out].reshape(-1, n)
+        out = residue[out].reshape(-1, width)
         a, b = max(lo, r0 * qh), min(hi, r1 * qh)
         yield a, out[a - r0 * qh:b - r0 * qh]
 
@@ -527,45 +515,29 @@ def _check_range(field, N, lo, hi, method, budget, what, per_point=1):
 
 def weyl_residues(f, N, lo=0, hi=None, method=None, budget=None):
     """Character residues of f(x) for x over an index range of G_N (exact)."""
-    if method is None:
-        return stacked_residues([f], N, lo, hi, budget)[0]
     hi = _check_range(f.field, N, lo, hi, method, budget, "character sum")
-    # the trace of the digit at t^-1, which is additive
-    trace = np.array(f.field._trace, dtype=np.int64)
-    return trace[_digit_rows_direct(f, N, 1, lo, hi)[:, 0]]
-
-
-def stacked_residues(fs, N, lo=0, hi=None, budget=None):
-    """weyl_residues of every f in the nonempty list fs, one row each.
-
-    The polynomials share one power table and one streamed product; the
-    budget is charged once, for q^N points, as for a single sum.
-    """
-    hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
-    out = np.empty((len(fs), hi - lo), dtype=np.int64)
-    for start, block in _split_blocks(fs, 1, N, lo, hi):
-        out[:, start - lo:start - lo + len(block)] = block.T
+    if method == "direct":
+        # the trace of the digit at t^-1, which is additive
+        trace = np.array(f.field._trace, dtype=np.int64)
+        return trace[_digit_rows_direct(f, N, 1, lo, hi)[:, 0]]
+    out = np.empty(hi - lo, dtype=np.int64)
+    for start, block in _split_blocks(f, 1, N, lo, hi):
+        out[start - lo:start - lo + len(block)] = block[:, 0]
     return out
 
 
-def stacked_sums(fs, N, lo=0, hi=None, budget=None):
-    """weyl_sum of every f in the nonempty list fs, from one stacked product.
+def weyl_sum(f, N, lo=0, hi=None, budget=None):
+    """The exact histogram of character values of f over (a slice of) G_N.
 
-    Each block of residues goes straight into the histograms, so memory stays
+    Each block of residues goes straight into the histogram, so memory stays
     at the block size whatever q^N is.
     """
-    hi = _check_range(fs[0].field, N, lo, hi, None, budget, "character sum")
-    p, n = fs[0].field.p, len(fs)
-    counts = np.zeros((n, p), dtype=np.int64)
-    for _, block in _split_blocks(fs, 1, N, lo, hi):
-        block += p * np.arange(n)  # polynomial a counts in [a p, a p + p)
-        counts += np.bincount(block.ravel(), minlength=n * p).reshape(n, p)
-    return [CharSum(p, tuple(row)) for row in counts.tolist()]
-
-
-def weyl_sum(f, N, lo=0, hi=None, budget=None):
-    """The exact histogram of character values of f over (a slice of) G_N."""
-    return stacked_sums([f], N, lo, hi, budget)[0]
+    hi = _check_range(f.field, N, lo, hi, None, budget, "character sum")
+    p = f.field.p
+    counts = np.zeros(p, dtype=np.int64)
+    for _, block in _split_blocks(f, 1, N, lo, hi):
+        counts += np.bincount(block[:, 0], minlength=p)
+    return CharSum(p, tuple(counts.tolist()))
 
 
 def twisted_sum(f, m, N, lo=0, hi=None, budget=None):
@@ -584,7 +556,7 @@ def _digit_row_blocks(f, N, depth, lo=0, hi=None, method=None, budget=None):
     if method == "direct":
         return hi, [(lo, _digit_rows_direct(f, N, depth, lo, hi))]
     return hi, ((start, _trace_digits(field, block))
-                for start, block in _split_blocks([f], depth * field.m, N, lo, hi))
+                for start, block in _split_blocks(f, depth * field.m, N, lo, hi))
 
 
 def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):

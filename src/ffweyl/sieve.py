@@ -43,11 +43,11 @@ class DenseSet:
         return cls(field, N, frozenset(elems))
 
     @classmethod
-    def from_residues(cls, field, N, g, residues):
+    def from_residues(cls, field, N, g, residues, budget=None):
         """All x in G_N congruent mod g to one of the listed residues."""
         rset = {r % g for r in residues}
         return cls(field, N, frozenset(
-            x for x in enumerate_GN(field, N) if (x % g) in rset))
+            x for x in enumerate_GN(field, N, budget) if (x % g) in rset))
 
     def density(self):
         return Fraction(len(self.elems), gn_size(self.field, self.N))

@@ -15,7 +15,7 @@ from .algebra import (Poly, check_budget, check_power, enumerate_GN, is_irreduci
 from .contfrac import approx_gap, dirichlet_approx, quality_bound
 from .errors import DomainError, HypothesisError, PrecisionError
 from .exponents import ktilde, maximal_elements
-from .expsum import CharSum, ExpPoly, e_of, stacked_residues, weyl_sum
+from .expsum import CharSum, ExpPoly, e_of, weyl_residues, weyl_sum
 from .kinfty import kadd, kmul_poly, ord_vs
 
 
@@ -180,9 +180,8 @@ def large_sieve_check(family, weights, N, K, rel_tol=1e-6, budget=None):
     zeta = [complex(math.cos(2 * math.pi * r / field.p),
                     math.sin(2 * math.pi * r / field.p)) for r in range(field.p)]
     lhs = 0.0
-    stack = stacked_residues([ExpPoly(field, {1: gamma}) for gamma in family.points],
-                             N, budget=budget)
-    for residues in stack:
+    for gamma in family.points:
+        residues = weyl_residues(ExpPoly(field, {1: gamma}), N, budget=budget)
         s = 0j
         for b, r in zip(weights, residues.tolist()):
             if b:

@@ -158,6 +158,27 @@ def test_budget_is_checked_before_building(capsys):
     assert json.loads(err)["error"]["message"] == "deg g_M = 28602 exceeds the budget 64"
 
 
+def test_residue_class_sets_are_charged_against_the_budget(capsys):
+    argv = ["intersective", "--field", "q=2", "--phi", "u^2",
+            "--A", '{"mod":"t^2","residues":["1"]}', "--N", "12", "--xbound", "1"]
+    code, out, err = run_cli(argv + ["--budget", "3"], capsys)
+    assert code == 3 and not out
+    assert json.loads(err)["error"] == {
+        "type": "BudgetError", "message": "enumeration of 4096 points exceeds budget 3"}
+    assert run_json(argv, capsys)["result"]["density"] == "1/4"
+
+
+def test_unknown_emit_keys_are_refused_before_any_set_is_derived(capsys):
+    # deriving the sets of 1..4000 takes tens of seconds
+    start = time.perf_counter()
+    code, out, err = run_cli(["exponents", "--p", "2", "--set", "1..4000",
+                              "--emit", "bogus"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == {
+        "type": "FFWeylError", "message": "unknown emit keys ['bogus']"}
+
+
 _F3_LIN = json.dumps({"field": "q=3", "terms": [{"exp": 1, "coeff": {"rat": ["1", "t^2+1"]}}]})
 _TMN = ["sieve-tmn", "--field", "q=3", "--phi", "u^2", "--alpha", "1 / t+1"]
 

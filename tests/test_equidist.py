@@ -193,7 +193,7 @@ def test_twist_counts_are_in_index_order(monkeypatch):
         F = field(q)
         N = 2
         f = ExpPoly(F, {1: rand_rational(rng, F, 3), 2: rand_rational(rng, F, 2)})
-        block = next(expsum._split_blocks([f], D * F.m, N, 0, q ** N))[1]
+        block = next(expsum._split_blocks(f, D * F.m, N, 0, q ** N))[1]
         traces, sizes = expsum.count_rows(block)
         counts = [tuple(row) for part in equidist._twist_counts(traces, sizes, F.p)
                   for row in part]

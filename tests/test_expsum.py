@@ -12,8 +12,7 @@ from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
 from ffweyl.equidist import cylinder_counts, discrepancy, weyl_scan
 from ffweyl.errors import BudgetError, DomainError, PrecisionError
 from ffweyl.expsum import (CharSum, ExpPoly, count_rows, e_of, fractional_digit_rows,
-                           orthogonality, stacked_residues, stacked_sums,
-                           twisted_sum, weyl_residues, weyl_sum)
+                           orthogonality, twisted_sum, weyl_residues, weyl_sum)
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, parse_kelem
 
 from helpers import field, rand_exppoly, rand_monic, rand_poly, rand_rational, rand_series
@@ -472,10 +471,10 @@ def _record_blocks(monkeypatch, seen):
     (q^(N//2), N, width, blocks) to seen, each block as (start, members, points)."""
     engine = expsum._split_blocks
 
-    def recording(fs, width, N, lo, hi):
+    def recording(f, width, N, lo, hi):
         blocks = []
-        seen.append((fs[0].field.q ** (N // 2), N, width, blocks))
-        for start, block in engine(fs, width, N, lo, hi):
+        seen.append((f.field.q ** (N // 2), N, width, blocks))
+        for start, block in engine(f, width, N, lo, hi):
             blocks.append((start, block.shape[1], len(block)))
             yield start, block
 
@@ -484,7 +483,7 @@ def _record_blocks(monkeypatch, seen):
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, expsum.BLOCK])
-def test_stacked_engine_matches_single_and_direct(monkeypatch, block):
+def test_engine_matches_the_direct_oracle(monkeypatch, block):
     monkeypatch.setattr(expsum, "BLOCK", block)
     seen = []
     _record_blocks(monkeypatch, seen)
@@ -495,17 +494,16 @@ def test_stacked_engine_matches_single_and_direct(monkeypatch, block):
             top = rng.choice((1, 2, 3, 5))
             fs = [rand_exppoly(rng, F, max_exp=top, max_terms=min(top, 3), floor=-60)
                   for _ in range(rng.randrange(1, 6))]
-            direct = [weyl_residues(f, N, method="direct") for f in fs]
-            stack = stacked_residues(fs, N)
-            assert stack.shape == (len(fs), q ** N) and stack.dtype == np.int64
-            for f, row, d in zip(fs, stack, direct):
-                assert np.array_equal(row, d)
-                assert np.array_equal(weyl_residues(f, N), d)
-            assert stacked_sums(fs, N) == [CharSum.from_residues(F.p, d) for d in direct]
-            for lo, hi in _slices(rng, q, N):
-                assert np.array_equal(stacked_residues(fs, N, lo, hi), stack[:, lo:hi])
-                assert stacked_sums(fs, N, lo, hi) == \
-                    [CharSum.from_residues(F.p, d[lo:hi]) for d in direct]
+            slices = _slices(rng, q, N)
+            for f in fs:
+                direct = weyl_residues(f, N, method="direct")
+                residues = weyl_residues(f, N)
+                assert residues.shape == (q ** N,) and residues.dtype == np.int64
+                assert np.array_equal(residues, direct)
+                assert weyl_sum(f, N) == CharSum.from_residues(F.p, direct)
+                for lo, hi in slices:
+                    assert np.array_equal(weyl_residues(f, N, lo, hi), direct[lo:hi])
+                    assert weyl_sum(f, N, lo, hi) == CharSum.from_residues(F.p, direct[lo:hi])
             rows = fractional_digit_rows(fs[0], N, 3)
             assert np.array_equal(rows, fractional_digit_rows(fs[0], N, 3, method="direct"))
             lo, hi = _slices(rng, q, N)[-1]
@@ -517,7 +515,7 @@ def test_stacked_engine_matches_single_and_direct(monkeypatch, block):
         assert all(members * points <= block or start // qh == (start + points - 1) // qh
                    for start, members, points in blocks)
     if block in (7, 64):
-        # the small sizes split stacks of several members into several row blocks
+        # the small sizes split the 3m members of digit rows into several row blocks
         assert any(len(blocks) > 1 and blocks[0][1] > 1 for _, _, _, blocks in seen)
 
 
@@ -528,7 +526,7 @@ def test_twist_basis_matches_scaled_direct(monkeypatch, q, modulus):
     """The engine's members are the basis twists e_k t^s; twist m's residues
     are its coordinates dotted with them mod p, and twisted_sum, which scales
     f, gives the histogram of f.scale_poly(m) on the direct path."""
-    monkeypatch.setattr(expsum, "BLOCK", 16)
+    monkeypatch.setattr(expsum, "BLOCK", 8)
     seen = []
     _record_blocks(monkeypatch, seen)
     rng = random.Random(37 * q + len(modulus or ""))
@@ -543,11 +541,10 @@ def test_twist_basis_matches_scaled_direct(monkeypatch, q, modulus):
             rand_rational(rng, F, 3), rand_series(rng, F, -60),
             kernel_element(F, -60, rng.randrange(50))))}) for _ in range(2)]
         for lo, hi in [(0, q ** N)] + _slices(rng, q, N):
-            members = np.empty((hi - lo, 2 * 3 * m), dtype=np.int64)
-            for start, block in expsum._split_blocks(fs, 3 * m, N, lo, hi):
-                members[start - lo:start - lo + len(block)] = block
-            for a, f in enumerate(fs):
-                basis = members[:, 3 * m * a:3 * m * (a + 1)]
+            for f in fs:
+                basis = np.empty((hi - lo, 3 * m), dtype=np.int64)
+                for start, block in expsum._split_blocks(f, 3 * m, N, lo, hi):
+                    basis[start - lo:start - lo + len(block)] = block
                 for t in (t for twists in twist_lists for t in twists):
                     twist = poly_from_index(F, t, 3)
                     direct = weyl_residues(f.scale_poly(twist), N, lo, hi, method="direct")
@@ -592,12 +589,6 @@ def test_twists_past_int64_match_the_scaled_direct_sum():
         for N in (1, 2):
             direct = weyl_residues(f.scale_poly(m), N, method="direct")
             assert twisted_sum(f, m, N) == CharSum.from_residues(F.p, direct)
-
-
-def test_stacked_members_share_one_field():
-    F2, F3 = field(2), field(3)
-    with pytest.raises(DomainError):
-        stacked_sums([lin(F2, RationalK(F2.poly_one)), lin(F3, RationalK(F3.poly_one))], 1)
 
 
 def test_float_exactness_bound_is_checked(monkeypatch):

@@ -11,7 +11,7 @@ from ffweyl.expsum import ExpPoly, e_of
 from ffweyl.exponents import maximal_elements, shadow
 from ffweyl.kinfty import (RationalK, kadd, kernel_element, kmul_poly,
                            kmul_scalar, parse_kelem)
-from ffweyl.weylmachinery import (kth_power_classes, large_sieve_check,
+from ffweyl.weylmachinery import (SpacedFamily, kth_power_classes, large_sieve_check,
                                   minor_arc_probe, shift_expand,
                                   space_family, spacing_check,
                                   split_by_kth_power, weyl_shift_check)
@@ -239,6 +239,16 @@ def test_large_sieve_full_residue_family():
     assert rep.passed
 
 
+def test_large_sieve_refuses_a_point_from_another_field():
+    F2, F3 = field(2), field(3)
+    points = (RationalK(F2.poly_one, F2.poly_t), RationalK(F3.poly_one, F3.poly_t))
+    with pytest.raises(DomainError, match="^mixed-field polynomial arithmetic$"):
+        large_sieve_check(list(points), [1.0, 1.0], 1, K=3)
+    # a family given as spaced reaches the engine, whose ExpPoly refuses the point
+    with pytest.raises(DomainError, match="^coefficient from the wrong field$"):
+        large_sieve_check(SpacedFamily(points, -1), [1.0, 1.0], 1, K=3)
+
+
 def test_large_sieve_strict_hypothesis_boundary():
     # the packet {a/t^2} over F_2 with N = 1 and unit weights: lhs = 8;
     # it qualifies at K = 3 where the bound is 8 (equality), and the
@@ -255,8 +265,9 @@ def test_large_sieve_strict_hypothesis_boundary():
 def test_large_sieve_lhs_matches_pointwise():
     # each S(gamma) comes from the residue engine; the oracle walks G_N in K
     rng = random.Random(57)
-    for q in (2, 3, 4, 5):
-        F = field(q)
+    for q, modulus in ((2, None), (3, None), (4, None), (5, None), (7, None), (8, None),
+                       (9, None), (9, "x^2+x+2")):
+        F = field(q, modulus)
         for _ in range(4):
             N = rng.randrange(0, 4)
             fam = space_family([rand_rational(rng, F, 2) for _ in range(3)]
