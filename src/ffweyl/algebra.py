@@ -167,10 +167,6 @@ class Field:
         """Trace down to F_p, returned as a residue in [0, p)."""
         return self._trace[a]
 
-    def char_residue(self, a):
-        """Residue r mod p encoding the character value exp(2*pi*i*r/p)."""
-        return self._trace[a]
-
     def coords(self, a):
         return tuple(_digits(a, self.p, self.m))
 

@@ -148,7 +148,7 @@ def _cmd_exponents(args):
     bad = set(wanted) - known
     if bad:
         raise FFWeylError(f"unknown emit keys {sorted(bad)}")
-    sets = derived_sets(K, args.p)
+    sets = derived_sets(K, args.p, args.budget)
     result = {name: sorted(getattr(sets, name)) for name in wanted}
     rows = [(name, " ".join(str(v) for v in result[name])) for name in wanted]
     _emit(args, "exponents", None, {"p": args.p, "set": sorted(K)},
@@ -410,7 +410,7 @@ def main(argv=None):
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}), file=sys.stderr)
         return EXIT_BUDGET
-    except (FFWeylError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (FFWeylError, ValueError, OSError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}), file=sys.stderr)
         return EXIT_INVALID

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import _is_prime
+from .algebra import _is_prime, check_budget
 from .errors import DomainError
 
 
@@ -48,11 +48,50 @@ def lucas_binom(r, j, p):
 
 
 def shadow(K, p):
-    """All j >= 1 sitting digitwise below some element of K."""
-    K = frozenset(K)
-    top = max(K, default=0)
-    return frozenset(j for j in range(1, top + 1)
-                     if any(preceq(j, r, p) for r in K))
+    """All j >= 1 sitting digitwise below some element of K.
+
+    The downward closure of K: from each element, lower one nonzero base-p
+    digit by one at a time.
+    """
+    if any(r < 0 for r in K):
+        raise DomainError("digit order is defined on nonnegative integers")
+    out = set()
+    todo = list(K)
+    while todo:
+        j = todo.pop()
+        if j in out:
+            continue
+        out.add(j)
+        power, rest = 1, j
+        while rest:
+            if rest % p and j - power not in out:
+                todo.append(j - power)
+            rest //= p
+            power *= p
+    out.discard(0)
+    return frozenset(out)
+
+
+def _powers(p, top):
+    """The powers 1, p, p^2, ... that do not exceed top."""
+    power = 1
+    while power <= top:
+        yield power
+        power *= p
+
+
+def _shadow_bound(K, p):
+    """An upper bound on the size of the shadow of K, without building it:
+    r has prod_i (d_i(r) + 1) elements digitwise below it, and the shadow lies
+    in [1, max K]."""
+    count = 0
+    for r in K:
+        below = 1
+        while r:
+            below *= r % p + 1
+            r //= p
+        count += below
+    return min(max(K, default=0), count)
 
 
 def kstar(K, p):
@@ -93,10 +132,16 @@ def cal_i(K, p):
 
 
 def maximal_elements(K, p):
-    """Elements of K maximal under the digit order."""
+    """Elements of K maximal under the digit order.
+
+    k lies below another element of K iff raising one digit of k below p - 1
+    by one lands in the shadow of K.
+    """
     K = frozenset(K)
-    return frozenset(k for k in K
-                     if not any(preceq(k, r, p) and r != k for r in K))
+    sh = shadow(K, p)
+    top = max(K, default=0)
+    return frozenset(k for k in K if not any(
+        (k // power) % p < p - 1 and k + power in sh for power in _powers(p, top - k)))
 
 
 def ktilde(K, p):
@@ -129,10 +174,12 @@ def check_positive(K):
         raise DomainError("the digit order is defined on positive integers")
 
 
-def derived_sets(K, p):
-    """Every derived set of K, after checking that p is prime and K positive."""
+def derived_sets(K, p, budget=None):
+    """Every derived set of K, after checking that p is prime, K positive, and
+    the shadow bound within the budget."""
     if not _is_prime(p):
         raise DomainError(f"p = {p} is not prime")
     check_positive(K)
+    check_budget(_shadow_bound(K, p), budget, "shadow")
     return DerivedSets(shadow(K, p), kstar(K, p), sprime(K, p),
                        ktilde(K, p), maximal_elements(K, p))

@@ -90,7 +90,7 @@ class CharSum:
 
 def e_of(alpha):
     """Character residue r mod p of alpha, encoding exp(2*pi*i*r/p)."""
-    return alpha.field.char_residue(alpha.res())
+    return alpha.field.trace(alpha.res())
 
 
 def _member(obj, key, kind):
@@ -149,6 +149,8 @@ class ExpPoly:
         In characteristic p, (a*u + b)^r = sum_j C(r, j) a^j b^(r-j) u^j with
         C(r, j) taken mod p (Lucas), so only the shadow of each exponent appears.
         """
+        if a.field != self.field or b.field != self.field:
+            raise DomainError("mixed-field polynomial arithmetic")
         p = self.field.p
         coeffs = {}
         for r, c in self.terms:

@@ -1,6 +1,6 @@
 """Shift identities, spacing, the large sieve, and power-class splitting.
 
-Everything here is a checkable statement: shift checks compare exact
+Everything here is a checkable statement: shift checks compare residue-engine
 histograms, spacing checks certify pairwise torus gaps, the sieve check
 evaluates both sides of the inequality, and violated hypotheses raise
 HypothesisError so they are never mistaken for failed conclusions.
@@ -15,7 +15,7 @@ from .algebra import (Poly, check_budget, check_power, enumerate_GN, is_irreduci
 from .contfrac import approx_gap, dirichlet_approx, quality_bound
 from .errors import DomainError, HypothesisError, PrecisionError
 from .exponents import ktilde, maximal_elements
-from .expsum import CharSum, ExpPoly, e_of, weyl_residues, weyl_sum
+from .expsum import CharSum, ExpPoly, weyl_residues, weyl_sum
 from .kinfty import kadd, kmul_poly, ord_vs
 
 
@@ -24,22 +24,19 @@ def weyl_shift_check(f, shifts, N, budget=None):
 
     The histogram of f over G_N, scaled by the multiset size, must equal the
     joint histogram of f(y - x) over (x, y) in G_N x shifts: y - x sweeps G_N
-    bijectively for each y.  Evaluation goes through full K arithmetic, kept
-    independent of the weyl_sum fast paths.
+    bijectively for each y.  Both sides are residue-engine histograms: f(y - x)
+    is the polynomial f.substitute(-1, y) in x.
     """
     if not shifts:
         raise DomainError("empty shift multiset")
     field = f.field
     check_budget(power_count(field.q, N, budget, "shift check") * len(shifts), budget,
                  "shift check")
-    lhs = CharSum.from_residues(
-        field.p,
-        [e_of(f.evaluate(x)) for x in enumerate_GN(field, N)]).scale(len(shifts))
-    residues = []
-    for x in enumerate_GN(field, N):
-        for y in shifts:
-            residues.append(e_of(f.evaluate(y - x)))
-    return lhs == CharSum.from_residues(field.p, residues)
+    lhs = weyl_sum(f, N, budget=budget).scale(len(shifts))
+    rhs = CharSum(field.p, (0,) * field.p)
+    for y in shifts:
+        rhs += weyl_sum(f.substitute(-field.poly_one, y), N, budget=budget)
+    return lhs == rhs
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,9 @@ def test_malformed_input_exits_2(capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and not out, argv
         assert json.loads(err)["error"]["type"] == "DomainError", argv
+    code, out, err = run_cli(["weyl", "--field", "q=2", "--f", "{bad", "--N", "1"], capsys)
+    assert code == 2 and not out
+    assert json.loads(err)["error"]["type"] == "JSONDecodeError"
 
 
 def test_equidist_budget_covers_the_whole_scan(capsys):
@@ -484,6 +487,16 @@ def test_long_n_ranges_are_refused_without_being_listed(argv, message):
     code, out, err = _run_limited(argv)
     assert code == 3 and not out
     assert json.loads(err) == {"error": {"type": "BudgetError", "message": message}}
+
+
+def test_a_huge_shadow_is_refused_before_it_is_built():
+    # at p = 2 every positive integer below 2^30 - 1 = 1073741823 lies digitwise below it
+    start = time.perf_counter()
+    code, out, err = _fresh_process(["exponents", "--p", "2", "--set", "1073741823"])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and not out
+    assert json.loads(err) == {"error": {
+        "type": "BudgetError", "message": "shadow of 1073741823 points exceeds budget 16777216"}}
 
 
 @pytest.mark.parametrize("argv", [

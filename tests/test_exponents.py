@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ffweyl.errors import DomainError
+from ffweyl.errors import BudgetError, DomainError
 from ffweyl.exponents import (cal_i, derived_sets, kstar, ktilde, lucas_binom,
                               maximal_elements, preceq, shadow, sprime)
 
@@ -117,6 +117,40 @@ def test_shadow_idempotent_and_lemma_fuzz():
 def test_empty_inputs():
     for fn in (shadow, kstar, sprime, ktilde, maximal_elements, cal_i):
         assert fn(frozenset(), 3) == frozenset()
+
+
+def _shadow_by_scan(K, p):
+    """The shadow by its definition: every j in [1, max K] below some r in K."""
+    return frozenset(j for j in range(1, max(K, default=0) + 1)
+                     if any(preceq(j, r, p) for r in K))
+
+
+def _maximal_by_pairs(K, p):
+    """Maximal elements by their definition: below no other element of K."""
+    return frozenset(k for k in K if not any(preceq(k, r, p) and r != k for r in K))
+
+
+def test_shadow_and_maximal_match_their_definitions():
+    rng = random.Random(1515)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7))
+        K = frozenset(rng.sample(range(1, rng.choice((20, 200, 2000))),
+                                 rng.randrange(0, 12)))
+        assert shadow(K, p) == _shadow_by_scan(K, p), (K, p)
+        assert maximal_elements(K, p) == _maximal_by_pairs(K, p), (K, p)
+
+
+def test_derived_sets_charge_the_shadow_bound():
+    # the bound is min(max K, sum over r in K of the count of j <= r digitwise, 0 included)
+    with pytest.raises(BudgetError, match="shadow of 7 points exceeds budget 6"):
+        derived_sets({7}, 2, budget=6)
+    assert derived_sets({7}, 2, budget=7).shadow == set(range(1, 8))
+    with pytest.raises(BudgetError, match="shadow of 1073741823 points"):
+        derived_sets({2 ** 30 - 1}, 2)
+    # the digit count, not max K, binds a sparse set: 2 + 2 for 1 and 2^40
+    with pytest.raises(BudgetError, match="shadow of 4 points exceeds budget 3"):
+        derived_sets({1, 2 ** 40}, 2, budget=3)
+    assert derived_sets({1, 2 ** 40}, 2, budget=4).shadow == {1, 2 ** 40}
 
 
 def test_derived_sets_bundle():

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import random
 
@@ -6,8 +7,9 @@ import pytest
 
 from ffweyl.algebra import (NEG_INF, Poly, enumerate_GN, irreducibles,
                             parse_poly, poly_from_index)
-from ffweyl.errors import DomainError, HypothesisError, PrecisionError
-from ffweyl.expsum import ExpPoly, e_of
+from ffweyl.errors import (BudgetError, DomainError, FFWeylError, HypothesisError,
+                           PrecisionError)
+from ffweyl.expsum import CharSum, ExpPoly, e_of
 from ffweyl.exponents import maximal_elements, shadow
 from ffweyl.kinfty import (RationalK, kadd, kernel_element, kmul_poly,
                            kmul_scalar, parse_kelem)
@@ -36,6 +38,59 @@ def test_weyl_shift_fuzz():
         f = rand_exppoly(rng, F, max_exp=5)
         shifts = [rand_poly(rng, F, N - 1) for _ in range(rng.randrange(1, 6))]
         assert weyl_shift_check(f, shifts, N)
+
+
+SHIFT_FIELDS = [field(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [
+    field(4, "x^2+x+1"), field(9, "x^2+x+2")]
+
+
+def _shift_check_pointwise(f, shifts, N):
+    """The per-point oracle: e_of(f(x)) over G_N against e_of(f(y - x)) over
+    G_N x shifts, every value through full K arithmetic."""
+    if not shifts:
+        raise DomainError("empty shift multiset")
+    p = f.field.p
+    points = list(enumerate_GN(f.field, N))
+    lhs = CharSum.from_residues(p, [e_of(f.evaluate(x)) for x in points])
+    return lhs.scale(len(shifts)) == CharSum.from_residues(
+        p, [e_of(f.evaluate(y - x)) for x in points for y in shifts])
+
+
+def _outcome(check, *args):
+    """The bool a check returns, or the type of the exception it raises."""
+    try:
+        return check(*args)
+    except FFWeylError as exc:
+        return type(exc)
+
+
+def test_weyl_shift_matches_pointwise_oracle():
+    rng = random.Random(1505)
+    seen = collections.Counter()
+    for _ in range(120):
+        F = rng.choice(SHIFT_FIELDS)
+        N = rng.randrange(4)
+        f = rand_exppoly(rng, F, max_exp=4, floor=-rng.randrange(2, 14))
+        shifts = [rand_poly(rng, F, N - 1 + rng.randrange(3))
+                  for _ in range(rng.randrange(1, 4))]
+        got = _outcome(weyl_shift_check, f, shifts, N)
+        assert got == _outcome(_shift_check_pointwise, f, shifts, N), (F, N, f, shifts)
+        seen[got] += 1
+    assert seen[False] and seen[PrecisionError], seen
+
+
+def test_weyl_shift_refuses_foreign_shifts_and_small_budgets():
+    F3, F5 = field(3), field(5)
+    f = ExpPoly(F3, {2: RationalK(F3.poly_one, parse_poly(F3, "t^2+1"))})
+    foreign = [F3.poly_zero, parse_poly(F5, "t")]
+    for check in (weyl_shift_check, _shift_check_pointwise):
+        with pytest.raises(DomainError):
+            check(f, foreign, 2)
+        with pytest.raises(DomainError):
+            check(ExpPoly(F3, {}), foreign, 2)
+    with pytest.raises(BudgetError, match="shift check of 18 points exceeds budget 17"):
+        weyl_shift_check(f, [F3.poly_zero, F3.poly_one], 2, budget=17)
+    assert weyl_shift_check(f, [F3.poly_zero, F3.poly_one], 2, budget=18)
 
 
 def test_shift_expand_zero_shift():
