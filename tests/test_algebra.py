@@ -97,7 +97,6 @@ def test_trace_examples_and_linearity():
     F4 = field(4)
     assert F4.trace(2) == 1   # x + x^2 = 1
     assert F4.trace(0) == 0
-    assert field(2).trace(1) == 1
     F3 = field(3)
     for a in F3.elements():
         assert F3.trace(a) == a  # identity on a prime field
@@ -109,6 +108,14 @@ def test_trace_examples_and_linearity():
             for b in F.elements():
                 assert F.trace(F.add(a, b)) == (F.trace(a) + F.trace(b)) % F.p
         assert values == set(range(F.p))  # surjective onto the prime field
+
+
+def test_char_residue_matches_trace():
+    # The character residue of e(.) is the trace down to F_p.
+    F4 = field(4)
+    assert F4.trace(0) == 0
+    assert F4.trace(2) == 1
+    assert field(2).trace(1) == 1
 
 
 def test_poly_parse_format_roundtrip():
