@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .algebra import NEG_INF, Field, _split_terms, check_budget, parse_poly
-from .contfrac import approx_quality, cf_expand, convergents
+from .contfrac import _tail_quality, cf_expand, convergents
 from .equidist import weyl_scan
 from .errors import BudgetError, DomainError, FFWeylError
 from .expsum import ExpPoly, twisted_sum, weyl_sum
@@ -163,7 +163,7 @@ def _cmd_cf(args):
     conv_rows = []
     for n, (a, g) in enumerate(table.pairs):
         try:
-            quality = _fmt_ord(approx_quality(alpha, n, cf=cf))
+            quality = _fmt_ord(_tail_quality(alpha, table, n))
         except FFWeylError:
             quality = None
         conv_rows.append({"n": n, "b": str(cf.quotients[n]), "a": str(a),

@@ -1,12 +1,18 @@
 """Continued fractions over F_q((1/t)).
 
 Quotients live in F_q[t] and, past the first, have positive order, so the
-expansion of a rational is the Euclidean algorithm and terminates; the
-expansion of a truncated series stops with an explicit marker when the
-precision is spent, never silently.  Convergent numerators and denominators
-follow the standard two-term recursion seeded by (0, 1) and (1, 0); the
-determinant identity g_n*a_{n-1} - a_n*g_{n-1} = (-1)^n is recomputed at
-every step as a self-check.
+expansion of a rational is the Euclidean algorithm and terminates.  A
+truncated series with floor f <= 0 is P / t^(-f), P the polynomial of its
+digit list, and expands by the same Euclidean pass on (P, t^(-f)) with a
+floor carried along.  After the remainder r of num by den, let
+n = deg r - deg den: the tail r/den cannot be told from zero when r = 0 or
+n < floor; otherwise its inverse den/r is certified down to floor - 2n, the
+next floor, since a change of the tail below its floor moves the inverse by
+at most q^(floor - 1 - 2n).  The expansion of a series stops with an
+explicit marker when the precision is spent, never silently.  Convergent
+numerators and denominators follow the standard two-term recursion seeded by
+(0, 1) and (1, 0); the determinant identity g_n*a_{n-1} - a_n*g_{n-1} =
+(-1)^n is recomputed at every step as a self-check.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import Poly
 from .errors import DomainError, PrecisionError
-from .kinfty import RationalK, TruncSeries, kadd, kmul_poly, ord_vs, quotient_digits
+from .kinfty import RationalK, kadd, kmul_poly, ord_vs
 
 
 @dataclass(frozen=True)
@@ -46,62 +52,38 @@ class ConvergentTable:
         return len(self.pairs)
 
 
-def _series_invert(s):
-    """1/s for a series with floor <= 0 and certified order n; result floor is
-    floor - 2n.
-
-    A perturbation of s below its floor moves 1/s by at most q^(floor-1-2n),
-    so digits of the inverse above floor - 2n are trustworthy and nothing
-    deeper is emitted.  With P the polynomial of the digit list and c the
-    inverse of its lead, 1/s = c t^(-floor) / (c P), a monic division.
-    """
-    field = s.field
-    n = s.ord()
-    c = field.inv(s.coeffs[-1])
-    out_floor = s.floor - 2 * n
-    return TruncSeries(field, out_floor, quotient_digits(
-        field.poly_one.shift(-s.floor).scale(c), Poly(field, s.coeffs).scale(c),
-        out_floor, -n))
-
-
 def cf_expand(alpha, max_terms=64):
     """Continued-fraction quotients of alpha.
 
     Rationals expand completely; truncated series stop at max_terms or when
     the next quotient can no longer be certified from known digits.
     """
+    field = alpha.field
     if isinstance(alpha, RationalK):
-        quotients = []
-        num, den = alpha.num, alpha.den
-        while True:
-            b, r = divmod(num, den)
-            quotients.append(b)
-            if r.is_zero():
-                return CFExpansion(tuple(quotients), None)
-            num, den = den, r
-    if alpha.floor > 0:
+        num, den, floor, max_terms = alpha.num, alpha.den, None, None
+    elif alpha.floor > 0:
         raise PrecisionError("floor above 0; not even the first quotient is known")
-    cur = alpha
+    else:
+        num, den, floor = (Poly(field, alpha.coeffs), field.poly_one.shift(-alpha.floor),
+                           alpha.floor)
     quotients = []
-    stopped = None
     while True:
         if len(quotients) == max_terms:
-            stopped = "max-terms"
+            return CFExpansion(tuple(quotients), "max-terms")
+        if floor is not None and floor > 0:
             break
-        if cur.floor > 0:
-            stopped = "precision"
+        b, r = divmod(num, den)
+        quotients.append(b)
+        if r.is_zero():
+            # for a series: an exact zero tail or digits hiding below the floor
             break
-        quotients.append(cur.poly_part())
-        if cur.floor > -1:
-            stopped = "precision"
-            break
-        tail = cur.frac()
-        if tail.is_zero_to_floor():
-            # could be an exact zero tail or digits hiding below the floor
-            stopped = "precision"
-            break
-        cur = _series_invert(tail)
-    return CFExpansion(tuple(quotients), stopped)
+        if floor is not None:
+            n = r.deg - den.deg
+            if floor > -1 or n < floor:
+                break
+            floor -= 2 * n
+        num, den = den, r
+    return CFExpansion(tuple(quotients), None if floor is None else "precision")
 
 
 def convergents(cf):

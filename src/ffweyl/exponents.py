@@ -102,7 +102,11 @@ def kstar(K, p):
     not an approximation.
     """
     K = frozenset(K)
-    sh = shadow(K, p)
+    return _core(K, p, shadow(K, p))
+
+
+def _core(K, p, sh):
+    """kstar of the frozenset K, given its shadow sh."""
     top = max(sh, default=0)
     out = set()
     for k in K:
@@ -138,7 +142,11 @@ def maximal_elements(K, p):
     by one lands in the shadow of K.
     """
     K = frozenset(K)
-    sh = shadow(K, p)
+    return _maximal(K, p, shadow(K, p))
+
+
+def _maximal(K, p, sh):
+    """maximal_elements of the frozenset K, given its shadow sh."""
     top = max(K, default=0)
     return frozenset(k for k in K if not any(
         (k // power) % p < p - 1 and k + power in sh for power in _powers(p, top - k)))
@@ -149,14 +157,16 @@ def ktilde(K, p):
 
     Terminates because the set strictly shrinks while the core is nonempty.
     """
-    current = frozenset(K)
+    return _peel(frozenset(K), p, kstar(K, p))
+
+
+def _peel(current, p, star):
+    """ktilde of the frozenset current, given its core star."""
     out = set()
-    while current:
-        star = kstar(current, p)
-        if not star:
-            break
+    while star:
         out |= star
         current -= star
+        star = kstar(current, p)
     return frozenset(out)
 
 
@@ -181,5 +191,7 @@ def derived_sets(K, p, budget=None):
         raise DomainError(f"p = {p} is not prime")
     check_positive(K)
     check_budget(_shadow_bound(K, p), budget, "shadow")
-    return DerivedSets(shadow(K, p), kstar(K, p), sprime(K, p),
-                       ktilde(K, p), maximal_elements(K, p))
+    K = frozenset(K)
+    sh = shadow(K, p)
+    star = _core(K, p, sh)
+    return DerivedSets(sh, star, cal_i(sh, p), _peel(K, p, star), _maximal(K, p, sh))

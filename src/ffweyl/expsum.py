@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import Field, check_budget, parse_poly, poly_from_index, power_count
 from .errors import DomainError, PrecisionError
-from .exponents import lucas_binom
 from .kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd, kernel_element,
                      kmul_poly, kmul_scalar, parse_kelem)
 
@@ -154,11 +154,9 @@ class ExpPoly:
         p = self.field.p
         coeffs = {}
         for r, c in self.terms:
-            for j in range(r + 1):
-                binom = lucas_binom(r, j, p)
-                if binom:
-                    term = kmul_scalar(kmul_poly(c, a ** j * b ** (r - j)), binom)
-                    coeffs[j] = kadd(coeffs[j], term) if j in coeffs else term
+            for j, binom in _lucas_pairs(r, p):
+                term = kmul_scalar(kmul_poly(c, a ** j * b ** (r - j)), binom)
+                coeffs[j] = kadd(coeffs[j], term) if j in coeffs else term
         return ExpPoly(self.field, coeffs)
 
     def evaluate(self, x):
@@ -286,8 +284,20 @@ def _trace_digits(field, traces):
 
 @functools.lru_cache(maxsize=256)
 def _lucas_pairs(r, p):
-    """The pairs (j, C(r, j) mod p) with a nonzero binomial, j = 0..r."""
-    return tuple((j, c) for j in range(r + 1) if (c := lucas_binom(r, j, p)))
+    """The pairs (j, C(r, j) mod p) with a nonzero binomial, j ascending.
+
+    By Lucas these are the j digitwise below r, prod_i (d_i(r) + 1) of them,
+    listed from the digits of r; C(r, j) is the product of the digit binomials
+    C(d_i(r), d_i(j)), none of them divisible by p.
+    """
+    digits = []
+    while r:
+        r, d = divmod(r, p)
+        digits.append(d)
+    pairs = [(0, 1)]
+    for d in reversed(digits):
+        pairs = [(j * p + i, c * math.comb(d, i) % p) for j, c in pairs for i in range(d + 1)]
+    return tuple(pairs)
 
 
 @functools.lru_cache(maxsize=64)

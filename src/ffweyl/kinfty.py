@@ -185,7 +185,10 @@ class TruncSeries:
     def digits(self, lo, hi):
         if lo < self.floor:
             raise PrecisionError(f"digits below floor {self.floor} requested")
-        return [self.digit(e) for e in range(lo, hi + 1)]
+        if hi < lo:
+            return []
+        out = list(self.coeffs[lo - self.floor:hi - self.floor + 1])
+        return out + [0] * (hi - lo + 1 - len(out))  # zeros above the top
 
     def poly_part(self):
         if self.floor > 0:

@@ -1,7 +1,11 @@
-"""Seeded generators shared across the test modules."""
+"""Seeded generators and slow reference loops shared across the test modules."""
 from ffweyl.algebra import Field, Poly, poly_from_index
+from ffweyl.contfrac import CFExpansion
+from ffweyl.errors import PrecisionError
+from ffweyl.exponents import lucas_binom
 from ffweyl.expsum import ExpPoly
-from ffweyl.kinfty import RationalK, TruncSeries
+from ffweyl.kinfty import (RationalK, TruncSeries, kadd, kmul_poly, kmul_scalar,
+                           quotient_digits)
 
 
 def field(q, modulus=None):
@@ -43,3 +47,61 @@ def rand_exppoly(rng, F, max_exp=6, max_terms=3, floor=-40, with_const=0.4):
     if rng.random() < with_const:
         coeffs[0] = rand_kelem(rng, F, floor=floor)
     return ExpPoly(F, coeffs)
+
+
+def series_invert(s):
+    """1/s for a series with floor <= 0 and certified order n; result floor is
+    floor - 2n.
+
+    A perturbation of s below its floor moves 1/s by at most q^(floor-1-2n),
+    so digits of the inverse above floor - 2n are trustworthy and nothing
+    deeper is emitted.  With P the polynomial of the digit list and c the
+    inverse of its lead, 1/s = c t^(-floor) / (c P), a monic division.
+    """
+    field = s.field
+    n = s.ord()
+    c = field.inv(s.coeffs[-1])
+    out_floor = s.floor - 2 * n
+    return TruncSeries(field, out_floor, quotient_digits(
+        field.poly_one.shift(-s.floor).scale(c), Poly(field, s.coeffs).scale(c),
+        out_floor, -n))
+
+
+def cf_expand_oracle(alpha, max_terms=64):
+    """Continued-fraction quotients of a truncated series, one inversion per
+    step: each quotient is the polynomial part of the current series, whose
+    fractional part is inverted by a long division for the next one."""
+    if alpha.floor > 0:
+        raise PrecisionError("floor above 0; not even the first quotient is known")
+    cur = alpha
+    quotients = []
+    while True:
+        if len(quotients) == max_terms:
+            stopped = "max-terms"
+            break
+        if cur.floor > 0:
+            stopped = "precision"
+            break
+        quotients.append(cur.poly_part())
+        if cur.floor > -1:
+            stopped = "precision"
+            break
+        tail = cur.frac()
+        if tail.is_zero_to_floor():
+            stopped = "precision"
+            break
+        cur = series_invert(tail)
+    return CFExpansion(tuple(quotients), stopped)
+
+
+def substitute_oracle(f, a, b):
+    """f(a*u + b) with one Lucas binomial per j = 0..r of each exponent r."""
+    p = f.field.p
+    coeffs = {}
+    for r, c in f.terms:
+        for j in range(r + 1):
+            binom = lucas_binom(r, j, p)
+            if binom:
+                term = kmul_scalar(kmul_poly(c, a ** j * b ** (r - j)), binom)
+                coeffs[j] = kadd(coeffs[j], term) if j in coeffs else term
+    return ExpPoly(f.field, coeffs)

@@ -10,9 +10,10 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from ffweyl import cli
+from ffweyl import cli, contfrac
 from ffweyl.cli import main, parse_upoly
 from ffweyl.algebra import parse_poly
+from ffweyl.kinfty import parse_kelem
 from ffweyl.schemas import SCHEMAS
 
 from helpers import field
@@ -116,6 +117,23 @@ def test_csv_emission(capsys):
     assert lines[0].startswith("# ffweyl 0.1.0 command=js")
     assert lines[1] == "N,J,ratio"
     assert lines[2] == "1,2,1"
+
+
+def test_cf_builds_one_convergent_table(capsys, monkeypatch):
+    # every row's quality is read off one table and equals approx_quality
+    calls = []
+    real = contfrac.convergents
+    monkeypatch.setattr(cli, "convergents", lambda cf: calls.append(1) or real(cf))
+    monkeypatch.setattr(contfrac, "convergents", cli.convergents)
+    F3 = field(3)
+    for alpha in ("t^2+1 / t^3+2*t+1", "2*t + t^-1 + 2*t^-2 + t^-5 + t^-7 + O(t^-12)"):
+        del calls[:]
+        rows = run_json(["cf", "--field", "q=3", "--alpha", alpha],
+                        capsys)["result"]["convergents"]
+        assert len(calls) == 1 and len(rows) > 2
+        al = parse_kelem(F3, alpha)
+        for row in rows[:-1]:
+            assert row["quality"] == contfrac.approx_quality(al, row["n"])
 
 
 def test_error_exit_codes(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ffweyl import exponents
 from ffweyl.errors import BudgetError, DomainError
 from ffweyl.exponents import (cal_i, derived_sets, kstar, ktilde, lucas_binom,
                               maximal_elements, preceq, shadow, sprime)
@@ -151,6 +152,26 @@ def test_derived_sets_charge_the_shadow_bound():
     with pytest.raises(BudgetError, match="shadow of 4 points exceeds budget 3"):
         derived_sets({1, 2 ** 40}, 2, budget=3)
     assert derived_sets({1, 2 ** 40}, 2, budget=4).shadow == {1, 2 ** 40}
+
+
+def test_derived_sets_build_one_shadow_and_match_the_parts(monkeypatch):
+    rng = random.Random(17)
+    calls = []
+    real = exponents.shadow
+    monkeypatch.setattr(exponents, "shadow", lambda K, p: calls.append(1) or real(K, p))
+    for p in (2, 3, 5):
+        for _ in range(25):
+            K = set(rng.sample(range(1, 300), rng.randrange(1, 12)))
+            del calls[:]
+            ds = derived_sets(K, p)
+            built = len(calls)
+            assert ds == (shadow(K, p), kstar(K, p), sprime(K, p), ktilde(K, p),
+                          maximal_elements(K, p))
+            # one shadow for the lot, and one more per nonempty core of the peeling
+            rounds, current = 0, frozenset(K)
+            while star := kstar(current, p):
+                rounds, current = rounds + 1, current - star
+            assert built == 1 + rounds
 
 
 def test_derived_sets_bundle():

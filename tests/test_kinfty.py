@@ -127,6 +127,21 @@ def test_series_floor_discipline():
         TruncSeries.from_digits(F3, -2, {-3: 1})
 
 
+def test_series_digits_match_digit():
+    # digits agrees with digit everywhere: above the top, at the floor, on empty ranges
+    rng = random.Random(23)
+    for q in (2, 3, 4, 9):
+        F = field(q)
+        for _ in range(200):
+            floor = rng.randrange(-20, 5)
+            s = rand_series(rng, F, floor, rng.randrange(floor - 2, 8))
+            lo = rng.randrange(floor, 12)
+            hi = rng.randrange(lo - 3, 14)
+            assert s.digits(lo, hi) == [s.digit(e) for e in range(lo, hi + 1)]
+            with pytest.raises(PrecisionError):
+                s.digits(floor - 1, hi)
+
+
 def test_kadd_mixed_and_scalar():
     F3 = field(3)
     al = RationalK(F3.poly_one, F3.poly_t)
