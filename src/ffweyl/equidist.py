@@ -164,8 +164,8 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
             for r, c in f.terms:
                 _check_floor(c, r, N, depth)
         total = field.q ** N
-        traces, sizes = count_stream(
-            (block, None) for _, block in _split_blocks(f, max(D, depth or 1) * m, N, 0, total))
+        traces, sizes = count_stream((block, None) for _, block in _split_blocks(
+            f, max(D, depth or 1) * m, N, 0, total, budget))
         counts = (tuple(row)
                   for block in _twist_counts(traces[:, :D * m], sizes, p) for row in block)
         next(counts)  # the zero twist is not scanned

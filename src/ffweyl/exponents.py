@@ -80,18 +80,20 @@ def _powers(p, top):
         power *= p
 
 
+def below_count(r, p):
+    """prod_i (d_i(r) + 1), the number of j digitwise below r (0 and r included)."""
+    count = 1
+    while r:
+        count *= r % p + 1
+        r //= p
+    return count
+
+
 def _shadow_bound(K, p):
     """An upper bound on the size of the shadow of K, without building it:
-    r has prod_i (d_i(r) + 1) elements digitwise below it, and the shadow lies
+    r has below_count(r, p) elements digitwise below it, and the shadow lies
     in [1, max K]."""
-    count = 0
-    for r in K:
-        below = 1
-        while r:
-            below *= r % p + 1
-            r //= p
-        count += below
-    return min(max(K, default=0), count)
+    return min(max(K, default=0), sum(below_count(r, p) for r in K))
 
 
 def kstar(K, p):

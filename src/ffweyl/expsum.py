@@ -9,19 +9,20 @@ prime (the minimal polynomial of a primitive p-th root of unity over Q is
 
 The character reads one thing from f(x): the trace of its t^-1 digit.  One
 engine computes it for every q, one polynomial per pass, and for the basis
-twists e_k t^s of that polynomial (e_k the element of code p^k): the trace
-of the t^-1 digit of (e_k t^s) f(x) is Tr(e_k d_s), for d_s the digit at
+twists e_k t^s of that polynomial (e_k the element of code p^k): the trace of
+the t^-1 digit of (e_k t^s) f(x) is Tr(e_k d_s), for d_s the digit at
 t^-(1+s) of f(x).  It splits x = x_lo + t^h x_hi with h = N // 2, tabulates
-the coordinates of the powers of x_lo over G_h and of x_hi over G_{N-h}, and
-contracts the tables through Lucas binomials and Hankel blocks of the
-coefficient digits in one float64 (BLAS) product, exact because every call
-checks that its dot products stay within 2^53, and streamed over blocks of
-x_hi rows, so weyl_sum never holds the q^N residues.  A sum reads e_0 = 1
-alone, twisted_sum scales f by its twist, and digit rows read depth log_p(q)
-basis twists, whose traces name each digit through one lookup in a q-entry
-table, as the trace form is nondegenerate.  The direct path (method="direct")
-walks points one by one through plain field arithmetic and is kept only as
-the independent oracle.
+by exponent the powers of x_lo over G_h and of x_hi over G_{N-h} that the
+Lucas pairs read, each one Frobenius step from a smaller one, and contracts
+the tables through Lucas binomials and Hankel blocks of the coefficient
+digits in one float64 (BLAS) product, exact because every call checks that
+its dot products stay within 2^53, and streamed over blocks of x_hi rows, so
+weyl_sum never holds the q^N residues.  A sum reads e_0 = 1 alone,
+twisted_sum scales f by its twist, and digit rows read depth log_p(q) basis
+twists, whose traces name each digit through one lookup in a q-entry table,
+as the trace form is nondegenerate.  The direct path (method="direct") walks
+points one by one through plain field arithmetic and is kept only as the
+independent oracle.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ import numpy as np
 
 from .algebra import Field, check_budget, parse_poly, poly_from_index, power_count
 from .errors import DomainError, PrecisionError
+from .exponents import below_count
 from .kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd, kernel_element,
                      kmul_poly, kmul_scalar, parse_kelem)
 
@@ -308,12 +310,14 @@ def _residues(p, size):
     return table
 
 
-@functools.lru_cache(maxsize=16)
-def _hankel(width):
-    """The read-only (width x width) grid a + b of Hankel positions."""
-    grid = np.add.outer(np.arange(width), np.arange(width))
-    grid.flags.writeable = False
-    return grid
+@functools.lru_cache(maxsize=None)
+def _field_arrays(field):
+    """Read-only muladd[s, a, b] = s + a*b and frobenius[i, c] = c^(p^i), i < m."""
+    muladd = np.array(field._add)[:, np.array(field._mul)]
+    frobenius = np.array([[field.pow(c, field.p ** i) for c in range(field.q)]
+                          for i in range(field.m)])
+    muladd.flags.writeable = frobenius.flags.writeable = False
+    return muladd, frobenius
 
 
 # ---------------------------------------------------------------------------
@@ -323,34 +327,42 @@ def _hankel(width):
 # bilinear form in the coordinates of x_lo^j and x_hi^{r-j}, and one matrix
 # product of a table over G_h with a table over G_{N-h} gives every point.
 
-def _power_table(field, n, top, rows):
-    """Coordinates of x^0, ..., x^top side by side, for the first `rows` points of G_n.
+def _power_table(field, n, exps, rows, budget=None):
+    """Coordinates of x^e, keyed by e, for the first `rows` points of G_n and
+    for e = 0, 1 and each e digitwise below an exponent r of exps, after a
+    charge of below_count(r, p) powers no wider than x^r for each r, or of
+    every power up to max(exps) when that is fewer entries.
 
-    x^j has j * max(n - 1, 0) + 1 coefficients; column m*a + i of its block
-    holds coordinate i of the coefficient of t^a.  Returns the table and the
-    first column of each block (plus the end of the last).
+    x^e has e * max(n - 1, 0) + 1 coefficients; column m*a + i of its block
+    holds coordinate i of the coefficient of t^a.  x^e = x^(e - p^i) x^(p^i)
+    for p^i the lowest nonzero digit place of e, where x^(p^i) is x with each
+    coefficient c raised to c^(p^i) (Frobenius) and moved from t^b to t^(b p^i).
     """
     p, q, m = field.p, field.q, field.m
+    deg, top = max(n - 1, 0), max(exps, default=0)
+    entries = min(sum(below_count(r, p) * (r * deg + 1) for r in exps),
+                  deg * top * (top + 1) // 2 + top + 1)
+    check_budget(rows * m * entries, budget, "power table")
     idx = np.arange(rows)[:, None]
     one = np.zeros((rows, m), dtype=np.int64)
     one[:, 0] = 1
     # the base-p digits of an index are the coordinates of its coefficients;
     # G_0 = {0} still has one (zero) coefficient
-    blocks = [one, idx // p ** np.arange(max(n, 1) * m) % p][:top + 1]
-    if top > 1:
-        muladd = np.array(field._add)[:, np.array(field._mul)]  # [s, a, b] = s + a*b
-        x = prev = idx // q ** np.arange(n) % q  # coefficient codes of x
-        for j in range(2, top + 1):
-            nxt = np.zeros((rows, j * max(n - 1, 0) + 1), dtype=np.int64)
+    table = {0: one, 1: idx // p ** np.arange(max(n, 1) * m) % p}
+    closure = sorted({j for r in exps for j, _ in _lucas_pairs(r, p)} - {0, 1})
+    if closure:
+        muladd, frobenius = _field_arrays(field)
+        x = idx // q ** np.arange(n) % q  # coefficient codes of x
+        codes = {0: one[:, :1], 1: x}
+        for e in closure:
+            i = next(i for i in range(e.bit_length()) if e // p ** i % p)  # lowest nonzero place
+            prev, frob, stride = codes[e - p ** i], frobenius[i % m][x], p ** i
+            codes[e] = nxt = np.zeros((rows, e * deg + 1), dtype=np.int64)
             for b in range(n):
-                window = nxt[:, b:b + prev.shape[1]]
-                window[...] = muladd[window, prev, x[:, b:b + 1]]
-            blocks.append((nxt[:, :, None] // p ** np.arange(m) % p).reshape(rows, -1))
-            prev = nxt
-    starts = [0]
-    for block in blocks:
-        starts.append(starts[-1] + block.shape[1])
-    return np.concatenate(blocks, axis=1), starts
+                window = nxt[:, b * stride:b * stride + prev.shape[1]]
+                window[...] = muladd[window, prev, frob[:, b:b + 1]]
+            table[e] = (nxt[:, :, None] // p ** np.arange(m) % p).reshape(rows, -1)
+    return table
 
 
 def count_rows(rows, weights=None):
@@ -429,7 +441,7 @@ BLOCK = 1 << 16
 FLOAT_EXACT = 1 << 53
 
 
-def _split_blocks(f, width, N, lo, hi):
+def _split_blocks(f, width, N, lo, hi, budget=None):
     """Tr of the t^-1 digit of (e_k t^s f)(x), which is Tr(e_k d_s) for d_s
     the digit at t^-(1+s) of f(x), for each of the first `width` basis
     twists, s-major (member s*m + k), over x in [lo, hi).
@@ -455,12 +467,11 @@ def _split_blocks(f, width, N, lo, hi):
     h = N // 2
     qh = field.q ** h
     first, last = lo // qh, -(-hi // qh)
-    powers, starts = _power_table(field, N - h, max((r for r, _ in f.terms), default=0),
-                                  max(qh, last))
+    powers = _power_table(field, N - h, [r for r, _ in f.terms], max(qh, last), budget)
     lucas = {r: _lucas_pairs(r, p) for r, _ in f.terms}
     # the exponents e = r - j of x_hi that some member reads, and where each sits in k
     ends = sorted({r - j for r, pairs in lucas.items() for j, _ in pairs})
-    k = sum(starts[e + 1] - starts[e] for e in ends)
+    k = sum(powers[e].shape[1] for e in ends)
     if (p - 1) ** 2 * k > FLOAT_EXACT:
         raise DomainError(f"an inner width of {k} at p = {p} is beyond an exact float64 product")
     residue = _residues(p, (p - 1) ** 2 * k + 1)  # of every value the product takes
@@ -469,9 +480,8 @@ def _split_blocks(f, width, N, lo, hi):
     col = 0
     for e in ends:
         offsets[e] = col
-        col += starts[e + 1] - starts[e]
-        highs[:, offsets[e]:col] = powers[first:last, starts[e]:starts[e + 1]]
-    hankel = _hankel((starts[-1] - starts[-2]) // m)
+        col += powers[e].shape[1]
+        highs[:, offsets[e]:col] = powers[e][first:last]
     shift, kappa = np.divmod(np.arange(width), m)
     # The right factor, reduced mod p, as a (k, q^h, width) int64 array.  The
     # term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times a
@@ -482,16 +492,17 @@ def _split_blocks(f, width, N, lo, hi):
         need = -required_floor(r, N)
         digits = np.array(coeff.digits(-need - deepest, -1)[::-1], dtype=np.int64)
         # forms[s, b] = the bilinear form of the digit at -(1+s) of member b
-        forms = _trace_forms(field)[kappa, digits[np.add.outer(np.arange(need), shift)]]
+        place = np.arange(need)
+        forms = _trace_forms(field)[kappa, digits[np.add.outer(place, shift)]]
         for j, c in lucas[r]:
             e = r - j
             la = j * max(h - 1, 0) + 1  # x_lo^j has degree below j*(h-1)+1
-            lb = (starts[e + 1] - starts[e]) // m
-            block = forms[h * e + hankel[:la, :lb]]  # [a, b', member, i', k']
+            lb = powers[e].shape[1] // m
+            block = forms[place[h * e:h * e + la, None] + place[:lb]]  # [a, b', member, i', k']
             block = block.transpose(0, 3, 1, 4, 2).reshape(la * m, -1)
             if c > 1:  # traces are below p already
                 block = c * block % p
-            product = powers[:qh, starts[j]:starts[j] + la * m] @ block
+            product = powers[j][:qh, :la * m] @ block
             right[offsets[e]:offsets[e] + lb * m] += (
                 product.reshape(qh, lb * m, -1).transpose(1, 0, 2))
     right %= p
@@ -533,7 +544,7 @@ def weyl_residues(f, N, lo=0, hi=None, method=None, budget=None):
         trace = np.array(f.field._trace, dtype=np.int64)
         return trace[_digit_rows_direct(f, N, 1, lo, hi)[:, 0]]
     out = np.empty(hi - lo, dtype=np.int64)
-    for start, block in _split_blocks(f, 1, N, lo, hi):
+    for start, block in _split_blocks(f, 1, N, lo, hi, budget):
         out[start - lo:start - lo + len(block)] = block[:, 0]
     return out
 
@@ -547,7 +558,7 @@ def weyl_sum(f, N, lo=0, hi=None, budget=None):
     hi = _check_range(f.field, N, lo, hi, None, budget, "character sum")
     p = f.field.p
     counts = np.zeros(p, dtype=np.int64)
-    for _, block in _split_blocks(f, 1, N, lo, hi):
+    for _, block in _split_blocks(f, 1, N, lo, hi, budget):
         counts += np.bincount(block[:, 0], minlength=p)
     return CharSum(p, tuple(counts.tolist()))
 
@@ -568,7 +579,7 @@ def _digit_row_blocks(f, N, depth, lo=0, hi=None, method=None, budget=None):
     if method == "direct":
         return hi, [(lo, _digit_rows_direct(f, N, depth, lo, hi))]
     return hi, ((start, _trace_digits(field, block))
-                for start, block in _split_blocks(f, depth * field.m, N, lo, hi))
+                for start, block in _split_blocks(f, depth * field.m, N, lo, hi, budget))
 
 
 def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):

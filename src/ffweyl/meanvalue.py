@@ -79,8 +79,8 @@ def js_histogram(K, s, N, field, budget=None):
     """
     exps = _checked(K, s, N, field, budget)
     # the table holds all of G_N, an enumeration under the default budget
-    table, starts = _power_table(field, N, exps[-1], check_power(field.q, N))
-    coords = np.concatenate([table[:, starts[k]:starts[k + 1]] for k in exps], axis=1)
+    table = _power_table(field, N, exps, check_power(field.q, N), budget)
+    coords = np.concatenate([table[k] for k in exps], axis=1)
     unit = count_rows(coords.astype(np.int8))
     counts = (np.zeros((1, coords.shape[1]), dtype=np.int8), np.ones(1, dtype=np.int64))
     for _ in range(s):

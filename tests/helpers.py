@@ -1,4 +1,6 @@
 """Seeded generators and slow reference loops shared across the test modules."""
+import numpy as np
+
 from ffweyl.algebra import Field, Poly, poly_from_index
 from ffweyl.contfrac import CFExpansion
 from ffweyl.errors import PrecisionError
@@ -105,3 +107,32 @@ def substitute_oracle(f, a, b):
                 term = kmul_scalar(kmul_poly(c, a ** j * b ** (r - j)), binom)
                 coeffs[j] = kadd(coeffs[j], term) if j in coeffs else term
     return ExpPoly(f.field, coeffs)
+
+
+def dense_power_table(field, n, top, rows):
+    """Coordinates of x^0, ..., x^top side by side, for the first `rows` points
+    of G_n, each x^j as x^(j-1) * x by one window per coefficient of x.
+
+    x^j has j * max(n - 1, 0) + 1 coefficients; column m*a + i of its block
+    holds coordinate i of the coefficient of t^a.  Returns the table and the
+    first column of each block (plus the end of the last).
+    """
+    p, q, m = field.p, field.q, field.m
+    idx = np.arange(rows)[:, None]
+    one = np.zeros((rows, m), dtype=np.int64)
+    one[:, 0] = 1
+    blocks = [one, idx // p ** np.arange(max(n, 1) * m) % p][:top + 1]
+    if top > 1:
+        muladd = np.array(field._add)[:, np.array(field._mul)]  # [s, a, b] = s + a*b
+        x = prev = idx // q ** np.arange(n) % q  # coefficient codes of x
+        for j in range(2, top + 1):
+            nxt = np.zeros((rows, j * max(n - 1, 0) + 1), dtype=np.int64)
+            for b in range(n):
+                window = nxt[:, b:b + prev.shape[1]]
+                window[...] = muladd[window, prev, x[:, b:b + 1]]
+            blocks.append((nxt[:, :, None] // p ** np.arange(m) % p).reshape(rows, -1))
+            prev = nxt
+    starts = [0]
+    for block in blocks:
+        starts.append(starts[-1] + block.shape[1])
+    return np.concatenate(blocks, axis=1), starts

@@ -13,6 +13,7 @@ import pytest
 from ffweyl import cli, contfrac
 from ffweyl.cli import main, parse_upoly
 from ffweyl.algebra import parse_poly
+from ffweyl.expsum import CharSum, ExpPoly, weyl_residues
 from ffweyl.kinfty import parse_kelem
 from ffweyl.schemas import SCHEMAS
 
@@ -515,6 +516,31 @@ def test_a_huge_shadow_is_refused_before_it_is_built():
     assert code == 3 and not out
     assert json.loads(err) == {"error": {
         "type": "BudgetError", "message": "shadow of 1073741823 points exceeds budget 16777216"}}
+
+
+def _one_term(r):
+    return json.dumps({"field": "q=2", "terms": [{"exp": r, "coeff": {"rat": ["1", "t+1"]}}]})
+
+
+def test_a_high_power_reads_only_its_shadow():
+    # 8192 = 2^13: the engine reads x^0 and x^8192, one Frobenius step apart
+    code, out, err = _run_limited(["weyl", "--field", "q=2", "--N", "3", "--f", _one_term(8192)])
+    assert code == 0, err
+    f = ExpPoly.from_json(json.loads(_one_term(8192)))
+    direct = CharSum.from_residues(2, weyl_residues(f, 3, method="direct"))
+    assert json.loads(out)["result"]["counts"] == list(direct.counts)
+
+
+def test_an_all_ones_exponent_is_refused_before_its_power_table():
+    # 2^20 - 1 has 2^20 exponents digitwise below it
+    start = time.perf_counter()
+    code, out, err = _fresh_process(["weyl", "--field", "q=2", "--N", "3",
+                                     "--f", _one_term((1 << 20) - 1)])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and not out
+    assert json.loads(err) == {"error": {
+        "type": "BudgetError",
+        "message": "power table of 2199025352704 points exceeds budget 16777216"}}
 
 
 @pytest.mark.parametrize("argv", [

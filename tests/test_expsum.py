@@ -17,8 +17,8 @@ from ffweyl.expsum import (CharSum, ExpPoly, count_rows, e_of, fractional_digit_
 from ffweyl.exponents import lucas_binom
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, parse_kelem
 
-from helpers import (field, rand_exppoly, rand_monic, rand_poly, rand_rational, rand_series,
-                     substitute_oracle)
+from helpers import (dense_power_table, field, rand_exppoly, rand_monic, rand_poly,
+                     rand_rational, rand_series, substitute_oracle)
 
 
 def lin(F, alpha):
@@ -446,6 +446,62 @@ def test_lucas_pairs_match_the_binomial_loop():
             assert expsum._lucas_pairs(r, p) == want, (r, p)
 
 
+def test_power_table_matches_the_dense_oracle():
+    rng = random.Random(17)
+    fields = [field(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [
+        field(4, "x^2+x+1"), field(8, "x^3+x^2+1"), field(9, "x^2+x+2")]
+    for F in fields:
+        for n in range(4):
+            rows = min(F.q ** n, 40)
+            for _ in range(4):
+                exps = [0] + rng.sample(range(1, 60), rng.randrange(1, 4))
+                table = expsum._power_table(F, n, exps, rows)
+                below = {j for r in exps for j in range(r + 1) if lucas_binom(r, j, F.p)}
+                assert set(table) == below | {0, 1}, (F, n, exps)
+                dense, starts = dense_power_table(F, n, max(exps), rows)
+                for e, block in table.items():
+                    assert np.array_equal(block, dense[:, starts[e]:starts[e + 1]]), (F, n, e)
+
+
+def test_power_table_builds_only_the_shadow():
+    # 4000 has six nonzero binary digits: 64 powers, not 4001
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        table = expsum._power_table(field(2), 2, [4000], 4)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 0.02-0.06 s and 8 MB; the dense table to x^4000 took 3 s and 490 MB
+    assert elapsed < 0.5 and peak < 32 << 20, (elapsed, peak)
+    assert len(table) == 65 and table[4000].shape == (4, 4001)
+
+
+def test_high_powers_match_the_direct_path():
+    rng = random.Random(18)
+    for q, r in ((2, 2048), (3, 487), (4, 256), (5, 126), (9, 82)):
+        F = field(q)
+        f = ExpPoly(F, {r: rand_rational(rng, F, 3), 1: rand_rational(rng, F, 2)})
+        assert list(weyl_residues(f, 3)) == list(weyl_residues(f, 3, method="direct")), (q, r)
+
+
+def test_power_table_is_charged_before_it_is_built():
+    F2 = field(2)
+    c = RationalK(F2.poly_one, parse_poly(F2, "t+1"))
+    # u^(2^20 - 1) reads 2^20 powers; x^0..x^(2^20 - 1) have 2^19 (2^20 + 1) coefficients
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="^power table of 2199025352704 points"):
+        weyl_sum(ExpPoly(F2, {(1 << 20) - 1: c}), 3)
+    assert time.perf_counter() - start < 0.5
+    # over G_3, 4 rows: u^3 is charged x^0..x^3, 1 + 2 + 3 + 4 coefficients,
+    # and u^8 its 2 powers x^0 and x^8, each charged as wide as x^8
+    for r, entries in ((3, 40), (8, 72)):
+        with pytest.raises(BudgetError, match=f"^power table of {entries} points"):
+            weyl_sum(ExpPoly(F2, {r: c}), 3, budget=entries - 1)
+        assert weyl_sum(ExpPoly(F2, {r: c}), 3, budget=entries).total == 8
+
+
 def test_substitute_matches_the_binomial_loop():
     rng = random.Random(32)
     for q in (2, 3, 4, 5, 7, 8, 9):
@@ -503,10 +559,10 @@ def _record_blocks(monkeypatch, seen):
     (q^(N//2), N, width, blocks) to seen, each block as (start, members, points)."""
     engine = expsum._split_blocks
 
-    def recording(f, width, N, lo, hi):
+    def recording(f, width, N, lo, hi, budget=None):
         blocks = []
         seen.append((f.field.q ** (N // 2), N, width, blocks))
-        for start, block in engine(f, width, N, lo, hi):
+        for start, block in engine(f, width, N, lo, hi, budget):
             blocks.append((start, block.shape[1], len(block)))
             yield start, block
 

@@ -154,3 +154,10 @@ def test_growth_table_checks_every_n_before_any_count():
         growth_table(frozenset({1, 2}), 1, [3, -1, 30], F2)
     assert [row[:2] for row in growth_table(frozenset({1}), 1, range(3, 0, -1), F2)] == \
         [(1, 2), (2, 4), (3, 8)]
+
+
+def test_js_charges_its_power_table():
+    # K' = {1, 3} at p = 2 and N = 18: 2^18 rows of x^0..x^3, 1 + 18 + 35 + 52 coefficients
+    with pytest.raises(BudgetError,
+                       match="^power table of 27787264 points exceeds budget 16777216"):
+        js_histogram([1, 2, 3], 1, 18, field(2))
