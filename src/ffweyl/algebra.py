@@ -56,11 +56,13 @@ class Field:
     """The finite field F_{p^m} with dense element tables.
 
     Instances are immutable and safe to share; all element operations are
-    table lookups plus integer arithmetic.
+    table lookups plus integer arithmetic.  The read-only frobenius[i][c] is
+    c^(p^i), i < m; its last row is the inverse Frobenius c^(q/p).
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_prime", "_mul", "_add", "_neg",
-                 "_inv", "_trace", "poly_zero", "poly_one", "poly_t", "_irr_cache")
+                 "_inv", "_trace", "frobenius", "poly_zero", "poly_one", "poly_t",
+                 "_irr_cache")
 
     def __init__(self, p, m=1, modulus=None):
         if not _is_prime(p):
@@ -100,7 +102,6 @@ class Field:
             self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
             self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
             self._neg = [(-a) % p for a in range(p)]
-            self._trace = list(range(p))
         else:
             # an element's code is the code of its coordinate polynomial
             elems = [poly_from_index(self._prime, a, m) for a in range(q)]
@@ -108,16 +109,13 @@ class Field:
             self._add = [[(a + b).code() for b in elems] for a in elems]
             self._neg = [(-a).code() for a in elems]
             self._mul = [[(a * b % mod).code() for b in elems] for a in elems]
-            trace = []
-            for a in range(q):
-                t, x = 0, a
-                for _ in range(m):
-                    t = self._add[t][x]
-                    x = self._pow_raw(x, p)
-                if t >= p:
-                    raise DomainError("trace left the prime subfield; bad modulus")
-                trace.append(t)
-            self._trace = trace
+        self.frobenius = tuple(tuple(self._pow_raw(c, p ** i) for c in range(q))
+                               for i in range(m))
+        self._trace = [0] * q  # the sum of each column of frobenius
+        for row in self.frobenius:
+            self._trace = [self._add[t][c] for t, c in zip(self._trace, row)]
+        if max(self._trace) >= p:
+            raise DomainError("trace left the prime subfield; bad modulus")
         self._inv = [0] * q
         for a in range(1, q):
             self._inv[a] = next(b for b in range(1, q) if self._mul[a][b] == 1)

@@ -1,5 +1,5 @@
 """Empirical equidistribution evidence: cylinder counts, twisted-sum scans,
-and the prime-field coefficient collapse.
+and the coefficient collapse of p-power exponents.
 
 "Equidistributed" is never reported as a boolean.  A scan produces decaying
 normalized sups (evidence) or a witness twist whose sum is exactly full (a
@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import PRINT_DIGITS, check_budget, gn_size, poly_from_index, power_count
+from .algebra import (PRINT_DIGITS, check_budget, check_power, gn_size, poly_from_index,
+                      power_count)
 from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
 from .exponents import cal_i
@@ -195,16 +196,14 @@ class QPReduction:
 
 
 def reduce_qp(f):
-    """Collapse p-power exponents onto their coprime cores (prime fields only).
+    """Collapse p-power exponents onto their coprime cores.
 
     Raising x to the p-th power permutes nothing new in the character: the
     digit-sampling map converts each coefficient of u^(p^v k) into a
     coefficient of u^k, and the reduced polynomial has identical character
-    values pointwise (the tests enforce this).
+    values pointwise at every q (the tests enforce this).
     """
     field = f.field
-    if field.m != 1:
-        raise DomainError("the reduction requires q = p")
     p = field.p
     support = f.support()
     indices = cal_i(support, p)
@@ -250,14 +249,13 @@ def cor53_probe(f, k, m_bound, cf_bound=8, kappa=2, max_terms=96):
 
     Any hit is a potential obstruction to the irrationality condition; a
     clean scan is only "no obstruction found up to bounds", never a verdict.
+    The q^m_bound twists are charged against the default budget.
     """
     field = f.field
-    if field.m != 1:
-        raise DomainError("the probe requires q = p")
     if k not in cal_i(f.support(), field.p):
         raise DomainError(f"{k} is not an index of the reduction")
     entries = []
-    for mi in range(1, field.q ** m_bound):
+    for mi in range(1, check_power(field.q, m_bound, what="twist walk")):
         m = poly_from_index(field, mi, m_bound)
         collapsed = reduce_qp(f.scale_poly(m)).collapsed[k]
         if isinstance(collapsed, RationalK):

@@ -92,8 +92,13 @@ def below_count(r, p):
 def _shadow_bound(K, p):
     """An upper bound on the size of the shadow of K, without building it:
     r has below_count(r, p) elements digitwise below it, and the shadow lies
-    in [1, max K]."""
-    return min(max(K, default=0), sum(below_count(r, p) for r in K))
+    in [1, max K], so the sum stops once it reaches max K."""
+    top, total = max(K, default=0), 0
+    for r in K:
+        total += below_count(r, p)
+        if total >= top:
+            return top
+    return total
 
 
 def kstar(K, p):

@@ -312,10 +312,9 @@ def _residues(p, size):
 
 @functools.lru_cache(maxsize=None)
 def _field_arrays(field):
-    """Read-only muladd[s, a, b] = s + a*b and frobenius[i, c] = c^(p^i), i < m."""
+    """Read-only muladd[s, a, b] = s + a*b and the field's frobenius table."""
     muladd = np.array(field._add)[:, np.array(field._mul)]
-    frobenius = np.array([[field.pow(c, field.p ** i) for c in range(field.q)]
-                          for i in range(field.m)])
+    frobenius = np.array(field.frobenius)
     muladd.flags.writeable = frobenius.flags.writeable = False
     return muladd, frobenius
 

@@ -9,7 +9,9 @@ unknown digit raises PrecisionError rather than zero-filling.
 
 The floor convention: the digit at the floor exponent itself is stored and
 trusted; unknowns start strictly below it.  In text form the floor is the
-exponent of the O-term, as in ``t^2 + 1 + 2*t^-1 + O(t^-12)``.
+exponent of the O-term, as in ``t^2 + 1 + 2*t^-1 + O(t^-12)``.  The
+digit-sampling map T (tmap) has Tr res(alpha y^p) = Tr res(T(alpha) y) for
+every polynomial y at every q; at q = p it is plain digit sampling.
 """
 from __future__ import annotations
 
@@ -347,10 +349,13 @@ def frac_ord_vs(alpha, N):
 
 
 # ---------------------------------------------------------------------------
-# The digit-sampling map T(alpha) = a_{-1} t^-1 + a_{-p-1} t^-2 + ...
+# The digit-sampling map T(alpha) = s(a_{-1}) t^-1 + s(a_{-p-1}) t^-2 + ...,
+# for s(c) = c^(q/p) the inverse Frobenius.
 
 def tmap(alpha, v=1):
-    """v-fold application of the digit-sampling map (exact on rationals)."""
+    """v-fold application of the digit-sampling map T (exact on rationals):
+    Tr res(alpha y^p) = Tr res(T(alpha) y) for every polynomial y at every q,
+    and at q = p, T is plain digit sampling."""
     if v < 0:
         raise DomainError("negative iteration count")
     out = alpha
@@ -364,7 +369,7 @@ def tmap(alpha, v=1):
 
 def _tmap_rational(a):
     field = a.field
-    p = field.p
+    p, unfrob = field.p, field.frobenius[-1]
     den = a.den
     b = a.num % den
     if b.is_zero():
@@ -376,7 +381,7 @@ def _tmap_rational(a):
     s = b
     while s not in seen:
         seen[s] = len(digits)
-        digits.append(s.coeff(D - 1))
+        digits.append(unfrob[s.coeff(D - 1)])
         s = (s * u) % den
     mu = seen[s]
     lam = len(digits) - mu
@@ -394,11 +399,11 @@ def _tmap_rational(a):
 
 def _tmap_series(a):
     field = a.field
-    p = field.p
+    p, unfrob = field.p, field.frobenius[-1]
     if a.floor > -1:
         raise PrecisionError("no sampled digit is above the floor")
     J = (-a.floor - 1) // p + 1
-    out = {-j: a.digit(-((j - 1) * p + 1)) for j in range(1, J + 1)}
+    out = {-j: unfrob[a.digit(-((j - 1) * p + 1))] for j in range(1, J + 1)}
     return TruncSeries.from_digits(field, -J, out)
 
 

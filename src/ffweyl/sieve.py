@@ -186,18 +186,19 @@ def difference_search(A, phi, x_bound, budget=None):
     """First (a, a', x) with a - a' = phi(x) != 0, or None within the bound.
 
     Scan order is deterministic: x in enumeration order, then a by code.
-    A None is a bounded-search report, not a disproof.
+    A None is a bounded-search report, not a disproof.  The budget is
+    charged the |A| * q^x_bound pair tests.
     """
     if len(A.elems) < 2:
         raise DomainError("the dense set needs at least two elements")
     field = A.field
-    check_budget(gn_size(field, x_bound, budget, "difference search"), budget,
-                 "difference search")
+    check_budget(len(A.elems) * gn_size(field, x_bound, budget, "difference search"),
+                 budget, "difference search")
     elems = sorted(A.elems, key=lambda v: v.code())
     elem_set = A.elems
     exps = sorted(r for r in phi if r >= 1 and not phi[r].is_zero())
     const = phi.get(0, field.poly_zero)
-    for x in enumerate_GN(field, x_bound):
+    for x in enumerate_GN(field, x_bound, budget):
         val = const
         for r in exps:
             val = val + phi[r] * x ** r

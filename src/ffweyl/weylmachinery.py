@@ -216,7 +216,7 @@ def kth_power_classes(g, k, budget=None):
         raise DomainError("zero modulus")
     field = g.field
     check_power(field.q, max(g.deg, 0), budget, "residue split")
-    units = [x for x in enumerate_GN(field, max(g.deg, 0))
+    units = [x for x in enumerate_GN(field, max(g.deg, 0), budget)
              if poly_gcd(x, g) == field.poly_one]
     return [tuple(c) for c in split_by_kth_power(units, g, k)]
 

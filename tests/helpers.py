@@ -14,6 +14,12 @@ def field(q, modulus=None):
     return Field.parse(f"q={q}" if modulus is None else f"q={q} modulus={modulus}")
 
 
+def every_field():
+    """The seven supported q and the two non-default moduli."""
+    return [field(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [
+        field(8, "x^3+x^2+1"), field(9, "x^2+x+2")]
+
+
 def rand_poly(rng, F, max_deg):
     return poly_from_index(F, rng.randrange(F.q ** (max_deg + 1)), max_deg + 1)
 
@@ -34,6 +40,16 @@ def rand_rational(rng, F, max_deg):
 def rand_series(rng, F, floor, top=1):
     return TruncSeries.from_digits(
         F, floor, {e: rng.randrange(F.q) for e in range(floor, top + 1)})
+
+
+def rand_completion(rng, s):
+    """s with 1 to 11 random digits added below its floor (rationals as they are)."""
+    if isinstance(s, RationalK):
+        return s
+    floor = s.floor - rng.randrange(1, 12)
+    return TruncSeries.from_digits(s.field, floor, {
+        e: s.digit(e) if e >= s.floor else rng.randrange(s.field.q)
+        for e in range(floor, s.top + 1)})
 
 
 def rand_kelem(rng, F, max_deg=3, floor=-40):

@@ -187,6 +187,27 @@ def test_residue_class_sets_are_charged_against_the_budget(capsys):
     assert run_json(argv, capsys)["result"]["density"] == "1/4"
 
 
+def test_the_difference_search_is_charged_for_its_pair_tests(capsys):
+    # 2048 elements times 2^6 values of x: 131072 pair tests, refused at once
+    start = time.perf_counter()
+    code, out, err = run_cli(["intersective", "--field", "q=2", "--phi", "t^12*u",
+                              "--A", '{"mod":"t","residues":["0"]}', "--N", "12",
+                              "--xbound", "6", "--budget", "5000"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and not out
+    assert json.loads(err)["error"] == {
+        "type": "BudgetError",
+        "message": "difference search of 131072 points exceeds budget 5000"}
+
+
+def test_the_difference_search_walks_with_the_callers_budget(capsys):
+    # 4 * 2^25 pair tests fit the budget, and so do the 2^25 values of x
+    doc = run_json(["intersective", "--field", "q=2", "--phi", "u",
+                    "--A", '{"elems":["0","1","t","t+1"]}', "--N", "2",
+                    "--xbound", "25", "--budget", "268435456"], capsys)
+    assert doc["result"]["witness"] == {"a": "0", "a_prime": "1", "x": "1", "value": "1"}
+
+
 def test_unknown_emit_keys_are_refused_before_any_set_is_derived(capsys):
     # deriving the sets of 1..4000 takes tens of seconds
     start = time.perf_counter()

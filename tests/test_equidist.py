@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,13 @@ from ffweyl import equidist, expsum
 from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
 from ffweyl.equidist import (CylinderTable, cor53_probe, cylinder_counts, discrepancy,
                              reduce_qp, refine_to_parent, weyl_scan)
-from ffweyl.errors import DomainError, PrecisionError
+from ffweyl.errors import BudgetError, DomainError, PrecisionError
 from ffweyl.expsum import CharSum, ExpPoly, required_floor, twisted_sum, weyl_residues
 from ffweyl.kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd,
                            kernel_element, kmul_poly, tmap)
 
-from helpers import (field, rand_exppoly, rand_nonzero_poly, rand_poly,
-                     rand_rational, rand_series)
+from helpers import (every_field, field, rand_completion, rand_exppoly, rand_nonzero_poly,
+                     rand_poly, rand_rational, rand_series)
 
 
 def test_cylinder_examples():
@@ -296,8 +297,14 @@ def test_reduce_qp_examples():
     t_ker = tmap(ker)
     assert [out.digit(e) for e in range(out.floor, 0)] == \
         [t_ker.digit(e) for e in range(out.floor, 0)]
-    with pytest.raises(DomainError):
-        reduce_qp(ExpPoly(field(4), {1: RationalK(field(4).poly_one)}))
+    # at q = 4 the collapse passes the sampled digit x through x^(q/p) = x + 1
+    F4 = field(4)
+    f = ExpPoly(F4, {2: RationalK(Poly(F4, (2,)), F4.poly_t)})
+    red = reduce_qp(f)
+    assert red.indices == {1}
+    assert red.collapsed[1] == RationalK(Poly(F4, (3,)), F4.poly_t)
+    for N in (1, 2, 3):
+        assert (weyl_residues(f, N) == weyl_residues(red.reduced, N)).all()
 
 
 def test_reduce_qp_mixed_terms():
@@ -321,6 +328,31 @@ def test_reduce_qp_identity_fuzz():
         N = rng.randrange(1, 4)
         red = reduce_qp(f)
         assert (weyl_residues(f, N) == weyl_residues(red.reduced, N)).all()
+    # every q, N = 1..3: the collapse passes each sampled digit through c^(q/p)
+    rng = random.Random(63)
+    for F in every_field():
+        for _ in range(40):
+            f = rand_exppoly(rng, F, max_exp=9, floor=-64)
+            red = reduce_qp(f)
+            for N in (1, 2, 3):
+                assert (weyl_residues(f, N) == weyl_residues(red.reduced, N)).all(), (F, f, N)
+
+
+def test_reduce_qp_is_invariant_under_completion():
+    # completing each series coefficient below its floor keeps every digit
+    # that the collapse of the truncated polynomial certifies
+    rng = random.Random(64)
+    for F in every_field():
+        for _ in range(10):
+            f = rand_exppoly(rng, F, max_exp=9, floor=-30)
+            red = reduce_qp(f)
+            full = reduce_qp(ExpPoly(F, {r: rand_completion(rng, c) for r, c in f.terms}))
+            assert red.indices == full.indices
+            for k, c in red.collapsed.items():
+                if isinstance(c, RationalK):
+                    assert full.collapsed[k] == c
+                else:
+                    assert full.collapsed[k].digits(c.floor, c.top) == c.digits(c.floor, c.top)
 
 
 def test_cor53_probe_cases():
@@ -341,3 +373,29 @@ def test_cor53_probe_cases():
     assert rep.clear, [(e.m, e.status) for e in rep.entries]
     with pytest.raises(DomainError):
         cor53_probe(f, 3, 1)
+
+
+def test_cor53_probe_at_extension_fields():
+    statuses = {"rational", "zero", "cf-match", "clear", "inconclusive"}
+    rng = random.Random(8)
+    for q in (4, 9):
+        F = field(q)
+        twists = [str(poly_from_index(F, mi, 1)) for mi in range(1, q)]
+        f = ExpPoly(F, {r: TruncSeries.from_digits(
+            F, -90, {e: rng.randrange(q) for e in range(-90, 0)}) for r in (1, F.p)})
+        rep = cor53_probe(f, 1, 1, cf_bound=6)
+        assert [e.m for e in rep.entries] == twists
+        assert {e.status for e in rep.entries} <= statuses
+        # a kernel coefficient at the characteristic exponent collapses to zero
+        f = ExpPoly(F, {F.p: kernel_element(F, -50, 3)})
+        rep = cor53_probe(f, 1, 1)
+        assert [(e.m, e.status) for e in rep.entries] == [(m, "zero") for m in twists]
+
+
+def test_cor53_probe_charges_its_twist_walk():
+    F2 = field(2)
+    f = ExpPoly(F2, {1: RationalK(F2.poly_one, parse_poly(F2, "t^2+t+1"))})
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="^twist walk of 1073741824 points exceeds budget"):
+        cor53_probe(f, 1, 30)
+    assert time.perf_counter() - start < 1

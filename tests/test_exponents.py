@@ -154,6 +154,20 @@ def test_derived_sets_charge_the_shadow_bound():
     assert derived_sets({1, 2 ** 40}, 2, budget=4).shadow == {1, 2 ** 40}
 
 
+def test_shadow_bound_stops_at_max_k(monkeypatch):
+    calls = []
+    real = exponents.below_count
+    monkeypatch.setattr(exponents, "below_count", lambda r, p: calls.append(r) or real(r, p))
+    assert exponents._shadow_bound(range(1, 100001), 2) == 100000
+    assert len(calls) < 100000
+    rng = random.Random(18)
+    for p in (2, 3, 5):
+        for _ in range(50):
+            K = set(rng.sample(range(1, 3000), rng.randrange(1, 6)))
+            assert exponents._shadow_bound(K, p) == \
+                min(max(K), sum(real(r, p) for r in K))
+
+
 def test_derived_sets_build_one_shadow_and_match_the_parts(monkeypatch):
     rng = random.Random(17)
     calls = []

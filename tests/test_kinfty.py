@@ -9,7 +9,8 @@ from ffweyl.kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd,
                            kernel_element, kmul, kmul_poly, kmul_scalar,
                            ord_norm, ord_vs, parse_kelem, tmap, truncate)
 
-from helpers import field, rand_poly, rand_rational, rand_series
+from helpers import (every_field, field, rand_completion, rand_poly, rand_rational,
+                     rand_series)
 
 
 def test_ord_norm_examples():
@@ -182,6 +183,46 @@ def test_tmap_rational_vs_series_fuzz():
         sampled2 = tmap(al.expand(-40), 2)
         assert exact2.digits(sampled2.floor, -1) == \
             [sampled2.digit(e) for e in range(sampled2.floor, 0)]
+    # every q: at q = p^m, m > 1, both paths pass each sampled digit through c^(q/p)
+    rng = random.Random(74)
+    for F in every_field():
+        for _ in range(20):
+            al = rand_rational(rng, F, 4)
+            for v in (1, 2):
+                exact = tmap(al, v)
+                sampled = tmap(al.expand(-40), v)
+                assert exact.digits(sampled.floor, -1) == \
+                    [sampled.digit(e) for e in range(sampled.floor, 0)]
+
+
+def test_tmap_is_adjoint_to_the_pth_power():
+    # Tr res(alpha y^p) = Tr res(T(alpha) y) for every polynomial y, at every q
+    rng = random.Random(72)
+    for F in every_field():
+        for _ in range(80):
+            al = rand_rational(rng, F, 4) if rng.random() < 0.5 else rand_series(rng, F, -40)
+            y = rand_poly(rng, F, 3)
+            lhs = kmul_poly(al, y ** F.p).digit(-1)
+            rhs = kmul_poly(tmap(al), y).digit(-1)
+            assert F.trace(lhs) == F.trace(rhs), (F, al, y)
+
+
+def test_tmap_is_invariant_under_completion():
+    # a series and any completion below its floor: either T of the series is
+    # refused, or both agree on every digit the first one certifies
+    rng = random.Random(73)
+    for F in every_field():
+        for _ in range(20):
+            s = rand_series(rng, F, rng.randrange(-30, 1))
+            completion = rand_completion(rng, s)
+            for v in (1, 2):
+                try:
+                    out = tmap(s, v)
+                except PrecisionError:
+                    continue
+                full = tmap(completion, v)
+                assert [out.digit(e) for e in range(out.floor, 0)] == \
+                    [full.digit(e) for e in range(out.floor, 0)]
 
 
 def test_tmap_linearity_exact():

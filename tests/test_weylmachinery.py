@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ffweyl import algebra
 from ffweyl.algebra import (NEG_INF, Poly, enumerate_GN, irreducibles,
                             parse_poly, poly_from_index)
 from ffweyl.errors import (BudgetError, DomainError, FFWeylError, HypothesisError,
@@ -156,6 +157,14 @@ def test_kth_power_classes_examples():
     assert classes == [(F3.poly_one,), (Poly(F3, (2,)),)]
     assert len(kth_power_classes(F3.poly_t, 1)) == 1
     assert kth_power_classes(F3.poly_one, 4) == [(F3.poly_zero,)]
+
+
+def test_kth_power_classes_walk_with_the_callers_budget(monkeypatch):
+    monkeypatch.setattr(algebra, "DEFAULT_BUDGET", 8)
+    F2 = field(2)
+    g = parse_poly(F2, "t^4+t+1")
+    classes = kth_power_classes(g, 3, budget=100)
+    assert sorted(x.code() for c in classes for x in c) == list(range(1, 16))
 
 
 def test_kth_power_classes_property_fuzz():
