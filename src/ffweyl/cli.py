@@ -22,7 +22,7 @@ from .expsum import ExpPoly, twisted_sum, weyl_sum
 from .exponents import derived_sets
 from .kinfty import parse_kelem
 from .meanvalue import growth_table, profile
-from .sieve import DenseSet, difference_search, gm_build, t_mn
+from .sieve import DenseSet, difference_search, gm_build, t_mn_rows
 from .weylmachinery import minor_arc_probe
 
 EXIT_OK = 0
@@ -291,11 +291,10 @@ def _cmd_sieve_tmn(args):
     phi = parse_upoly(field, args.phi)
     alpha = parse_kelem(field, args.alpha)
     gm = gm_build(field, args.M, phi, mode=args.mode, budget=args.budget)
-    rows = []
-    for N in _parse_int_list(args.N):
-        r = t_mn(phi, alpha, args.M, N, field, gm=gm, budget=args.budget)
-        rows.append({"N": N, "normalized": _fmt_float(r.normalized),
-                     "exact_one": r.exact_one})
+    N_list = _parse_int_list(args.N)
+    results = t_mn_rows(phi, alpha, args.M, N_list, field, gm=gm, budget=args.budget)
+    rows = [{"N": N, "normalized": _fmt_float(r.normalized), "exact_one": r.exact_one}
+            for N, r in zip(N_list, results)]
     result = {"modulus_degree": gm.modulus.deg, "mode": gm.mode,
               "root": None if gm.root is None else str(gm.root), "rows": rows}
     csv = [(r["N"], _fmt_float_str(r["normalized"]), r["exact_one"]) for r in rows]

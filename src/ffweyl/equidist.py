@@ -7,6 +7,7 @@ finite disproof certificate at that N); only the latter is ever definitive.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
 from .exponents import cal_i
 from .expsum import (BLOCK, CharSum, ExpPoly, _check_floor, _digit_row_blocks,
-                     _split_blocks, _trace_digits, count_rows, count_stream)
+                     _pass_checks, _split_blocks, _trace_digits, count_rows,
+                     count_stream, prefix_segments)
 from .kinfty import RationalK, kadd, tmap
 
 
@@ -124,6 +126,29 @@ def _twist_counts(traces, sizes, p):
         yield ((res[:, None] == np.arange(p)[:, None]) @ sizes).tolist()
 
 
+def _scan_row(field, N, D, depth, traces, sizes):
+    """The ScanRow of G_N, whose distinct rows of the first max(D, depth)
+    log_p(q) basis-twist traces are traces, with sizes copies each: every
+    twist histogram and the cylinder counts are read off those counts."""
+    p, m = field.p, field.m
+    counts = (tuple(row) for block in _twist_counts(traces[:, :D * m], sizes, p) for row in block)
+    next(counts)  # the zero twist is not scanned
+    first = {}  # each distinct histogram -> the first twist that has it
+    for mi, row in enumerate(counts, 1):
+        first.setdefault(row, mi)
+    hists = [(CharSum(p, row), mi) for row, mi in first.items()]
+    sup = max(hist.normalized() for hist, _ in hists)
+    witness = next((str(poly_from_index(field, mi, D))
+                    for hist, mi in hists if hist.is_full()), None)
+    disc = None
+    if depth is not None:
+        prefixes = _trace_digits(field, traces[:, :depth * m])
+        if D > depth:  # rows that differ past the depth share a prefix
+            prefixes, sizes = count_rows(prefixes, sizes)
+        disc = discrepancy(_table(depth, field.q ** N, (prefixes, sizes)), q=field.q)
+    return ScanRow(N, sup, witness, disc)
+
+
 def weyl_scan(f, N_list, D, depth=None, budget=None):
     """Per-N sup over nonzero twists m in G_D of |sum e(m f)| / q^N.
 
@@ -134,18 +159,21 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
     PRINT_DIGITS digits or more is refused: a discrepancy's reduced
     denominator can be q^depth, too long to print.
 
-    Each N takes one engine pass over the basis twists e_k t^s with
-    s < max(D, depth), counts the distinct rows of their traces, and reads
-    every twist histogram and the cylinder counts off those counts.  Each N
-    checks the floors of its twists in index order before its depth, so it
-    raises as twisted_sum and then cylinder_counts would.
+    Every N is checked before any sum, in ascending order: the floors of its
+    twists in index order, then its depth, then the rest of its engine
+    pass, so the scan raises as twisted_sum and then cylinder_counts would
+    N by N.  One engine pass over G_{max N} then reads the basis twists
+    e_k t^s with s < max(D, depth), and prefix_segments cuts it at each q^N.
+    The distinct rows of their traces are counted segment by segment into
+    running counts, off which each N reads every twist histogram and the
+    cylinder counts.
     """
     if D < 1:
         raise DomainError("the twist bound D must be positive")
     if depth is not None and depth < 1:
         raise DomainError("depth must be at least 1")
     field = f.field
-    p, m = field.p, field.m
+    m = field.m
     points = sum(gn_size(field, N, budget, "twist scan") for N in N_list)
     check_budget(points * (power_count(field.q, D, budget, "twist scan") - 1),
                  budget, "twist scan")
@@ -156,7 +184,7 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
         if field.q ** min(depth, 4 * PRINT_DIGITS) >= 10 ** (PRINT_DIGITS - 1):
             raise DomainError(f"the depth-{depth} discrepancy denominator "
                               f"{field.q}^{depth} has at least {PRINT_DIGITS} digits")
-    rows = []
+    width = max(D, depth or 1) * m
     for N in sorted(N_list):
         for d in range(D):  # the twists of degree d read d digits deeper
             for r, c in f.terms:
@@ -164,28 +192,18 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
         if depth is not None:
             for r, c in f.terms:
                 _check_floor(c, r, N, depth)
-        total = field.q ** N
-        traces, sizes = count_stream((block, None) for _, block in _split_blocks(
-            f, max(D, depth or 1) * m, N, 0, total, budget))
-        counts = (tuple(row)
-                  for block in _twist_counts(traces[:, :D * m], sizes, p) for row in block)
-        next(counts)  # the zero twist is not scanned
-        first = {}  # each distinct histogram -> the first twist that has it
-        for mi, row in enumerate(counts, 1):
-            first.setdefault(row, mi)
-        hists = [(CharSum(p, row), mi) for row, mi in first.items()]
-        sup = max(hist.normalized() for hist, _ in hists)
-        witness = next((str(poly_from_index(field, mi, D))
-                        for hist, mi in hists if hist.is_full()), None)
-        disc = None
-        if depth is not None:
-            prefixes = _trace_digits(field, traces[:, :depth * m])
-            if D > depth:  # rows that differ past the depth share a prefix
-                prefixes, sizes = count_rows(prefixes, sizes)
-            disc = discrepancy(_table(depth, total, (prefixes, sizes)), q=field.q)
-        rows.append(ScanRow(N, sup, witness, disc))
+        _pass_checks(f, width, N, 0, field.q ** N, budget)
+    Ns = sorted(set(N_list))
+    found = {}
+    counted = []  # the distinct trace rows of G_N and their counts
+    if Ns:
+        blocks = _split_blocks(f, width, Ns[-1], 0, field.q ** Ns[-1], budget)
+        for N, segment in zip(Ns, prefix_segments(blocks, [field.q ** N for N in Ns])):
+            counted = [count_stream(itertools.chain(counted, ((b, None) for b in segment)))]
+            found[N] = _scan_row(field, N, D, depth, *counted[0])
+    rows = tuple(found[N] for N in sorted(N_list))
     flags = {"failure_certificate": any(r.witness is not None for r in rows)}
-    return Verdict(tuple(rows), flags)
+    return Verdict(rows, flags)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,11 +328,20 @@ def _field_arrays(field):
 # bilinear form in the coordinates of x_lo^j and x_hi^{r-j}, and one matrix
 # product of a table over G_h with a table over G_{N-h} gives every point.
 
-def _power_table(field, n, exps, rows, budget=None):
+def _charge_power_table(field, n, exps, rows, budget=None):
+    """The charge of _power_table(field, n, exps, rows): below_count(r, p)
+    powers no wider than x^r for each r of exps, or every power up to
+    max(exps) when that is fewer entries, at each of the rows points."""
+    p, deg, top = field.p, max(n - 1, 0), max(exps, default=0)
+    entries = min(sum(below_count(r, p) * (r * deg + 1) for r in exps),
+                  deg * top * (top + 1) // 2 + top + 1)
+    check_budget(rows * field.m * entries, budget, "power table")
+
+
+def _power_table(field, n, exps, rows):
     """Coordinates of x^e, keyed by e, for the first `rows` points of G_n and
-    for e = 0, 1 and each e digitwise below an exponent r of exps, after a
-    charge of below_count(r, p) powers no wider than x^r for each r, or of
-    every power up to max(exps) when that is fewer entries.
+    for e = 0, 1 and each e digitwise below an exponent r of exps; callers
+    charge it first with _charge_power_table.
 
     x^e has e * max(n - 1, 0) + 1 coefficients; column m*a + i of its block
     holds coordinate i of the coefficient of t^a.  x^e = x^(e - p^i) x^(p^i)
@@ -338,10 +349,7 @@ def _power_table(field, n, exps, rows, budget=None):
     coefficient c raised to c^(p^i) (Frobenius) and moved from t^b to t^(b p^i).
     """
     p, q, m = field.p, field.q, field.m
-    deg, top = max(n - 1, 0), max(exps, default=0)
-    entries = min(sum(below_count(r, p) * (r * deg + 1) for r in exps),
-                  deg * top * (top + 1) // 2 + top + 1)
-    check_budget(rows * m * entries, budget, "power table")
+    deg = max(n - 1, 0)
     idx = np.arange(rows)[:, None]
     one = np.zeros((rows, m), dtype=np.int64)
     one[:, 0] = 1
@@ -440,6 +448,25 @@ BLOCK = 1 << 16
 FLOAT_EXACT = 1 << 53
 
 
+def _pass_checks(f, width, N, lo, hi, budget=None):
+    """Every check _split_blocks(f, width, N, lo, hi, budget) makes before its
+    first block: the floors for depth (width - 1) // m + 1, the charge of its
+    power table, and the float64 bound on its inner width."""
+    field = f.field
+    p, m = field.p, field.m
+    for r, c in f.terms:
+        _check_floor(c, r, N, (width - 1) // m + 1)
+    h = N // 2
+    qh = field.q ** h
+    exps = [r for r, _ in f.terms]
+    _charge_power_table(field, N - h, exps, max(qh, -(-hi // qh)), budget)
+    # x_hi^e has e * deg + 1 coefficients of m coordinates
+    deg = max(N - h - 1, 0)
+    k = m * sum(e * deg + 1 for e in {r - j for r in exps for j, _ in _lucas_pairs(r, p)})
+    if (p - 1) ** 2 * k > FLOAT_EXACT:
+        raise DomainError(f"an inner width of {k} at p = {p} is beyond an exact float64 product")
+
+
 def _split_blocks(f, width, N, lo, hi, budget=None):
     """Tr of the t^-1 digit of (e_k t^s f)(x), which is Tr(e_k d_s) for d_s
     the digit at t^-(1+s) of f(x), for each of the first `width` basis
@@ -450,29 +477,26 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
     members, and no block holds more than BLOCK entries unless one row of
     x_hi is already larger.  Member s*m + k reads s digits deeper than the
     character, so the floors are first checked as for depth
-    (width - 1) // m + 1.
+    (width - 1) // m + 1, with the rest of _pass_checks.
     The factors come from one digit vector per term and one int64 product
     per Lucas pair for all members; they form the right side of a float64
     product whose rows are the coordinates of x_hi^e.  Every table entry is
     a coordinate below p, and every factor entry is reduced mod p, so each
     dot product is at most (p - 1)^2 * k for the inner width k; that stays
-    within 2^53, where float64 is exact, or the call raises first.
+    within 2^53, where float64 is exact, or the checks raise first.
     """
+    _pass_checks(f, width, N, lo, hi, budget)
     field = f.field
     p, m = field.p, field.m
     deepest = (width - 1) // m
-    for r, c in f.terms:
-        _check_floor(c, r, N, deepest + 1)
     h = N // 2
     qh = field.q ** h
     first, last = lo // qh, -(-hi // qh)
-    powers = _power_table(field, N - h, [r for r, _ in f.terms], max(qh, last), budget)
+    powers = _power_table(field, N - h, [r for r, _ in f.terms], max(qh, last))
     lucas = {r: _lucas_pairs(r, p) for r, _ in f.terms}
     # the exponents e = r - j of x_hi that some member reads, and where each sits in k
     ends = sorted({r - j for r, pairs in lucas.items() for j, _ in pairs})
     k = sum(powers[e].shape[1] for e in ends)
-    if (p - 1) ** 2 * k > FLOAT_EXACT:
-        raise DomainError(f"an inner width of {k} at p = {p} is beyond an exact float64 product")
     residue = _residues(p, (p - 1) ** 2 * k + 1)  # of every value the product takes
     offsets = {}
     highs = np.empty((last - first, k))  # the left factor: x_hi^e for every e read
@@ -514,6 +538,32 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
         out = residue[out].reshape(-1, width)
         a, b = max(lo, r0 * qh), min(hi, r1 * qh)
         yield a, out[a - r0 * qh:b - r0 * qh]
+
+
+def prefix_segments(blocks, bounds):
+    """The (start, block) stream of a pass over the indices 0, 1, ...,
+    bounds[-1] - 1, cut into one segment per bound of the strictly
+    ascending bounds: segment i streams the blocks of the indices from
+    bounds[i - 1] (from 0 for i = 0) up to bounds[i], and a block is split
+    where a bound falls inside it.  Each segment must be drawn before the
+    next, and none is held whole.
+
+    The index of G_N puts the constant term fastest, so G_N is the first
+    q^N points of every larger G_N', at the same indices: one pass over
+    G_{max N}, cut at each q^N, serves every N.
+    """
+    def cut():
+        i = 0
+        for start, block in blocks:
+            while start + len(block) > bounds[i]:
+                head = bounds[i] - start
+                if head:
+                    yield i, block[:head]
+                start, block, i = bounds[i], block[head:], i + 1
+            yield i, block
+
+    for _, group in itertools.groupby(cut(), key=operator.itemgetter(0)):
+        yield (block for _, block in group)
 
 
 # ---------------------------------------------------------------------------

@@ -108,31 +108,30 @@ class RationalK:
 def quotient_digits(num, den, lo, hi):
     """Digit codes of num/den at exponents lo..hi inclusive, ascending; den monic.
 
-    Long division on code lists: before the digit at t^e is read, the register
-    s holds floor(num / t^(e+1)) mod den, whose top code is that digit.
-    Stepping to t^(e-1) shifts s up, brings in the coefficient of num at t^e
-    and cancels the top against den; only the top e - lo codes are kept,
-    because the digits left to read never reach the others.
+    For D = deg den, den * (num/den) = num read at t^(e+D) gives the
+    recurrence d_e = num_(e+D) - sum_(j<D) den_j d_(e+D-j), so each digit
+    follows from the D above it by field-table lookups.  The D digits above
+    top = max(hi, -1) start it: they are the low coefficients of
+    floor(num / t^(top+1)) // den, the polynomial part of num / (den t^(top+1)).
     """
     if hi < lo:
         return []
     D = den.deg
     if D == 0:  # den = 1
         return [num.coeff(e) for e in range(lo, hi + 1)]
-    fa, fm, fn = den.field._add, den.field._mul, den.field._neg
+    field = den.field
+    fa, fm, fn = field._add, field._mul, field._neg
     top = max(hi, -1)
-    s = num.coeffs[top + 1:]  # already reduced when its degree is below den's
-    s = list(s if len(s) <= D else (Poly(den.field, s) % den).coeffs)
-    s += [0] * (D - len(s))
-    out = []
+    start = (Poly(field, num.coeffs[top + 1:]) // den).coeffs[:D]
+    digits = [0] * (D - len(start)) + list(start[::-1])  # d_(top+D), ..., d_(top+1)
+    rows = [fm[fn[c]] for c in den.coeffs[:D]]  # multiplication by -den_j
+    coeffs = num.coeffs
     for e in range(top, lo - 1, -1):
-        c = s[-1]
-        out.append(c)
-        w = min(D, e - lo)
-        row = fm[c]
-        s = [fa[a][fn[row[b]]]
-             for a, b in zip(([num.coeff(e)] + s)[-w - 1:-1], den.coeffs[D - w:D])]
-    return out[top - hi:][::-1]
+        acc = coeffs[e + D] if 0 <= e + D < len(coeffs) else 0
+        for row, c in zip(rows, digits[-D:]):  # d_(e+D-j) for j = 0..D-1
+            acc = fa[acc][row[c]]
+        digits.append(acc)
+    return digits[top + D - hi:][::-1]
 
 
 class TruncSeries:

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import check_power, enumerate_GN
 from .errors import DomainError
 from .exponents import check_positive, sprime
-from .expsum import BLOCK, _power_table, count_rows, count_stream
+from .expsum import BLOCK, _charge_power_table, _power_table, count_rows, count_stream
 
 #: The naive scan enumerates q^(2sN) tuples; keep it oracle-sized.
 NAIVE_BUDGET = 10 ** 6
@@ -79,7 +79,9 @@ def js_histogram(K, s, N, field, budget=None):
     """
     exps = _checked(K, s, N, field, budget)
     # the table holds all of G_N, an enumeration under the default budget
-    table = _power_table(field, N, exps, check_power(field.q, N), budget)
+    rows = check_power(field.q, N)
+    _charge_power_table(field, N, exps, rows, budget)
+    table = _power_table(field, N, exps, rows)
     coords = np.concatenate([table[k] for k in exps], axis=1)
     unit = count_rows(coords.astype(np.int8))
     counts = (np.zeros((1, coords.shape[1]), dtype=np.int8), np.ones(1, dtype=np.int64))

@@ -13,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import (Poly, check_budget, check_power, enumerate_GN,
                       exceeds_unprintably, gn_size, irreducibles, poly_crt, roots_mod)
 from .errors import BudgetError, DomainError, HypothesisError
-from .expsum import CharSum, ExpPoly, weyl_sum
+from .expsum import (CharSum, ExpPoly, _check_range, _pass_checks, _split_blocks,
+                     prefix_segments)
 from .kinfty import kmul_poly
 
 #: Default cap on deg g_M for the literal product.
@@ -150,24 +153,52 @@ def t_mn(phi, alpha, M, N, field, gm=None, mode="literal", budget=None):
     """Normalized character average of alpha * phi(g_M x + root) over G_N.
 
     The composition is expanded in x (ExpPoly.substitute) and summed by the
-    residue engine.
+    residue engine; this is t_mn_rows at the one N.
 
     Exactly 1 (all residues 0) whenever alpha is rational with denominator
     dividing g_M; in particular for any monic denominator of degree < M in
     literal mode, since every such polynomial is one of the factors.
     """
+    return t_mn_rows(phi, alpha, M, [N], field, gm, mode, budget)[0]
+
+
+def t_mn_rows(phi, alpha, M, N_list, field, gm=None, mode="literal", budget=None):
+    """t_mn at every N of N_list, in list order.
+
+    The composition is expanded once.  Every N is checked before any sum,
+    in list order, as t_mn would check it, so the first failing N raises;
+    then one engine pass over G_{max N} is cut at each q^N by
+    prefix_segments and counted into one running histogram.  G_0 = {0}
+    reads the constant term alone, so N = 0 checks only the constant's
+    floor, and a list whose largest N is 0 sums the constant alone.
+    """
     if gm is None:
         gm = gm_build(field, M, phi, mode=mode, budget=budget)
     if gm.root is None:
         raise HypothesisError(f"modulus has no root: {gm.reason}")
-    check_power(field.q, N, budget, "congruence average")
-    f = ExpPoly(field, {r: kmul_poly(alpha, c) for r, c in phi.items()})
-    f = f.substitute(gm.modulus, gm.root)
-    if N == 0:  # G_0 = {0} reads the constant term alone
-        f = ExpPoly(field, {0: f.constant()})
-    hist = weyl_sum(f, N, budget=budget)
-    exact_one = hist.is_full() and hist.full_residue() == 0
-    return TmnResult(hist, hist.normalized(), exact_one, gm.modulus.deg, gm.mode)
+    f = None
+
+    def at(N):  # the polynomial summed over G_N
+        return f if N else ExpPoly(field, {0: f.constant()})
+
+    for N in N_list:
+        check_power(field.q, N, budget, "congruence average")
+        if f is None:
+            f = ExpPoly(field, {r: kmul_poly(alpha, c) for r, c in phi.items()})
+            f = f.substitute(gm.modulus, gm.root)
+        _check_range(field, N, 0, None, None, budget, "character sum")
+        _pass_checks(at(N), 1, N, 0, field.q ** N, budget)
+    Ns = sorted(set(N_list))
+    blocks = _split_blocks(at(Ns[-1]), 1, Ns[-1], 0, field.q ** Ns[-1], budget)
+    counts = np.zeros(field.p, dtype=np.int64)
+    found = {}
+    for N, segment in zip(Ns, prefix_segments(blocks, [field.q ** N for N in Ns])):
+        for block in segment:
+            counts += np.bincount(block[:, 0], minlength=field.p)
+        hist = CharSum(field.p, tuple(counts.tolist()))
+        exact_one = hist.is_full() and hist.full_residue() == 0
+        found[N] = TmnResult(hist, hist.normalized(), exact_one, gm.modulus.deg, gm.mode)
+    return [found[N] for N in N_list]
 
 
 @dataclass(frozen=True)

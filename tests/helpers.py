@@ -1,13 +1,17 @@
 """Seeded generators and slow reference loops shared across the test modules."""
 import numpy as np
 
-from ffweyl.algebra import Field, Poly, poly_from_index
+from ffweyl import equidist
+from ffweyl.algebra import (PRINT_DIGITS, Field, Poly, check_budget, check_power, gn_size,
+                            poly_from_index, power_count)
 from ffweyl.contfrac import CFExpansion
-from ffweyl.errors import PrecisionError
+from ffweyl.errors import DomainError, HypothesisError, PrecisionError
 from ffweyl.exponents import lucas_binom
-from ffweyl.expsum import ExpPoly
+from ffweyl.expsum import (ExpPoly, _check_floor, _split_blocks, count_stream,
+                           weyl_sum)
 from ffweyl.kinfty import (RationalK, TruncSeries, kadd, kmul_poly, kmul_scalar,
                            quotient_digits)
+from ffweyl.sieve import TmnResult, gm_build
 
 
 def field(q, modulus=None):
@@ -152,3 +156,83 @@ def dense_power_table(field, n, top, rows):
     for block in blocks:
         starts.append(starts[-1] + block.shape[1])
     return np.concatenate(blocks, axis=1), starts
+
+
+def quotient_digits_register(num, den, lo, hi):
+    """quotient_digits by long division on code lists: before the digit at
+    t^e is read, the register s holds floor(num / t^(e+1)) mod den, whose top
+    code is that digit.  Stepping to t^(e-1) shifts s up, brings in the
+    coefficient of num at t^e and cancels the top against den; only the top
+    e - lo codes are kept, because the digits left to read never reach the
+    others."""
+    if hi < lo:
+        return []
+    D = den.deg
+    if D == 0:  # den = 1
+        return [num.coeff(e) for e in range(lo, hi + 1)]
+    fa, fm, fn = den.field._add, den.field._mul, den.field._neg
+    top = max(hi, -1)
+    s = num.coeffs[top + 1:]  # already reduced when its degree is below den's
+    s = list(s if len(s) <= D else (Poly(den.field, s) % den).coeffs)
+    s += [0] * (D - len(s))
+    out = []
+    for e in range(top, lo - 1, -1):
+        c = s[-1]
+        out.append(c)
+        w = min(D, e - lo)
+        row = fm[c]
+        s = [fa[a][fn[row[b]]]
+             for a, b in zip(([num.coeff(e)] + s)[-w - 1:-1], den.coeffs[D - w:D])]
+    return out[top - hi:][::-1]
+
+
+def weyl_scan_loop(f, N_list, D, depth=None, budget=None):
+    """weyl_scan with one engine pass per N, in ascending order: each N checks
+    its twist floors, its depth and its pass, then counts its own pass."""
+    if D < 1:
+        raise DomainError("the twist bound D must be positive")
+    if depth is not None and depth < 1:
+        raise DomainError("depth must be at least 1")
+    field = f.field
+    m = field.m
+    points = sum(gn_size(field, N, budget, "twist scan") for N in N_list)
+    check_budget(points * (power_count(field.q, D, budget, "twist scan") - 1),
+                 budget, "twist scan")
+    if depth is not None:
+        widest = gn_size(field, max(N_list, default=0), budget, "cylinder count")
+        check_budget(widest * depth * m, budget, "cylinder count")
+        if field.q ** min(depth, 4 * PRINT_DIGITS) >= 10 ** (PRINT_DIGITS - 1):
+            raise DomainError(f"the depth-{depth} discrepancy denominator "
+                              f"{field.q}^{depth} has at least {PRINT_DIGITS} digits")
+    rows = []
+    for N in sorted(N_list):
+        for d in range(D):
+            for r, c in f.terms:
+                _check_floor(c, r, N, 1, d)
+        if depth is not None:
+            for r, c in f.terms:
+                _check_floor(c, r, N, depth)
+        counted = count_stream((block, None) for _, block in _split_blocks(
+            f, max(D, depth or 1) * m, N, 0, field.q ** N, budget))
+        rows.append(equidist._scan_row(field, N, D, depth, *counted))
+    flags = {"failure_certificate": any(r.witness is not None for r in rows)}
+    return equidist.Verdict(tuple(rows), flags)
+
+
+def t_mn_loop(phi, alpha, M, N_list, field, gm=None, mode="literal", budget=None):
+    """t_mn_rows with one substitution and one weyl_sum per N, in list order."""
+    if gm is None:
+        gm = gm_build(field, M, phi, mode=mode, budget=budget)
+    if gm.root is None:
+        raise HypothesisError(f"modulus has no root: {gm.reason}")
+    out = []
+    for N in N_list:
+        check_power(field.q, N, budget, "congruence average")
+        f = ExpPoly(field, {r: kmul_poly(alpha, c) for r, c in phi.items()})
+        f = f.substitute(gm.modulus, gm.root)
+        if N == 0:  # G_0 = {0} reads the constant term alone
+            f = ExpPoly(field, {0: f.constant()})
+        hist = weyl_sum(f, N, budget=budget)
+        exact_one = hist.is_full() and hist.full_residue() == 0
+        out.append(TmnResult(hist, hist.normalized(), exact_one, gm.modulus.deg, gm.mode))
+    return out

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,13 @@ from ffweyl import equidist, expsum
 from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
 from ffweyl.equidist import (CylinderTable, cor53_probe, cylinder_counts, discrepancy,
                              reduce_qp, refine_to_parent, weyl_scan)
-from ffweyl.errors import BudgetError, DomainError, PrecisionError
+from ffweyl.errors import BudgetError, DomainError, FFWeylError, PrecisionError
 from ffweyl.expsum import CharSum, ExpPoly, required_floor, twisted_sum, weyl_residues
 from ffweyl.kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd,
                            kernel_element, kmul_poly, tmap)
 
 from helpers import (every_field, field, rand_completion, rand_exppoly, rand_nonzero_poly,
-                     rand_poly, rand_rational, rand_series)
+                     rand_poly, rand_rational, rand_series, weyl_scan_loop)
 
 
 def test_cylinder_examples():
@@ -270,6 +271,94 @@ def test_weyl_scan_refuses_depth_below_one(monkeypatch):
     for depth in (0, -2):
         with pytest.raises(DomainError, match="^depth must be at least 1$"):
             weyl_scan(f, [1, 2], 1, depth=depth)
+
+
+def _rows_or_error(call, *args):
+    """The rows of a scan or sieve call, or the type and text of its error."""
+    try:
+        out = call(*args)
+    except FFWeylError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return out.rows if isinstance(out, equidist.Verdict) else out
+
+
+def _n_lists(rng, top):
+    """Seeded N lists up to top: unsorted, with duplicates, ranges and N = 0."""
+    return [rng.sample(range(top + 1), rng.randrange(1, top + 2)),
+            [rng.randrange(top + 1) for _ in range(4)],
+            range(rng.randrange(2), rng.randrange(1, top + 1) + 1),
+            [0], [top, 0, top]]
+
+
+@pytest.mark.parametrize("block", [3, 40, expsum.BLOCK])
+def test_weyl_scan_matches_the_per_n_loop(monkeypatch, block):
+    # a small block puts most bounds q^N inside a block of the one pass
+    monkeypatch.setattr(expsum, "BLOCK", block)
+    monkeypatch.setattr(equidist, "BLOCK", block)
+    rng = random.Random(43)
+    middle = set()  # the kinds of error raised at an N below the largest
+    for F in every_field():
+        top = 5 if F.q <= 3 else 3 if F.q <= 5 else 2
+        for case in range(4):
+            D, depth = rng.randrange(1, 3), rng.choice((None, 1, 2))
+            if case % 3 == 0:
+                f = rand_exppoly(rng, F, max_exp=4, floor=-40)
+            elif case % 3 == 1:  # floors that some N exhausts
+                N = rng.randrange(1, top)
+                f = ExpPoly(F, {r: rand_series(rng, F, required_floor(r, N, 2) - rng.randrange(2))
+                                for r in rng.sample(range(1, 4), 2)})
+            else:  # a power table that a budget near its charge refuses at some N
+                f = ExpPoly(F, {F.q ** 3 - 1: rand_rational(rng, F, 2),
+                                1: rand_rational(rng, F, 1)})
+                D, depth = 1, None
+            budget = rng.choice((None, int(10 ** rng.uniform(1.5, 4))))
+            for Ns in _n_lists(rng, top):
+                want = _rows_or_error(weyl_scan_loop, f, Ns, D, depth, budget)
+                assert _rows_or_error(weyl_scan, f, Ns, D, depth, budget) == want
+                if isinstance(want, str) and want != _rows_or_error(
+                        weyl_scan_loop, f, [max(Ns)], D, depth, budget):
+                    middle.add("power table" if "power table" in want else
+                               "floor" if "has floor" in want else want)
+    assert {"power table", "floor"} <= middle, middle
+
+
+def test_weyl_scan_is_invariant_under_completion():
+    # a scan of truncated series either raises PrecisionError or gives the
+    # rows of every completion of its coefficients below their floors
+    rng = random.Random(45)
+    raised = passed = 0
+    for F in every_field():
+        top = 4 if F.q <= 3 else 2
+        for _ in range(6):
+            f = rand_exppoly(rng, F, max_exp=3, floor=-rng.randrange(3, 12))
+            Ns, D, depth = _n_lists(rng, top)[0], rng.randrange(1, 3), rng.choice((None, 2))
+            try:
+                rows = weyl_scan(f, Ns, D, depth).rows
+            except PrecisionError:
+                raised += 1
+                continue
+            full = ExpPoly(F, {r: rand_completion(rng, c) for r, c in f.terms})
+            assert weyl_scan(full, Ns, D, depth).rows == rows
+            passed += 1
+    assert raised and passed, (raised, passed)
+
+
+def test_scan_over_a_range_memory_bound():
+    F2 = field(2)
+    f = ExpPoly(F2, {3: kernel_element(F2, -80, 1),
+                     1: RationalK(F2.poly_one, parse_poly(F2, "t^3+t+1"))})
+    weyl_scan(f, range(1, 21), 2, depth=3)
+    tracemalloc.start()
+    try:
+        rows = weyl_scan(f, range(1, 21), 2, depth=3).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one pass cut into 20 segments, each counted as it streams; a segment
+    # held whole, 2^19 rows of three int64 traces, is 12 MB
+    assert peak < 8 << 20, peak
+    assert [r.N for r in rows] == list(range(1, 21))
+    assert rows[-1].discrepancy == Fraction(1, 1024)
 
 
 def test_weyl_scan_pseudo_irrational_decay():

@@ -7,10 +7,11 @@ from ffweyl.algebra import NEG_INF, parse_poly
 from ffweyl.errors import DomainError, PrecisionError
 from ffweyl.kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd,
                            kernel_element, kmul, kmul_poly, kmul_scalar,
-                           ord_norm, ord_vs, parse_kelem, tmap, truncate)
+                           ord_norm, ord_vs, parse_kelem, quotient_digits, tmap,
+                           truncate)
 
-from helpers import (every_field, field, rand_completion, rand_poly, rand_rational,
-                     rand_series)
+from helpers import (every_field, field, quotient_digits_register, rand_completion,
+                     rand_monic, rand_poly, rand_rational, rand_series)
 
 
 def test_ord_norm_examples():
@@ -205,6 +206,20 @@ def test_tmap_is_adjoint_to_the_pth_power():
             lhs = kmul_poly(al, y ** F.p).digit(-1)
             rhs = kmul_poly(tmap(al), y).digit(-1)
             assert F.trace(lhs) == F.trace(rhs), (F, al, y)
+
+
+def test_quotient_digits_match_the_register_loop():
+    # the denominator's recurrence against long division on a register, at
+    # every q and both custom moduli, D = 0..6, windows above and below t^-1
+    rng = random.Random(76)
+    for F in every_field():
+        for _ in range(120):
+            D = rng.randrange(7)
+            num, den = rand_poly(rng, F, rng.randrange(14)), rand_monic(rng, F, D)
+            lo = rng.randrange(-40, 12)
+            hi = lo + rng.randrange(-2, 40)
+            assert quotient_digits(num, den, lo, hi) == \
+                quotient_digits_register(num, den, lo, hi), (F, num, den, lo, hi)
 
 
 def test_tmap_is_invariant_under_completion():

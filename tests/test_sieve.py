@@ -1,16 +1,20 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from ffweyl import cli, expsum, sieve
 from ffweyl.algebra import Field, Poly, enumerate_GN, parse_poly, poly_from_index
-from ffweyl.errors import BudgetError, DomainError, HypothesisError, PrecisionError
+from ffweyl.errors import (BudgetError, DomainError, FFWeylError, HypothesisError,
+                           PrecisionError)
 from ffweyl.expsum import CharSum, ExpPoly, e_of
 from ffweyl.kinfty import RationalK, kernel_element, kmul_poly
 from ffweyl.sieve import (DenseSet, density, difference_search, gm_build, gm_degree,
-                          t_mn)
+                          t_mn, t_mn_rows)
 
-from helpers import field, rand_nonzero_poly, rand_rational, rand_series
+from helpers import (every_field, field, rand_completion, rand_nonzero_poly, rand_rational,
+                     rand_series, t_mn_loop)
 
 
 def test_gm_examples():
@@ -157,6 +161,104 @@ def test_tmn_matches_pointwise_evaluate():
     assert t_mn({2: F2.poly_one}, shallow, 2, 0, F2).exact_one
     with pytest.raises(PrecisionError):
         t_mn({2: F2.poly_one}, shallow, 2, 1, F2)
+
+
+def _rows_or_error(call, *args):
+    """The results of a sieve call, or the type and text of its error."""
+    try:
+        return call(*args)
+    except FFWeylError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("block", [2, 16, expsum.BLOCK])
+def test_tmn_rows_match_the_per_n_loop(monkeypatch, block):
+    # a small block puts most bounds q^N inside a block of the one pass
+    monkeypatch.setattr(expsum, "BLOCK", block)
+    rng = random.Random(74)
+    middle = set()  # the kinds of error raised at an N other than the largest
+    zero = 0
+    for F in every_field():
+        top = 5 if F.q <= 3 else 3 if F.q <= 5 else 2
+        for case in range(4):
+            phi = {r: rand_nonzero_poly(rng, F, 1)
+                   for r in rng.sample(range(4), rng.randrange(1, 4))}
+            if case == 3:  # a power whose table a budget near its charge refuses
+                phi = {F.q ** 2 - 1: F.poly_one}
+            M = rng.randrange(1, 3)
+            gm = gm_build(F, M, phi)
+            if gm.root is None:
+                continue
+            # floors that some N exhausts; N = 0 reads only the constant
+            alpha = (rand_rational(rng, F, 3), rand_series(rng, F, -rng.randrange(2, 16)),
+                     kernel_element(F, -rng.randrange(2, 16), case))[case % 3]
+            budget = int(10 ** rng.uniform(1.2, 3 if case == 3 else 4))
+            budget = rng.choice((None, budget)) if case < 3 else budget
+            lists = [rng.sample(range(top + 1), rng.randrange(1, top + 2)),
+                     [rng.randrange(top + 1) for _ in range(4)],
+                     range(rng.randrange(2), rng.randrange(1, top + 1) + 1),
+                     [0], [0, 0], [top, 0, top]]
+            for Ns in lists:
+                want = _rows_or_error(t_mn_loop, phi, alpha, M, Ns, F, gm, "literal", budget)
+                got = _rows_or_error(t_mn_rows, phi, alpha, M, Ns, F, gm, "literal", budget)
+                assert got == want, (F, phi, alpha, Ns, budget)
+                if isinstance(want, str) and want != _rows_or_error(
+                        t_mn_loop, phi, alpha, M, [max(Ns)], F, gm, "literal", budget):
+                    middle.add("power table" if "power table" in want else
+                               "floor" if "has floor" in want else want)
+                zero += max(Ns) == 0 and not isinstance(want, str)
+    assert {"power table", "floor"} <= middle and zero, (middle, zero)
+
+
+def test_tmn_is_invariant_under_completion():
+    # a truncated alpha either raises PrecisionError or gives the rows of
+    # every completion below its floor
+    rng = random.Random(75)
+    raised = passed = 0
+    for F in every_field():
+        top = 4 if F.q <= 3 else 2
+        for _ in range(5):
+            phi = {r: rand_nonzero_poly(rng, F, 1)
+                   for r in rng.sample(range(4), rng.randrange(1, 4))}
+            M = rng.randrange(1, 3)
+            gm = gm_build(F, M, phi)
+            if gm.root is None:
+                continue
+            alpha = rand_series(rng, F, -rng.randrange(2, 20))
+            full = rand_completion(rng, alpha)
+            Ns = rng.sample(range(top + 1), rng.randrange(1, top + 2))
+            try:
+                rows = t_mn_rows(phi, alpha, M, Ns, F, gm)
+            except PrecisionError:
+                raised += 1
+                continue
+            assert t_mn_rows(phi, full, M, Ns, F, gm) == rows
+            assert [t_mn(phi, full, M, N, F, gm) for N in Ns] == rows
+            passed += 1
+    assert raised and passed, (raised, passed)
+
+
+def test_sieve_tmn_makes_one_engine_call_per_command(monkeypatch, capsys):
+    calls = []
+    engine = sieve._split_blocks
+
+    def recording(f, width, N, lo, hi, budget=None):
+        calls.append((N, width, lo, hi))
+        return engine(f, width, N, lo, hi, budget)
+
+    monkeypatch.setattr(sieve, "_split_blocks", recording)
+    F3 = field(3)
+    phi = {2: F3.poly_one}
+    alpha = RationalK(F3.poly_one, parse_poly(F3, "t^2+1"))
+    for arg, Ns in (("3,1,0,3,2", [3, 1, 0, 3, 2]), ("1..4", [1, 2, 3, 4]), ("0", [0])):
+        calls.clear()
+        assert cli.main(["sieve-tmn", "--field", "q=3", "--phi", "u^2", "--alpha",
+                         "1 / t^2+1", "--M", "2", "--N", arg]) == 0
+        rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+        want = t_mn_loop(phi, alpha, 2, Ns, F3)
+        assert [(r["N"], r["exact_one"]) for r in rows] == [(N, w.exact_one)
+                                                           for N, w in zip(Ns, want)]
+        assert calls == [(max(Ns), 1, 0, 3 ** max(Ns))]
 
 
 def test_tmn_requires_root():
