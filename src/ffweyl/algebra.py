@@ -7,6 +7,26 @@ an element is simply its residue.  Polynomials in t are immutable tuples of
 codes, constant term first, trailing zeros stripped; the zero polynomial is
 the empty tuple.  Its degree is NEG_INF, a float marker that orders below
 every integer degree and can never collide with one.
+
+Polynomial products are Kronecker substitutions: each operand is packed into
+one Python int, the two ints are multiplied once, and the product's bytes are
+unpacked.  Every t-coefficient takes 2m-1 sub-slots of w bytes, and the m
+coordinates of its code fill the low m of them, so the product's sub-slots
+hold the coefficients of the unreduced coordinate products in x.  w is the
+fewest bytes with min(la, lb)*m*(p-1)^2 < 256^w for operand lengths la and
+lb, so no sub-slot overflows into the next.  Unpacking reduces the bytes mod
+p with bytes.translate; for w > 1 it first adds the w residues of each
+sub-slot with the weights 256^k mod p and reduces again.  It then folds each
+group of 2m-1 residues r_i to a code through a per-field table of
+p^(2m-1) <= 32 entries, indexed by sum r_i p^i, which reduces mod the
+defining modulus.  Both weighted sums are one multiplication of the residue
+bytes, read as an int, by a constant.  At q = p a group is one residue and
+the fold is reduction mod p.
+
+Results the arithmetic builds from table lookups (sums, negations,
+products, scalings, shifts, quotients and remainders) are canonical by
+construction and skip Poly's validation; Poly(field, coeffs) checks and
+strips every coefficient it is given.
 """
 from __future__ import annotations
 
@@ -61,8 +81,9 @@ class Field:
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_prime", "_mul", "_add", "_neg",
-                 "_inv", "_trace", "frobenius", "poly_zero", "poly_one", "poly_t",
-                 "_irr_cache")
+                 "_inv", "_trace", "_mulneg", "_slot_max", "_stride", "_modp",
+                 "_coord_bytes", "_fold_weight", "_fold", "frobenius",
+                 "poly_zero", "poly_one", "poly_t", "_irr_cache")
 
     def __init__(self, p, m=1, modulus=None):
         if not _is_prime(p):
@@ -119,6 +140,26 @@ class Field:
         self._inv = [0] * q
         for a in range(1, q):
             self._inv[a] = next(b for b in range(1, q) if self._mul[a][b] == 1)
+        self._mulneg = [[self._neg[c] for c in row] for row in self._mul]  # -a*b
+        # packed products (module docstring): what one pair of t-coefficients
+        # adds to a sub-slot at most, the 2m-1 sub-slots of a t-coefficient,
+        # translate tables for b mod p and code -> coordinate i, and the fold
+        # of a group of residues r_i to the code of sum r_i x^i mod modulus,
+        # through its index sum r_i p^i (at m = 1 the fold is b mod p)
+        s = 2 * m - 1
+        self._slot_max = m * (p - 1) ** 2
+        self._stride = s
+        self._modp = bytes(b % p for b in range(256))
+        self._coord_bytes = tuple(bytes(_digits(c, p, m)[i] if c < q else 0
+                                        for c in range(256)) for i in range(m))
+        self._fold_weight = _slot_weight([p ** i for i in range(s)])
+        if m == 1:
+            self._fold = self._modp
+        else:
+            mod = Poly(self._prime, self.modulus)
+            fold = [(Poly(self._prime, _digits(i, p, s)) % mod).code()
+                    for i in range(p ** s)]
+            self._fold = bytes(fold + [0] * (256 - len(fold)))
 
     def _encode(self, coords):
         code = 0
@@ -131,8 +172,9 @@ class Field:
         while e:
             if e & 1:
                 out = self._mul[out][base]
-            base = self._mul[base][base]
             e >>= 1
+            if e:
+                base = self._mul[base][base]
         return out
 
     # -- element operations -------------------------------------------------
@@ -226,6 +268,8 @@ class Field:
         return field if modulus == field.modulus else _shared_field(p, m, modulus)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Field)
                 and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
 
@@ -317,6 +361,15 @@ class Poly:
         self.field = field
         self.coeffs = tuple(coeffs)
 
+    @classmethod
+    def _unchecked(cls, field, coeffs):
+        """A Poly from a tuple of codes below q with no trailing zero, as the
+        arithmetic's table lookups build them; nothing is checked."""
+        self = object.__new__(cls)
+        self.field = field
+        self.coeffs = coeffs
+        return self
+
     @property
     def deg(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
@@ -338,12 +391,12 @@ class Poly:
     def _check(self, other):
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise DomainError("mixed-field polynomial arithmetic")
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and other.field == self.field
-                and other.coeffs == self.coeffs)
+        return (isinstance(other, Poly) and other.coeffs == self.coeffs
+                and (other.field is self.field or other.field == self.field))
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -354,39 +407,41 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = fa[out[i]][c]
-        return Poly(self.field, out)
+        out = [fa[x][y] for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        while out and not out[-1]:
+            out.pop()
+        return Poly._unchecked(self.field, tuple(out))
 
     def __neg__(self):
         fn = self.field._neg
-        return Poly(self.field, [fn[c] for c in self.coeffs])
+        return Poly._unchecked(self.field, tuple([fn[c] for c in self.coeffs]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        """The product by one big-int multiplication (module docstring)."""
         self._check(other)
         a, b = self.coeffs, other.coeffs
+        field = self.field
         if not a or not b:
-            return self.field.poly_zero
-        fm, fa = self.field._mul, self.field._add
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                row = fm[ai]
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = fa[out[i + j]][row[bj]]
-        return Poly(self.field, out)
+            return field.poly_zero
+        w = ((min(len(a), len(b)) * field._slot_max).bit_length() + 7) // 8
+        prod = _pack(field, a, w) * _pack(field, b, w)
+        raw = prod.to_bytes((len(a) + len(b) - 1) * field._stride * w, "little")
+        if w > 1:  # each sub-slot mod p: its byte k counts 256^k mod p
+            weight = _slot_weight([pow(256, k, field.p) for k in range(w)])
+            raw = _fold_slots(field, raw, w, weight, field._modp)
+        codes = _fold_slots(field, raw, field._stride, field._fold_weight, field._fold)
+        return Poly._unchecked(field, tuple(codes))  # the lead is lead(a)*lead(b)
 
     def scale(self, c):
         """Multiply by the field element with code c."""
         if c == 0:
             return self.field.poly_zero
         row = self.field._mul[c]
-        return Poly(self.field, [row[x] for x in self.coeffs])
+        return Poly._unchecked(self.field, tuple([row[x] for x in self.coeffs]))
 
     def shift(self, k):
         """Multiply by t^k (k >= 0)."""
@@ -394,7 +449,7 @@ class Poly:
             raise DomainError("negative shift leaves the polynomial ring")
         if not self.coeffs:
             return self
-        return Poly(self.field, (0,) * k + self.coeffs)
+        return Poly._unchecked(self.field, (0,) * k + self.coeffs)
 
     def __pow__(self, e):
         if e < 0:
@@ -403,36 +458,47 @@ class Poly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
-    def __divmod__(self, other):
+    def _divide(self, other, with_quotient):
+        """Long division: the quotient's code list (None unless asked for)
+        and the remainder."""
         self._check(other)
         if other.is_zero():
             raise DomainError("division by the zero polynomial")
         field = self.field
-        fm, fa, fn = field._mul, field._add, field._neg
-        inv_lead = field.inv(other.lead())
-        db = len(other.coeffs)
+        fa, fmn = field._add, field._mulneg
+        low = other.coeffs[:-1]
+        d = len(low)
+        lead_row = field._mul[field._inv[other.coeffs[-1]]]
         r = list(self.coeffs)
-        q = [0] * max(len(r) - db + 1, 0)
-        while len(r) >= db:
-            c = fm[r[-1]][inv_lead]
-            k = len(r) - db
-            q[k] = c
-            row = fm[c]
-            for j, bj in enumerate(other.coeffs):
-                r[k + j] = fa[r[k + j]][fn[row[bj]]]
-            while r and r[-1] == 0:
-                r.pop()
-        return Poly(field, q), Poly(field, r)
+        q = [0] * max(len(r) - d, 0) if with_quotient else None
+        while len(r) > d:
+            c = lead_row[r.pop()]  # the top term cancels
+            if c:
+                k = len(r) - d
+                if q is not None:
+                    q[k] = c
+                row = fmn[c]
+                for j, y in enumerate(low):
+                    r[k + j] = fa[r[k + j]][row[y]]
+        while r and not r[-1]:
+            r.pop()
+        return q, Poly._unchecked(field, tuple(r))
+
+    def __divmod__(self, other):
+        q, r = self._divide(other, True)
+        return Poly._unchecked(self.field, tuple(q)), r
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        """The remainder alone; no quotient is built."""
+        return self._divide(other, False)[1]
 
     def monic(self):
         if self.is_zero():
@@ -447,8 +513,9 @@ class Poly:
         while e:
             if e & 1:
                 out = (out * base) % modulus
-            base = (base * base) % modulus
             e >>= 1
+            if e:
+                base = (base * base) % modulus
         return out
 
     def code(self):
@@ -469,6 +536,42 @@ class Poly:
     @classmethod
     def parse(cls, field, s):
         return parse_poly(field, s)
+
+
+def _pack(field, coeffs, w):
+    """The Kronecker int of a code tuple: coordinate i of the code at t^j is
+    the low byte of sub-slot i, of w bytes, in the (2m-1)*w bytes of t^j."""
+    codes = bytes(coeffs)
+    stride = field._stride * w
+    if stride == 1:  # q = p and w = 1: a code is its one coordinate
+        return int.from_bytes(codes, "little")
+    buf = bytearray(len(codes) * stride)
+    for i, table in enumerate(field._coord_bytes):
+        buf[i * w::stride] = codes.translate(table)
+    return int.from_bytes(buf, "little")
+
+
+def _slot_weight(weights):
+    """The multiplier sum_i weights[i] * 256^(n-1-i), n = len(weights), that
+    _fold_slots uses to read groups of n bytes."""
+    return sum(c << (8 * (len(weights) - 1 - i)) for i, c in enumerate(weights))
+
+
+def _fold_slots(field, data, n, weight, table):
+    """Byte j of the result is table[sum_i weights[i] * (data[j*n + i] mod p)]
+    for weight = _slot_weight(weights), whenever every such sum, for any n
+    consecutive bytes, is below 256.
+
+    The sums come from one product: byte j*n + n-1 of the bytes of data,
+    reduced mod p and read as an int, times weight is sum_i weights[i] *
+    (data[j*n + i] mod p), and no byte of the product carries.  The fold's
+    sums are below p^(2m-1) <= 32; a w-byte sub-slot's are below
+    w*(p-1)^2 < 256 while w <= 7, so for every operand shorter than 2^48.
+    """
+    if n == 1:  # weights == (1,) and table[b] is already read mod p
+        return data.translate(table)
+    r = int.from_bytes(data.translate(field._modp), "little") * weight
+    return r.to_bytes(len(data) + n, "little")[n - 1:len(data):n].translate(table)
 
 
 def format_elem(field, code):

@@ -120,11 +120,11 @@ def quotient_digits(num, den, lo, hi):
     if D == 0:  # den = 1
         return [num.coeff(e) for e in range(lo, hi + 1)]
     field = den.field
-    fa, fm, fn = field._add, field._mul, field._neg
+    fa, fmn = field._add, field._mulneg
     top = max(hi, -1)
-    start = (Poly(field, num.coeffs[top + 1:]) // den).coeffs[:D]
+    start = (Poly._unchecked(field, num.coeffs[top + 1:]) // den).coeffs[:D]
     digits = [0] * (D - len(start)) + list(start[::-1])  # d_(top+D), ..., d_(top+1)
-    rows = [fm[fn[c]] for c in den.coeffs[:D]]  # multiplication by -den_j
+    rows = [fmn[c] for c in den.coeffs[:D]]  # multiplication by -den_j
     coeffs = num.coeffs
     for e in range(top, lo - 1, -1):
         acc = coeffs[e + D] if 0 <= e + D < len(coeffs) else 0
@@ -149,6 +149,16 @@ class TruncSeries:
         self.field = field
         self.floor = floor
         self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _unchecked(cls, field, floor, coeffs):
+        """A series from a tuple of digit codes below q with no trailing zero,
+        as the arithmetic's table lookups build them; nothing is checked."""
+        self = object.__new__(cls)
+        self.field = field
+        self.floor = floor
+        self.coeffs = coeffs
+        return self
 
     @classmethod
     def from_digits(cls, field, floor, digit_map):
@@ -253,8 +263,10 @@ def kadd(a, b):
             tops.append(v)
     hi = max(tops, default=floor - 1)
     fa = field._add
-    pairs = zip(a.digits(floor, hi), b.digits(floor, hi))
-    return TruncSeries(field, floor, [fa[x][y] for x, y in pairs])
+    out = [fa[x][y] for x, y in zip(a.digits(floor, hi), b.digits(floor, hi))]
+    while out and not out[-1]:
+        out.pop()
+    return TruncSeries._unchecked(field, floor, tuple(out))
 
 
 def kmul_scalar(alpha, c):
@@ -264,14 +276,16 @@ def kmul_scalar(alpha, c):
     if isinstance(alpha, RationalK):
         return RationalK(alpha.num.scale(c), alpha.den)
     row = alpha.field._mul[c]
-    return TruncSeries(alpha.field, alpha.floor, [row[x] for x in alpha.coeffs])
+    return TruncSeries._unchecked(alpha.field, alpha.floor,
+                                  tuple([row[x] for x in alpha.coeffs]))
 
 
 def _product_from(field, a, a_lo, b, b_lo, floor):
     """The product of two digit lists, whose first digits sit at t^a_lo and
-    t^b_lo, as a series known from ``floor`` up to its top digit."""
-    prod = Poly(field, a) * Poly(field, b)
-    return TruncSeries(field, floor, prod.coeffs[floor - a_lo - b_lo:])
+    t^b_lo, as a series known from ``floor`` up to its top digit; each list
+    ends in a nonzero digit or is empty."""
+    prod = Poly._unchecked(field, tuple(a)) * Poly._unchecked(field, tuple(b))
+    return TruncSeries._unchecked(field, floor, prod.coeffs[floor - a_lo - b_lo:])
 
 
 def kmul_poly(alpha, h):

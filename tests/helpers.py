@@ -158,6 +158,44 @@ def dense_power_table(field, n, top, rows):
     return np.concatenate(blocks, axis=1), starts
 
 
+def poly_mul_schoolbook(a, b):
+    """a * b by the schoolbook loop over pairs of coefficients."""
+    field = a.field
+    if a.is_zero() or b.is_zero():
+        return field.poly_zero
+    fm, fa = field._mul, field._add
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        if ai:
+            row = fm[ai]
+            for j, bj in enumerate(b.coeffs):
+                if bj:
+                    out[i + j] = fa[out[i + j]][row[bj]]
+    return Poly(field, out)
+
+
+def poly_divmod_schoolbook(a, b):
+    """divmod(a, b) by long division, one leading term at a time."""
+    if b.is_zero():
+        raise DomainError("division by the zero polynomial")
+    field = a.field
+    fm, fa, fn = field._mul, field._add, field._neg
+    inv_lead = field.inv(b.lead())
+    db = len(b.coeffs)
+    r = list(a.coeffs)
+    q = [0] * max(len(r) - db + 1, 0)
+    while len(r) >= db:
+        c = fm[r[-1]][inv_lead]
+        k = len(r) - db
+        q[k] = c
+        row = fm[c]
+        for j, bj in enumerate(b.coeffs):
+            r[k + j] = fa[r[k + j]][fn[row[bj]]]
+        while r and r[-1] == 0:
+            r.pop()
+    return Poly(field, q), Poly(field, r)
+
+
 def quotient_digits_register(num, den, lo, hi):
     """quotient_digits by long division on code lists: before the digit at
     t^e is read, the register s holds floor(num / t^(e+1)) mod den, whose top

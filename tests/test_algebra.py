@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,8 +9,10 @@ from ffweyl.algebra import (NEG_INF, Field, Poly, enumerate_GN, gn_size,
                             poly_crt, poly_from_index, poly_gcd, poly_xgcd,
                             roots_mod)
 from ffweyl.errors import BudgetError, DomainError
+from ffweyl.kinfty import TruncSeries
 
-from helpers import field, rand_nonzero_poly, rand_poly
+from helpers import (every_field, field, poly_divmod_schoolbook, poly_mul_schoolbook,
+                     rand_nonzero_poly, rand_poly)
 
 
 def test_field_construction_and_moduli():
@@ -284,3 +287,127 @@ def test_deg_marker():
     assert F2.poly_zero.deg is NEG_INF
     assert NEG_INF < -10 ** 9
     assert F2.poly_one.deg == 0
+
+
+def _assert_canonical(x):
+    assert isinstance(x.coeffs, tuple) and (not x.coeffs or x.coeffs[-1] != 0)
+    assert all(type(c) is int and 0 <= c < x.field.q for c in x.coeffs)
+
+
+def _width_switches(F):
+    """Operand lengths on both sides of each slot-width switch this test can
+    afford: the packed product takes the fewest w bytes per sub-slot with
+    min(la, lb) * m * (p-1)^2 < 256^w, so w goes 1 -> 2 after 255 // slot and
+    2 -> 3 after 65535 // slot (checked at p = 7 only, where it is 1820)."""
+    slot = F.m * (F.p - 1) ** 2
+    out = [255 // slot, 255 // slot + 1]
+    if F.p == 7:
+        out += [65535 // slot, 65535 // slot + 1]
+    return out
+
+
+def test_width_switches_at_p7():
+    assert _width_switches(field(7)) == [7, 8, 1820, 1821]
+
+
+def test_packed_products_match_the_schoolbook_loop():
+    rng = random.Random(20)
+    sizes = (0, 1, 2, 3, 5, 13, 40)
+    for F in every_field():
+        top = F.q - 1  # every coordinate p - 1: the largest sub-slot sums
+        for _ in range(60):
+            a = Poly(F, [rng.randrange(F.q) for _ in range(rng.choice(sizes))])
+            b = Poly(F, [rng.randrange(F.q) for _ in range(rng.choice(sizes))])
+            got = a * b
+            _assert_canonical(got)
+            assert got == poly_mul_schoolbook(a, b) == b * a, (F, a, b)
+        for n in _width_switches(F):
+            full, longer = Poly(F, [top] * n), Poly(F, [top] * (n + rng.randrange(1, 4)))
+            got = full * longer
+            _assert_canonical(got)
+            assert got == poly_mul_schoolbook(full, longer), (F, n)
+            if n < 1000:
+                assert full * full == poly_mul_schoolbook(full, full), (F, n)
+                a = Poly(F, [rng.randrange(F.q) for _ in range(n - 1)] + [1])
+                b = Poly(F, [rng.randrange(F.q) for _ in range(n + 5)] + [top])
+                assert a * b == poly_mul_schoolbook(a, b), (F, n)
+
+
+def test_division_and_powers_match_the_schoolbook_loops():
+    rng = random.Random(21)
+    for F in every_field():
+        for _ in range(60):
+            a = rand_poly(rng, F, rng.choice((0, 1, 3, 8, 30)))
+            b = rand_nonzero_poly(rng, F, rng.choice((0, 1, 2, 5, 12)))
+            want = poly_divmod_schoolbook(a, b)
+            got = divmod(a, b)
+            assert got == want and a % b == want[1] and a // b == want[0], (F, a, b)
+            for x in got:
+                _assert_canonical(x)
+            e = rng.randrange(0, 12)
+            power = F.poly_one
+            for _ in range(e):
+                power = poly_mul_schoolbook(power, b)
+            assert b ** e == power, (F, b, e)
+            m = rand_nonzero_poly(rng, F, rng.choice((0, 1, 3, 6)))
+            reduced = poly_divmod_schoolbook(F.poly_one, m)[1]
+            for _ in range(e):
+                reduced = poly_divmod_schoolbook(poly_mul_schoolbook(reduced, a), m)[1]
+            got = a.mod_pow(e, m)
+            _assert_canonical(got)
+            assert got == reduced, (F, a, e, m)
+
+
+def test_powers_square_only_while_bits_remain(monkeypatch):
+    # u^e, u^e mod m and c^e equal repeated multiplication, and no product
+    # of the square-and-multiply loop exceeds the degree of the result
+    F = field(5)
+    u = Poly(F, [2, 0, 1, 3])
+    m = Poly(F, [1, 4, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1])
+    degrees = []
+    mul = Poly.__mul__
+
+    def recording_mul(a, b):
+        out = mul(a, b)
+        degrees.append(out.deg)
+        return out
+
+    monkeypatch.setattr(Poly, "__mul__", recording_mul)
+    power = F.poly_one
+    for e in range(0, 18):
+        degrees.clear()
+        assert u ** e == power, e
+        assert max(degrees, default=0) <= 3 * e, (e, degrees)
+        assert u.mod_pow(e, m) == power % m, e
+        power = mul(power, u)
+    for q in (3, 4, 9):
+        G = field(q)
+        for c in G.elements():
+            acc = 1
+            for e in range(0, 2 * q):
+                assert G.pow(c, e) == acc, (q, c, e)
+                acc = G.mul(acc, c)
+
+
+def test_public_constructors_refuse_bad_codes_and_strip():
+    for F in every_field():
+        for bad in (F.q, -1, 255):
+            with pytest.raises(DomainError):
+                Poly(F, [1, bad])
+            with pytest.raises(DomainError):
+                TruncSeries(F, 0, [bad])
+        assert Poly(F, [F.q - 1, 0, 0]).coeffs == (F.q - 1,)
+        assert Poly(F, [0, 0]).coeffs == ()
+        assert TruncSeries(F, -2, [1, F.q - 1, 0, 0]).coeffs == (1, F.q - 1)
+
+
+def test_degree_2000_product_time():
+    F = field(9)
+    rng = random.Random(2000)
+    a = Poly(F, [rng.randrange(9) for _ in range(2000)] + [1])
+    b = Poly(F, [rng.randrange(9) for _ in range(2000)] + [1])
+    t0 = time.perf_counter()
+    prod = a * b
+    # the schoolbook loop took 0.30-0.52 s on a 2-vCPU Xeon VM
+    assert time.perf_counter() - t0 < 0.1
+    assert prod.deg == 4000

@@ -11,7 +11,8 @@ from ffweyl.contfrac import (approx_quality, cf_expand, cf_value,
 from ffweyl.errors import DomainError, PrecisionError
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, kmul, parse_kelem
 
-from helpers import cf_expand_oracle, field, rand_rational, rand_series, series_invert
+from helpers import (cf_expand_oracle, every_field, field, rand_completion, rand_poly,
+                     rand_rational, rand_series, series_invert)
 
 
 def test_cf_examples():
@@ -229,6 +230,56 @@ def test_cf_expand_deep_series_time():
     cf = cf_expand(s, max_terms=1000)
     assert time.perf_counter() - t0 < 0.25
     assert cf.stopped == "precision" and len(cf.quotients) > 100
+
+
+def test_convergents_of_a_deep_series_time():
+    # the determinant check multiplies polynomials of degree about 200; the
+    # schoolbook products took 0.37-0.50 s on a 2-vCPU Xeon VM
+    s = rand_series(random.Random(400), field(9), -400)
+    t0 = time.perf_counter()
+    table = convergents(cf_expand(s, 1000))
+    assert time.perf_counter() - t0 < 0.25
+    assert table.pairs[-1][1].deg > 150
+
+
+def test_cf_prefix_and_legendre_are_invariant_under_completion():
+    # a truncated series either raises PrecisionError or agrees with a
+    # completion: its quotients are a prefix of the completion's, and
+    # legendre_recover gives the same index or None, also for a convergent
+    # of the completion that the series' own digits cannot reach; floors run
+    # from 1 to -40, and a top below the floor leaves a series zero to it
+    rng = random.Random(420)
+    raised = {"cf_expand": 0, "legendre_recover": 0}
+    agreed = found = 0
+    for F in every_field():
+        for _ in range(40):
+            floor = 1 - rng.randrange(0, 42)
+            s = rand_series(rng, F, floor, rng.randrange(floor - 1, 3))
+            full = rand_completion(rng, s)
+            max_terms = rng.choice((3, 64))
+            try:
+                quotients = cf_expand(s, max_terms).quotients
+            except PrecisionError:
+                raised["cf_expand"] += 1
+                continue
+            assert cf_expand(full, max_terms).quotients[:len(quotients)] == quotients
+            if rng.random() < 0.5:
+                a, g = rng.choice(convergents(cf_expand(full, max_terms)).pairs)
+                c = rng.randrange(1, F.q)
+                a, g = a.scale(c), g.scale(c)
+            else:
+                a, g = rand_poly(rng, F, 2), rand_poly(rng, F, 3)
+                if g.is_zero():
+                    g = F.poly_one
+            try:
+                n = legendre_recover(s, a, g)
+            except PrecisionError:
+                raised["legendre_recover"] += 1
+                continue
+            assert legendre_recover(full, a, g) == n, (F, str(s), a, g)
+            agreed += 1
+            found += n is not None
+    assert all(raised.values()) and agreed > 100 and found > 50, (raised, agreed, found)
 
 
 def test_rationality_probe_rational_structure():

@@ -240,6 +240,28 @@ def test_tmap_is_invariant_under_completion():
                     [full.digit(e) for e in range(out.floor, 0)]
 
 
+def test_ord_comparisons_are_invariant_under_completion():
+    # ord_vs and frac_ord_vs of a truncated series either raise
+    # PrecisionError or agree with a completion below the floor
+    rng = random.Random(74)
+    outcomes = {"raised": 0, "below": 0, "at_or_above": 0}
+    for F in every_field():
+        for _ in range(60):
+            floor = -rng.randrange(0, 30)
+            s = rand_series(rng, F, floor, rng.randrange(floor - 1, 4))
+            full = rand_completion(rng, s)
+            for compare, bound in ((ord_vs, rng.randrange(floor - 6, 6)),
+                                   (frac_ord_vs, rng.randrange(0, 12))):
+                try:
+                    got = compare(s, bound)
+                except PrecisionError:
+                    outcomes["raised"] += 1
+                    continue
+                assert compare(full, bound) == got, (F, str(s), compare.__name__, bound)
+                outcomes[got] += 1
+    assert all(outcomes.values()), outcomes
+
+
 def test_tmap_linearity_exact():
     rng = random.Random(14)
     for _ in range(300):
