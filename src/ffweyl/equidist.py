@@ -54,7 +54,8 @@ def cylinder_counts(f, N, depth=None, method=None, budget=None):
     """Counts of the first `depth` fractional digits of f(x) over G_N.
 
     When depth is omitted it defaults to min(3, what the precision allows).
-    The rows are counted block by block as they stream.
+    The rows are counted block by block as they stream, into one dense
+    table of q^depth cells while that fits in BLOCK (count_stream).
     """
     if depth is None:
         limit = allowed_depth(f, N)
@@ -62,7 +63,7 @@ def cylinder_counts(f, N, depth=None, method=None, budget=None):
         if depth < 1:
             raise PrecisionError("coefficient floors allow no digit at all")
     total, blocks = _digit_row_blocks(f, N, depth, method=method, budget=budget)
-    return _table(depth, total, count_stream((rows, None) for _, rows in blocks))
+    return _table(depth, total, count_stream(((rows, None) for _, rows in blocks), f.field.q))
 
 
 def refine_to_parent(table):
@@ -164,9 +165,10 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
     pass, so the scan raises as twisted_sum and then cylinder_counts would
     N by N.  One engine pass over G_{max N} then reads the basis twists
     e_k t^s with s < max(D, depth), and prefix_segments cuts it at each q^N.
-    The distinct rows of their traces are counted segment by segment into
-    running counts, off which each N reads every twist histogram and the
-    cylinder counts.
+    The distinct rows of their traces, whose entries lie below p, are
+    counted segment by segment into running counts, off which each N reads
+    every twist histogram and the cylinder counts; count_stream counts them
+    in one dense table of p^width cells while that fits in BLOCK.
     """
     if D < 1:
         raise DomainError("the twist bound D must be positive")
@@ -199,7 +201,8 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
     if Ns:
         blocks = _split_blocks(f, width, Ns[-1], 0, field.q ** Ns[-1], budget)
         for N, segment in zip(Ns, prefix_segments(blocks, [field.q ** N for N in Ns])):
-            counted = [count_stream(itertools.chain(counted, ((b, None) for b in segment)))]
+            counted = [count_stream(itertools.chain(counted, ((b, None) for b in segment)),
+                                    field.p)]
             found[N] = _scan_row(field, N, D, depth, *counted[0])
     rows = tuple(found[N] for N in sorted(N_list))
     flags = {"failure_certificate": any(r.witness is not None for r in rows)}

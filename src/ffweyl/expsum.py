@@ -267,12 +267,16 @@ def _trace_forms(field):
     return forms
 
 
+@functools.lru_cache(maxsize=None)
 def _trace_codes(field):
-    """The code of d at the key sum_k Tr(e_k d) p^k, for every d: the trace
-    form is nondegenerate, so the keys permute the q codes (the identity at
-    q = p).  Tr(e_k d) is T[k, d, 0, 0] of _trace_forms, as e_0 = 1."""
+    """The read-only code of d at the key sum_k Tr(e_k d) p^k, for every d:
+    the trace form is nondegenerate, so the keys permute the q codes (the
+    identity at q = p).  Tr(e_k d) is T[k, d, 0, 0] of _trace_forms, as
+    e_0 = 1."""
     keys = field.p ** np.arange(field.m) @ _trace_forms(field)[:, :, 0, 0]
-    return np.argsort(keys)
+    codes = np.argsort(keys)
+    codes.flags.writeable = False  # shared by every caller
+    return codes
 
 
 def _trace_digits(field, traces):
@@ -372,6 +376,15 @@ def _power_table(field, n, exps, rows):
     return table
 
 
+def _key_rows(key, bases, dtype):
+    """The rows of the given dtype whose keys are key, read as digits in the
+    radix bases[c] of each column c, the first column most significant."""
+    rows = np.empty((len(key), len(bases)), dtype=dtype)
+    for c in range(len(bases) - 1, -1, -1):
+        key, rows[:, c] = np.divmod(key, bases[c])
+    return rows
+
+
 def count_rows(rows, weights=None):
     """The distinct rows of a nonempty 2-d array of nonnegative integers, in
     lexicographic order, and the int64 summed weights of each one's copies
@@ -402,11 +415,7 @@ def count_rows(rows, weights=None):
         span *= base
     if weights is None and not ranked and span <= len(rows):
         sizes = np.bincount(key, minlength=span)
-        key = np.flatnonzero(sizes)
-        distinct = np.empty((len(key), len(bases)), dtype=rows.dtype)
-        for c in range(len(bases) - 1, -1, -1):  # the keys' digits are the columns
-            key, distinct[:, c] = np.divmod(key, bases[c])
-        return distinct, sizes[sizes > 0]
+        return _key_rows(np.flatnonzero(sizes), bases, rows.dtype), sizes[sizes > 0]
     order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
@@ -415,15 +424,41 @@ def count_rows(rows, weights=None):
     return rows[order[starts]], np.add.reduceat(weights[order], starts)
 
 
-def count_stream(chunks):
+def count_stream(chunks, base):
     """count_rows of the concatenation of a nonempty stream of (rows, weights)
-    chunks, with each chunk counted as it comes.
+    chunks, with each chunk counted as it comes; every entry lies in
+    [0, base), and every weight is positive.
 
-    The counts of the chunks wait beside the merged counts of the earlier
-    ones, and are merged in once they outnumber both the merged rows and
-    BLOCK, so the stream is never held whole, and each distinct row is
+    When the rows' base^width keys fit in BLOCK cells, each row is read as
+    one base-`base` key, its first column most significant, and the chunks
+    are counted into one int64 table: by bincount when unweighted, and by
+    np.add.at when weighted (exact in int64, where bincount's float64
+    weights are not).  The nonzero cells are read back once as the distinct
+    rows, in key order, which is count_rows' order.
+
+    Otherwise the counts of the chunks wait beside the merged counts of the
+    earlier ones, and are merged in once they outnumber both the merged rows
+    and BLOCK, so the stream is never held whole, and each distinct row is
     recounted a bounded number of times on average.
     """
+    chunks = iter(chunks)
+    first = next(chunks)
+    chunks = itertools.chain([first], chunks)
+    width, dtype = first[0].shape[1], first[0].dtype
+    if base ** width <= BLOCK:
+        table = np.zeros(base ** width, dtype=np.int64)
+        for rows, weights in chunks:
+            key = np.zeros(len(rows), dtype=np.int64)
+            for col in rows.T:
+                key *= base
+                key += col
+            if weights is None:
+                table += np.bincount(key, minlength=len(table))
+            else:
+                np.add.at(table, key, weights)
+        key = np.flatnonzero(table)
+        return _key_rows(key, [base] * width, dtype), table[key]
+
     def merge(parts):
         return count_rows(np.concatenate([r for r, _ in parts]),
                           np.concatenate([w for _, w in parts]))

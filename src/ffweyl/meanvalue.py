@@ -94,14 +94,16 @@ def _convolve(counts, unit, p):
     """Counts of the row sums mod p of all pairs of rows, one from each count,
     weighted by the product of their counts.
 
-    Pairs are formed at most BLOCK at a time, and counted as one stream.
+    Pairs are formed at most BLOCK at a time, and counted as one stream of
+    entries below p.
     """
     rows, weights = counts
     unit_rows, unit_weights = unit
     step = max(1, BLOCK // len(unit_rows))
-    return count_stream((((rows[a:a + step, None] + unit_rows) % p).reshape(-1, rows.shape[1]),
-                         (weights[a:a + step, None] * unit_weights).ravel())
-                        for a in range(0, len(rows), step))
+    pairs = ((((rows[a:a + step, None] + unit_rows) % p).reshape(-1, rows.shape[1]),
+              (weights[a:a + step, None] * unit_weights).ravel())
+             for a in range(0, len(rows), step))
+    return count_stream(pairs, p)
 
 
 def growth_table(K, s, N_list, field, budget=None):

@@ -7,7 +7,7 @@ from ffweyl.algebra import (PRINT_DIGITS, Field, Poly, check_budget, check_power
 from ffweyl.contfrac import CFExpansion
 from ffweyl.errors import DomainError, HypothesisError, PrecisionError
 from ffweyl.exponents import lucas_binom
-from ffweyl.expsum import (ExpPoly, _check_floor, _split_blocks, count_stream,
+from ffweyl.expsum import (ExpPoly, _check_floor, _split_blocks, count_rows,
                            weyl_sum)
 from ffweyl.kinfty import (RationalK, TruncSeries, kadd, kmul_poly, kmul_scalar,
                            quotient_digits)
@@ -226,7 +226,8 @@ def quotient_digits_register(num, den, lo, hi):
 
 def weyl_scan_loop(f, N_list, D, depth=None, budget=None):
     """weyl_scan with one engine pass per N, in ascending order: each N checks
-    its twist floors, its depth and its pass, then counts its own pass."""
+    its twist floors, its depth and its pass, then counts its own pass's
+    concatenated blocks with count_rows, not with the streamed counter."""
     if D < 1:
         raise DomainError("the twist bound D must be positive")
     if depth is not None and depth < 1:
@@ -250,8 +251,8 @@ def weyl_scan_loop(f, N_list, D, depth=None, budget=None):
         if depth is not None:
             for r, c in f.terms:
                 _check_floor(c, r, N, depth)
-        counted = count_stream((block, None) for _, block in _split_blocks(
-            f, max(D, depth or 1) * m, N, 0, field.q ** N, budget))
+        counted = count_rows(np.concatenate([block for _, block in _split_blocks(
+            f, max(D, depth or 1) * m, N, 0, field.q ** N, budget)]))
         rows.append(equidist._scan_row(field, N, D, depth, *counted))
     flags = {"failure_certificate": any(r.witness is not None for r in rows)}
     return equidist.Verdict(tuple(rows), flags)

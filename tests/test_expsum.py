@@ -335,18 +335,34 @@ def test_unweighted_count_rows_matches_a_counter(monkeypatch, q, width, dtype):
 
 
 def test_count_stream_matches_one_count(monkeypatch):
-    monkeypatch.setattr(expsum, "BLOCK", 50)  # merges as well as waiting chunks
+    sorts = []
+    for name in ("argsort", "unique"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _real=real, **k: sorts.append(1) or _real(*a, **k))
     rng = np.random.default_rng(41)
-    for weighted in (False, True):
-        for pool in (3, 40, 2000):
-            chunks = [_rows_from_pool(rng, 3, int(rng.integers(1, 120)), 5, np.int64, pool)
-                      for _ in range(int(rng.integers(1, 30)))]
-            weights = [rng.integers(0, 1 << 30, size=len(c)) if weighted else None
-                       for c in chunks]
-            distinct, sums = expsum.count_stream(zip(chunks, weights))
-            rows = np.concatenate(chunks)
-            want = count_rows(rows, np.concatenate(weights) if weighted else None)
-            assert np.array_equal(distinct, want[0]) and np.array_equal(sums, want[1])
+    big = (1 << 50) + 1  # 1000 of them sum past 2^53, where float64 is inexact
+    # 3^5 = 243 cells: BLOCK 50 merges as well as waiting chunks, 242 is just
+    # below the dense table and 243 at it
+    for block in (50, 242, 243):
+        monkeypatch.setattr(expsum, "BLOCK", block)
+        for weighted in (False, True):
+            for pool in (1, 3, 40, 2000):
+                chunks = [_rows_from_pool(rng, 3, int(rng.integers(1, 120)), 5, np.int64, pool)
+                          for _ in range(int(rng.integers(1, 30)))]
+                weights = [rng.integers(1, 1 << 30, size=len(c)) if weighted else None
+                           for c in chunks]
+                if weighted and pool == 1:
+                    chunks = np.split(np.repeat(chunks[0][:1], 1000, axis=0), [1, 400])
+                    weights = [np.full(len(c), big, dtype=np.int64) for c in chunks]
+                sorts.clear()
+                distinct, sums = expsum.count_stream(zip(chunks, weights), 3)
+                assert not sorts if block >= 243 else sorts
+                rows = np.concatenate(chunks)
+                want = count_rows(rows, np.concatenate(weights) if weighted else None)
+                assert np.array_equal(distinct, want[0]) and np.array_equal(sums, want[1])
+                assert distinct.dtype == rows.dtype and sums.dtype == np.int64
+                if weighted and pool == 1:
+                    assert sums.tolist() == [1000 * big]
 
 
 def test_weyl_scan_makes_one_engine_pass_at_max_n(monkeypatch):
