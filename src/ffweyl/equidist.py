@@ -7,6 +7,7 @@ finite disproof certificate at that N); only the latter is ever definitive.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,8 +19,8 @@ from .algebra import (PRINT_DIGITS, check_budget, check_power, gn_size, poly_fro
 from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
 from .exponents import cal_i
-from .expsum import (BLOCK, CharSum, ExpPoly, _check_floor, _digit_row_blocks,
-                     _pass_checks, _split_blocks, _trace_digits, count_rows,
+from .expsum import (BLOCK, CharSum, ExpPoly, _check_floor, _digit_row_blocks, _key_rows,
+                     _members, _packing, _pass_checks, _point_keys, _split_blocks, count_rows,
                      count_stream, prefix_segments)
 from .kinfty import RationalK, kadd, tmap
 
@@ -80,13 +81,19 @@ def discrepancy(table, q):
     """max over all depth-d prefixes of |count/total - q^-d|, exact.
 
     The maximum runs over every prefix, including those with zero count.
-    Each term is |count q^d - total| / (total q^d), so the maximum is taken
-    over the integer numerators and divided once.
+    Each term is |count q^d - total| / (total q^d), and |c q^d - total| is
+    largest at the largest or the smallest count c, so only those two are
+    read; a prefix with no entry in table.counts counts 0.  table.counts is
+    the dict of cylinder_counts, or an int64 array of the counts of some of
+    the cells, as weyl_scan passes it.
     """
     cells = q ** table.depth
-    worst = max((abs(c * cells - table.total) for c in table.counts.values()), default=0)
-    if len(table.counts) < cells:
-        worst = max(worst, table.total)  # some prefix has count zero
+    counts = table.counts
+    if isinstance(counts, dict):
+        counts = np.array(list(counts.values()), dtype=np.int64)
+    high = int(counts.max()) if len(counts) else 0
+    low = int(counts.min()) if len(counts) == cells else 0  # else some prefix has count zero
+    worst = max(abs(c * cells - table.total) for c in (low, high))
     return Fraction(worst, table.total * cells)
 
 
@@ -108,45 +115,66 @@ class Verdict:
         return any(r.witness is not None for r in self.rows)
 
 
-def _twist_counts(traces, sizes, p):
-    """The histogram counts of every twist of G_D, in index order from 0, in
-    blocks, at points whose distinct rows of the first D log_p(q) basis-twist
-    traces are traces, with sizes copies each.  Twist t has coordinates
-    floor(t / p^c) mod p, and its residue is their dot product with the
-    traces, mod p.  A block holds the p^c twists that share their higher
-    coordinates, with c as large as keeps its residues within BLOCK, so the
-    lower part of the residues is one product for every block.
+def _twist_indicators(cells, p):
+    """The twist-residue indicator of every twist t < p^w, in index order from
+    0, in blocks: row t p + r of a block holds 1 at the cells, the rows of
+    cells (w columns), where twist t has residue r.  Twist t has coordinates
+    floor(t / p^b) mod p, and its residue at a cell is their dot product with
+    the cell's members, mod p.  A block holds the p^c twists that share their
+    higher coordinates, with c as large as keeps its residues within BLOCK,
+    so the lower part of the residues is one product for every block.
     """
-    w = low = traces.shape[1]
-    while low and p ** low * len(sizes) > BLOCK:
+    w = low = cells.shape[1]
+    while low and p ** low * len(cells) > BLOCK:
         low -= 1
-    base = np.arange(p ** low)[:, None] // p ** np.arange(low) % p @ traces[:, :low].T
+    base = np.arange(p ** low)[:, None] // p ** np.arange(low) % p @ cells[:, :low].T
     for a in range(p ** (w - low)):
         high = np.array([a // p ** c % p for c in range(w - low)], dtype=np.int64)
-        res = (base + traces[:, low:] @ high) % p  # [twist, distinct row]
-        yield ((res[:, None] == np.arange(p)[:, None]) @ sizes).tolist()
+        res = (base + cells[:, low:] @ high) % p  # [twist, cell]
+        yield (res[:, None] == np.arange(p)[:, None]).reshape(-1, len(cells))
 
 
-def _scan_row(field, N, D, depth, traces, sizes):
-    """The ScanRow of G_N, whose distinct rows of the first max(D, depth)
-    log_p(q) basis-twist traces are traces, with sizes copies each: every
-    twist histogram and the cylinder counts are read off those counts."""
-    p, m = field.p, field.m
-    counts = (tuple(row) for block in _twist_counts(traces[:, :D * m], sizes, p) for row in block)
-    next(counts)  # the zero twist is not scanned
-    first = {}  # each distinct histogram -> the first twist that has it
-    for mi, row in enumerate(counts, 1):
-        first.setdefault(row, mi)
-    hists = [(CharSum(p, row), mi) for row, mi in first.items()]
-    sup = max(hist.normalized() for hist, _ in hists)
-    witness = next((str(poly_from_index(field, mi, D))
-                    for hist, mi in hists if hist.is_full()), None)
+def _twist_histograms(cells, sizes, p):
+    """The histograms of every twist t < p^w, in index order from 0, in
+    blocks of rows, at points in the cells, the rows of cells, with sizes
+    points each: one product of each block's indicator with the sizes."""
+    for indicator in _twist_indicators(cells, p):
+        yield (indicator @ sizes).reshape(-1, p)
+
+
+@functools.lru_cache(maxsize=8)
+def _every_twist_indicator(p, w):
+    """The read-only int64 twist-residue indicator of every twist t < p^w at
+    every cell c < p^w, its w members the base-p digits of c, the first most
+    significant, in one block; for p^(2w+1) <= BLOCK."""
+    cells = _key_rows(np.arange(p ** w), [p] * w, np.int64)
+    indicator = np.concatenate(list(_twist_indicators(cells, p))).astype(np.int64)
+    indicator.flags.writeable = False
+    return indicator
+
+
+def _scan_row(field, N, D, depth, hists, cylinders):
+    """The ScanRow of G_N, from the histograms of every twist of G_D, in
+    blocks in index order from 0, and with depth, the counts of G_N's
+    nonempty depth-`depth` cylinders (and maybe of some empty ones)."""
+    total = field.q ** N
+    distinct = set()  # every histogram of a nonzero twist
+    witness = None
+    start = 0  # the twist of the block's first row
+    for block in hists:
+        rows = block.tolist()
+        if not start:  # the zero twist is not scanned
+            rows, start = rows[1:], 1
+        if witness is None:  # a full histogram holds the total
+            full = next((i for i, row in enumerate(rows) if total in row), None)
+            if full is not None:
+                witness = str(poly_from_index(field, start + full, D))
+        distinct.update(map(tuple, rows))
+        start += len(rows)
+    sup = max(CharSum(field.p, row).normalized() for row in distinct)
     disc = None
     if depth is not None:
-        prefixes = _trace_digits(field, traces[:, :depth * m])
-        if D > depth:  # rows that differ past the depth share a prefix
-            prefixes, sizes = count_rows(prefixes, sizes)
-        disc = discrepancy(_table(depth, field.q ** N, (prefixes, sizes)), q=field.q)
+        disc = discrepancy(CylinderTable(depth, total, cylinders), q=field.q)
     return ScanRow(N, sup, witness, disc)
 
 
@@ -165,17 +193,26 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
     pass, so the scan raises as twisted_sum and then cylinder_counts would
     N by N.  One engine pass over G_{max N} then reads the basis twists
     e_k t^s with s < max(D, depth), and prefix_segments cuts it at each q^N.
-    The distinct rows of their traces, whose entries lie below p, are
-    counted segment by segment into running counts, off which each N reads
-    every twist histogram and the cylinder counts; count_stream counts them
-    in one dense table of p^width cells while that fits in BLOCK.
+    A point's traces of those twists, entries below p, name its cell, and
+    its first D m and depth m traces its twist cell and its cylinder (the
+    trace form is nondegenerate, so they name the digits one to one).
+
+    While the p^width cells fit in BLOCK, each block's cell keys are counted
+    by one bincount into a running table, so each N's counts are the
+    previous N's plus its segment's; its twist cells and cylinders are sums
+    of the table over the cells that share their most significant members.
+    Wider rows are counted segment by segment into running distinct rows by
+    count_stream's sort and merge.  Each N then reads every twist histogram
+    as one product of the twist-residue indicator with the twist cells'
+    counts (_twist_histograms; one cached matrix over every twist cell when
+    that fits in BLOCK), and its discrepancy off the cylinder counts.
     """
     if D < 1:
         raise DomainError("the twist bound D must be positive")
     if depth is not None and depth < 1:
         raise DomainError("depth must be at least 1")
     field = f.field
-    m = field.m
+    p, m = field.p, field.m
     points = sum(gn_size(field, N, budget, "twist scan") for N in N_list)
     check_budget(points * (power_count(field.q, D, budget, "twist scan") - 1),
                  budget, "twist scan")
@@ -194,16 +231,37 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
         if depth is not None:
             for r, c in f.terms:
                 _check_floor(c, r, N, depth)
-        _pass_checks(f, width, N, 0, field.q ** N, budget)
+        values = _pass_checks(f, width, N, 0, field.q ** N, budget)
     Ns = sorted(set(N_list))
     found = {}
-    counted = []  # the distinct trace rows of G_N and their counts
+    table = np.zeros(p ** width if p ** width <= BLOCK else 0, dtype=np.int64)
+    counted = []  # without a table: the distinct group-key rows so far, and their counts
+    cylinders = None
     if Ns:
+        g = _packing(p, values, width)[1]  # group keys lie below p^g
         blocks = _split_blocks(f, width, Ns[-1], 0, field.q ** Ns[-1], budget)
         for N, segment in zip(Ns, prefix_segments(blocks, [field.q ** N for N in Ns])):
-            counted = [count_stream(itertools.chain(counted, ((b, None) for b in segment)),
-                                    field.p)]
-            found[N] = _scan_row(field, N, D, depth, *counted[0])
+            if len(table):
+                for block in segment:
+                    table += np.bincount(_point_keys(block, width, p), minlength=len(table))
+                twists = table.reshape(field.q ** D, -1).sum(axis=1)
+                if p ** (2 * D * m + 1) <= BLOCK:
+                    hists = [(_every_twist_indicator(p, D * m) @ twists).reshape(-1, p)]
+                else:
+                    keys = np.flatnonzero(twists)
+                    hists = _twist_histograms(_key_rows(keys, [p] * (D * m), np.int64),
+                                              twists[keys], p)
+                if depth is not None:
+                    cylinders = table.reshape(field.q ** depth, -1).sum(axis=1)
+            else:
+                counted = [count_stream(itertools.chain(counted, ((b, None) for b in segment)),
+                                        p ** g)]
+                rows, sizes = counted[0]
+                rows = _members(rows, width, p)
+                hists = _twist_histograms(rows[:, :D * m], sizes, p)
+                if depth is not None:
+                    cylinders = count_rows(rows[:, :depth * m], sizes)[1]
+            found[N] = _scan_row(field, N, D, depth, hists, cylinders)
     rows = tuple(found[N] for N in sorted(N_list))
     flags = {"failure_certificate": any(r.witness is not None for r in rows)}
     return Verdict(rows, flags)

@@ -15,9 +15,10 @@ t^-(1+s) of f(x).  It splits x = x_lo + t^h x_hi with h = N // 2, tabulates
 by exponent the powers of x_lo over G_h and of x_hi over G_{N-h} that the
 Lucas pairs read, each one Frobenius step from a smaller one, and contracts
 the tables through Lucas binomials and Hankel blocks of the coefficient
-digits in one float64 (BLAS) product, exact because every call checks that
-its dot products stay within 2^53, and streamed over blocks of x_hi rows, so
-weyl_sum never holds the q^N residues.  A sum reads e_0 = 1 alone,
+digits in one float64 (BLAS) product, several members packed to a column and
+read off the float's bits, exact because every call checks that its values
+stay below 2^52, and streamed over blocks of x_hi rows, so weyl_sum never
+holds the q^N residues.  A sum reads e_0 = 1 alone,
 twisted_sum scales f by its twist, and digit rows read depth log_p(q) basis
 twists, whose traces name each digit through one lookup in a q-entry table,
 as the trace form is nondegenerate.  The direct path (method="direct") walks
@@ -76,8 +77,7 @@ class CharSum:
         return max(range(self.p), key=lambda r: self.counts[r])
 
     def magnitude(self):
-        z = sum(c * cmath.exp(2j * cmath.pi * r / self.p)
-                for r, c in enumerate(self.counts))
+        z = sum(c * root for c, root in zip(self.counts, _roots(self.p)))
         return abs(z)
 
     def normalized(self):
@@ -90,6 +90,12 @@ class CharSum:
 
     def scale(self, k):
         return CharSum(self.p, tuple(k * c for c in self.counts))
+
+
+@functools.lru_cache(maxsize=None)
+def _roots(p):
+    """The p-th roots of unity exp(2 pi i r / p), r = 0, ..., p - 1."""
+    return tuple(cmath.exp(2j * cmath.pi * r / p) for r in range(p))
 
 
 def e_of(alpha):
@@ -281,8 +287,11 @@ def _trace_codes(field):
 
 def _trace_digits(field, traces):
     """The digit codes named by rows of basis-twist traces: column s*m + k of
-    traces holds Tr(e_k d_s), and column s of the result the code of d_s."""
+    traces holds Tr(e_k d_s), and column s of the result the code of d_s.
+    At q = p the codes are the traces themselves, returned as they are."""
     p, m = field.p, field.m
+    if m == 1:
+        return traces
     keys = traces[:, ::m].copy()
     for k in range(1, m):
         keys += p ** k * traces[:, k::m]
@@ -312,6 +321,20 @@ def _lucas_pairs(r, p):
 def _residues(p, size):
     """The read-only table n mod p for n < size, so that mod p is one lookup."""
     table = np.arange(size) % p
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _key_table(p, base, g):
+    """The read-only key of every value below base^g: the value's g base-`base`
+    digits, each taken mod p, read as one base-p number, the first digit most
+    significant.  It is the outer sum of g copies of _residues(p, base),
+    weighted p^(g-1), ..., p, 1; for g = 1 it is _residues(p, base) itself."""
+    residues = _residues(p, base)
+    table = residues
+    for _ in range(g - 1):
+        table = np.add.outer(table * p, residues).ravel()
     table.flags.writeable = False
     return table
 
@@ -439,7 +462,10 @@ def count_stream(chunks, base):
     Otherwise the counts of the chunks wait beside the merged counts of the
     earlier ones, and are merged in once they outnumber both the merged rows
     and BLOCK, so the stream is never held whole, and each distinct row is
-    recounted a bounded number of times on average.
+    recounted a bounded number of times on average.  weyl_scan counts its
+    rows in a table of its own, which it keeps across N, and calls this only
+    for rows too wide for one: the group keys of its engine pass, each below
+    p^g, with the previous N's distinct rows as one weighted chunk.
     """
     chunks = iter(chunks)
     first = next(chunks)
@@ -478,15 +504,26 @@ def count_stream(chunks, base):
 #: is already larger.
 BLOCK = 1 << 16
 
-#: float64 holds every integer up to 2^53, so the streamed product is exact
-#: while its dot products stay within it.
-FLOAT_EXACT = 1 << 53
+#: Adding 2^52 to a float64 integer v below 2^52 gives a float whose bits are
+#: those of 2^52 plus v, so the streamed product is read off its bits exactly
+#: while every value it takes is at most FLOAT_EXACT.
+FLOAT_EXACT = (1 << 52) - 1
+
+#: The float 2^52, and its int64 bits, subtracted from the bits of 2^52 + v.
+_BIAS = np.float64(1 << 52)
+_BIAS_BITS = _BIAS.view(np.int64)
+
+#: The key table and the digit table of a packing of g > 1 members each hold
+#: at most TABLE_BLOCKS * BLOCK cells (see _packing).
+TABLE_BLOCKS = 2
 
 
 def _pass_checks(f, width, N, lo, hi, budget=None):
     """Every check _split_blocks(f, width, N, lo, hi, budget) makes before its
     first block: the floors for depth (width - 1) // m + 1, the charge of its
-    power table, and the float64 bound on its inner width."""
+    power table, and the bound on its inner width k that keeps every product
+    value below 2^52, where its float64 bits read it exactly.  Returns the
+    number of values a member's dot product takes, (p - 1)^2 * k + 1."""
     field = f.field
     p, m = field.p, field.m
     for r, c in f.terms:
@@ -499,28 +536,93 @@ def _pass_checks(f, width, N, lo, hi, budget=None):
     deg = max(N - h - 1, 0)
     k = m * sum(e * deg + 1 for e in {r - j for r in exps for j, _ in _lucas_pairs(r, p)})
     if (p - 1) ** 2 * k > FLOAT_EXACT:
-        raise DomainError(f"an inner width of {k} at p = {p} is beyond an exact float64 product")
+        raise DomainError(f"an inner width of {k} at p = {p} lets a product value reach "
+                          f"2^52, beyond the exact float64 read-out")
+    return (p - 1) ** 2 * k + 1
+
+
+def _packing(p, values, width):
+    """(groups, g): the members of a pass whose dot products take `values`
+    values go g to a product column, in groups = ceil(width / g) columns.
+    Column c carries the product values v_b of its members b, the first most
+    significant, as one integer sum_b v_b values^(g-1-b) below values^g; g is
+    the largest that keeps that integer within FLOAT_EXACT, and both its key
+    table (values^g cells) and the digit table of its keys (p^g rows of g
+    digits) within TABLE_BLOCKS * BLOCK cells; g = 1 needs none of these, as
+    the checks bound values by FLOAT_EXACT + 1.  g is then evened out over
+    the columns."""
+    cells = TABLE_BLOCKS * BLOCK
+    g = 1
+    while (g < width and values ** (g + 1) <= min(FLOAT_EXACT + 1, cells)
+           and p ** (g + 1) * (g + 1) <= cells):
+        g += 1
+    groups = -(-width // g)
+    return groups, -(-width // groups)
+
+
+@functools.lru_cache(maxsize=8)
+def _digit_table(p, g):
+    """The read-only base-p digits of every key below p^g, a row each, the
+    first digit most significant."""
+    table = np.arange(p ** g)[:, None] // p ** np.arange(g - 1, -1, -1) % p
+    table.flags.writeable = False
+    return table
+
+
+def _members(keys, width, p):
+    """The residues of every member, one column each, of a block of a
+    _split_blocks pass over `width` members: column c of keys is the base-p key
+    of group c, g = ceil(width / groups) members with the first most
+    significant, the first group led by groups * g - width empty places."""
+    groups = keys.shape[1]
+    if groups == width:
+        return keys
+    g = -(-width // groups)
+    members = _digit_table(p, g).take(keys, axis=0).reshape(len(keys), groups * g)
+    return members[:, groups * g - width:]
+
+
+def _point_keys(keys, width, p):
+    """The base-p key of every member of each row of a block of a
+    _split_blocks pass over `width` members, the first most significant:
+    the block's group keys read as base-p^g digits (see _members)."""
+    groups = keys.shape[1]
+    if groups == 1:
+        return keys[:, 0]
+    place = p ** -(-width // groups)
+    key = keys[:, 0].copy()
+    for col in keys.T[1:]:
+        key *= place
+        key += col
+    return key
 
 
 def _split_blocks(f, width, N, lo, hi, budget=None):
     """Tr of the t^-1 digit of (e_k t^s f)(x), which is Tr(e_k d_s) for d_s
     the digit at t^-(1+s) of f(x), for each of the first `width` basis
-    twists, s-major (member s*m + k), over x in [lo, hi).
+    twists, s-major (member s*m + k), over x in [lo, hi), packed g members to
+    a column as _packing decides.
 
-    Yields (start, block): column b of block holds member b at the indices
-    start, start + 1, ... of G_N, one row each.  Every block carries all
-    members, and no block holds more than BLOCK entries unless one row of
-    x_hi is already larger.  Member s*m + k reads s digits deeper than the
-    character, so the floors are first checked as for depth
-    (width - 1) // m + 1, with the rest of _pass_checks.
+    Yields (start, block): row i of block belongs to the index start + i of
+    G_N, and column c holds the base-p key of the residues of its group c of
+    members (see _members); with g = 1, column b is member b.  Every block
+    carries every member, and no block holds more than BLOCK points times
+    members unless one row of x_hi is already larger.  Member s*m + k reads
+    s digits deeper than the character, so the floors are first checked as
+    for depth (width - 1) // m + 1, with the rest of _pass_checks.
     The factors come from one digit vector per term and one int64 product
     per Lucas pair for all members; they form the right side of a float64
     product whose rows are the coordinates of x_hi^e.  Every table entry is
     a coordinate below p, and every factor entry is reduced mod p, so each
-    dot product is at most (p - 1)^2 * k for the inner width k; that stays
-    within 2^53, where float64 is exact, or the checks raise first.
+    member's dot product is at most (p - 1)^2 * k for the inner width k, one
+    of V = (p - 1)^2 * k + 1 values.  A group's members enter one column of
+    the right factor with the weights V^(g-1), ..., V, 1, so the product
+    gives the group's values as one integer below V^g.  Every partial sum of
+    that product is a nonnegative integer no larger, within 2^52, so float64
+    is exact; adding 2^52 puts the integer in the float's low bits, read in
+    place as int64, and one lookup in _key_table turns it into the group's key.
     """
-    _pass_checks(f, width, N, lo, hi, budget)
+    values = _pass_checks(f, width, N, lo, hi, budget)  # a member's dot product takes
     field = f.field
     p, m = field.p, field.m
     deepest = (width - 1) // m
@@ -532,7 +634,7 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
     # the exponents e = r - j of x_hi that some member reads, and where each sits in k
     ends = sorted({r - j for r, pairs in lucas.items() for j, _ in pairs})
     k = sum(powers[e].shape[1] for e in ends)
-    residue = _residues(p, (p - 1) ** 2 * k + 1)  # of every value the product takes
+    groups, g = _packing(p, values, width)
     offsets = {}
     highs = np.empty((last - first, k))  # the left factor: x_hi^e for every e read
     col = 0
@@ -564,15 +666,26 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
             right[offsets[e]:offsets[e] + lb * m] += (
                 product.reshape(qh, lb * m, -1).transpose(1, 0, 2))
     right %= p
-    right = right.reshape(k, qh * width).astype(float)
+    if g > 1:  # member b at place groups * g - width + b, the leading places empty
+        places = np.zeros((k, qh, groups * g), dtype=np.int64)
+        places[:, :, groups * g - width:] = right
+        right = places.reshape(k, qh, groups, g) @ values ** np.arange(g - 1, -1, -1)
+    right = right.reshape(k, qh * groups).astype(float)
+    keys_of = _key_table(p, values, g)
     rows = max(1, BLOCK // (width * qh))
     for r0 in range(first, last, rows):
         r1 = min(r0 + rows, last)
-        out = (highs[r0 - first:r1 - first] @ right).astype(np.int64)
-        # mod p by table lookup; row (i_hi - r0) * q^h + i_lo: C order is index order
-        out = residue[out].reshape(-1, width)
+        out = highs[r0 - first:r1 - first] @ right
+        out += _BIAS
+        keys = out.view(np.int64)
+        keys -= _BIAS_BITS
+        # in place: mode="raise" would first buffer a copy of keys, and no
+        # value reaches values^g, the table's length
+        keys_of.take(keys, out=keys, mode="clip")
+        # row (i_hi - r0) * q^h + i_lo: C order is index order
+        keys = keys.reshape(-1, groups)
         a, b = max(lo, r0 * qh), min(hi, r1 * qh)
-        yield a, out[a - r0 * qh:b - r0 * qh]
+        yield a, keys[a - r0 * qh:b - r0 * qh]
 
 
 def prefix_segments(blocks, bounds):
@@ -662,8 +775,9 @@ def _digit_row_blocks(f, N, depth, lo=0, hi=None, method=None, budget=None):
     hi = _check_range(field, N, lo, hi, method, budget, "cylinder count", depth * field.m)
     if method == "direct":
         return hi, [(lo, _digit_rows_direct(f, N, depth, lo, hi))]
-    return hi, ((start, _trace_digits(field, block))
-                for start, block in _split_blocks(f, depth * field.m, N, lo, hi, budget))
+    width = depth * field.m
+    return hi, ((start, _trace_digits(field, _members(block, width, field.p)))
+                for start, block in _split_blocks(f, width, N, lo, hi, budget))
 
 
 def fractional_digit_rows(f, N, depth, lo=0, hi=None, method=None, budget=None):

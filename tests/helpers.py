@@ -1,4 +1,6 @@
 """Seeded generators and slow reference loops shared across the test modules."""
+from fractions import Fraction
+
 import numpy as np
 
 from ffweyl import equidist
@@ -7,8 +9,8 @@ from ffweyl.algebra import (PRINT_DIGITS, Field, Poly, check_budget, check_power
 from ffweyl.contfrac import CFExpansion
 from ffweyl.errors import DomainError, HypothesisError, PrecisionError
 from ffweyl.exponents import lucas_binom
-from ffweyl.expsum import (ExpPoly, _check_floor, _split_blocks, count_rows,
-                           weyl_sum)
+from ffweyl.expsum import (BLOCK, CharSum, ExpPoly, _check_floor, _digit_rows_direct,
+                           _pass_checks, _trace_digits, count_rows, weyl_sum)
 from ffweyl.kinfty import (RationalK, TruncSeries, kadd, kmul_poly, kmul_scalar,
                            quotient_digits)
 from ffweyl.sieve import TmnResult, gm_build
@@ -224,10 +226,72 @@ def quotient_digits_register(num, den, lo, hi):
     return out[top - hi:][::-1]
 
 
+def twist_counts(traces, sizes, p):
+    """The histogram counts of every twist of G_D, in index order from 0, in
+    blocks, at points whose distinct rows of the first D log_p(q) basis-twist
+    traces are traces, with sizes copies each.  Twist t has coordinates
+    floor(t / p^c) mod p, and its residue is their dot product with the
+    traces, mod p.  A block holds the p^c twists that share their higher
+    coordinates, with c as large as keeps its residues within BLOCK, so the
+    lower part of the residues is one product for every block.
+    """
+    w = low = traces.shape[1]
+    while low and p ** low * len(sizes) > BLOCK:
+        low -= 1
+    base = np.arange(p ** low)[:, None] // p ** np.arange(low) % p @ traces[:, :low].T
+    for a in range(p ** (w - low)):
+        high = np.array([a // p ** c % p for c in range(w - low)], dtype=np.int64)
+        res = (base + traces[:, low:] @ high) % p  # [twist, distinct row]
+        yield ((res[:, None] == np.arange(p)[:, None]) @ sizes).tolist()
+
+
+def scan_row(field, N, D, depth, traces, sizes):
+    """The ScanRow of G_N, whose distinct rows of the first max(D, depth)
+    log_p(q) basis-twist traces are traces, with sizes copies each: every
+    twist histogram and the cylinder counts are read off those counts, the
+    cylinders through their digit codes and a dict of prefixes."""
+    p, m = field.p, field.m
+    counts = (tuple(row) for block in twist_counts(traces[:, :D * m], sizes, p) for row in block)
+    next(counts)  # the zero twist is not scanned
+    first = {}  # each distinct histogram -> the first twist that has it
+    for mi, row in enumerate(counts, 1):
+        first.setdefault(row, mi)
+    hists = [(CharSum(p, row), mi) for row, mi in first.items()]
+    sup = max(hist.normalized() for hist, _ in hists)
+    witness = next((str(poly_from_index(field, mi, D))
+                    for hist, mi in hists if hist.is_full()), None)
+    disc = None
+    if depth is not None:
+        prefixes = _trace_digits(field, traces[:, :depth * m])
+        if D > depth:  # rows that differ past the depth share a prefix
+            prefixes, sizes = count_rows(prefixes, sizes)
+        counts = dict(zip(map(tuple, prefixes.tolist()), sizes.tolist()))
+        # max over every prefix of |count q^depth - q^N|, an empty one counting 0
+        cells, total = field.q ** depth, field.q ** N
+        worst = max(abs(c * cells - total) for c in counts.values())
+        if len(counts) < cells:
+            worst = max(worst, total)
+        disc = Fraction(worst, total * cells)
+    return equidist.ScanRow(N, sup, witness, disc)
+
+
+def direct_traces(f, N, width):
+    """The first `width` basis-twist traces, member s*m + k = Tr(e_k d_s),
+    at every point of G_N, from the digit rows d_0, d_1, ... of the direct
+    path; width is a multiple of m."""
+    field = f.field
+    p, m = field.p, field.m
+    digits = _digit_rows_direct(f, N, width // m, 0, field.q ** N)
+    trace, mul = field._trace, field._mul
+    traces = np.array([[trace[mul[p ** k][d]] for k in range(m)] for d in range(field.q)],
+                      dtype=np.int64)  # [code, k]
+    return traces[digits].reshape(len(digits), width)
+
+
 def weyl_scan_loop(f, N_list, D, depth=None, budget=None):
-    """weyl_scan with one engine pass per N, in ascending order: each N checks
-    its twist floors, its depth and its pass, then counts its own pass's
-    concatenated blocks with count_rows, not with the streamed counter."""
+    """weyl_scan with one pass per N, in ascending order: each N checks its
+    twist floors, its depth and its engine pass, then counts the trace rows
+    of the direct path with count_rows, and reads its row off them."""
     if D < 1:
         raise DomainError("the twist bound D must be positive")
     if depth is not None and depth < 1:
@@ -244,6 +308,7 @@ def weyl_scan_loop(f, N_list, D, depth=None, budget=None):
             raise DomainError(f"the depth-{depth} discrepancy denominator "
                               f"{field.q}^{depth} has at least {PRINT_DIGITS} digits")
     rows = []
+    width = max(D, depth or 1) * m
     for N in sorted(N_list):
         for d in range(D):
             for r, c in f.terms:
@@ -251,9 +316,9 @@ def weyl_scan_loop(f, N_list, D, depth=None, budget=None):
         if depth is not None:
             for r, c in f.terms:
                 _check_floor(c, r, N, depth)
-        counted = count_rows(np.concatenate([block for _, block in _split_blocks(
-            f, max(D, depth or 1) * m, N, 0, field.q ** N, budget)]))
-        rows.append(equidist._scan_row(field, N, D, depth, *counted))
+        _pass_checks(f, width, N, 0, field.q ** N, budget)
+        counted = count_rows(direct_traces(f, N, width))
+        rows.append(scan_row(field, N, D, depth, *counted))
     flags = {"failure_certificate": any(r.witness is not None for r in rows)}
     return equidist.Verdict(tuple(rows), flags)
 

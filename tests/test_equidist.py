@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffweyl import equidist, expsum
@@ -16,8 +17,8 @@ from ffweyl.expsum import CharSum, ExpPoly, required_floor, twisted_sum, weyl_re
 from ffweyl.kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd,
                            kernel_element, kmul_poly, tmap)
 
-from helpers import (every_field, field, rand_completion, rand_exppoly, rand_nonzero_poly,
-                     rand_poly, rand_rational, rand_series, weyl_scan_loop)
+from helpers import (direct_traces, every_field, field, rand_completion, rand_exppoly,
+                     rand_nonzero_poly, rand_poly, rand_rational, rand_series, weyl_scan_loop)
 
 
 def test_cylinder_examples():
@@ -195,12 +196,18 @@ def test_twist_counts_are_in_index_order(monkeypatch):
         F = field(q)
         N = 2
         f = ExpPoly(F, {1: rand_rational(rng, F, 3), 2: rand_rational(rng, F, 2)})
-        block = next(expsum._split_blocks(f, D * F.m, N, 0, q ** N))[1]
-        traces, sizes = expsum.count_rows(block)
-        counts = [tuple(row) for part in equidist._twist_counts(traces, sizes, F.p)
-                  for row in part]
-        assert counts == [twisted_sum(f, poly_from_index(F, t, D), N).counts
-                          for t in range(q ** D)]
+        # the cells of G_N's points by their twist traces, off the direct path
+        cells, sizes = expsum.count_rows(direct_traces(f, N, D * F.m))
+        parts = list(equidist._twist_histograms(cells, sizes, F.p))
+        assert (len(parts) > 1) == (q ** D * len(sizes) > block)
+        counts = [tuple(row) for part in parts for row in part.tolist()]
+        want = [twisted_sum(f, poly_from_index(F, t, D), N).counts for t in range(q ** D)]
+        assert counts == want
+        # the one matrix over every twist cell, the cell's key its traces in base p
+        every = np.zeros(q ** D, dtype=np.int64)
+        every[cells @ F.p ** np.arange(D * F.m - 1, -1, -1)] = sizes
+        hists = equidist._every_twist_indicator(F.p, D * F.m) @ every
+        assert [tuple(row) for row in hists.reshape(-1, F.p).tolist()] == want
 
 
 def _scan_loop_error(f, Ns, D, depth):

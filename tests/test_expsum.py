@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -17,8 +18,9 @@ from ffweyl.expsum import (CharSum, ExpPoly, count_rows, e_of, fractional_digit_
 from ffweyl.exponents import lucas_binom
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, parse_kelem
 
-from helpers import (dense_power_table, field, rand_exppoly, rand_monic, rand_poly,
-                     rand_rational, rand_series, substitute_oracle)
+from helpers import (dense_power_table, direct_traces, every_field, field, rand_exppoly,
+                     rand_monic, rand_poly, rand_rational, rand_series, substitute_oracle,
+                     weyl_scan_loop)
 
 
 def lin(F, alpha):
@@ -571,7 +573,7 @@ def test_exppoly_drops_exact_zero_and_rejects_negative():
 
 def _record_blocks(monkeypatch, seen):
     """Wrap the engine, at every import site, so that each call appends
-    (q^(N//2), N, width, blocks) to seen, each block as (start, members, points)."""
+    (q^(N//2), N, width, blocks) to seen, each block as (start, columns, points)."""
     engine = expsum._split_blocks
 
     def recording(f, width, N, lo, hi, budget=None):
@@ -611,15 +613,15 @@ def test_engine_matches_the_direct_oracle(monkeypatch, block):
             assert np.array_equal(rows, fractional_digit_rows(fs[0], N, 3, method="direct"))
             lo, hi = _slices(rng, q, N)[-1]
             assert np.array_equal(fractional_digit_rows(fs[0], N, 3, lo, hi), rows[lo:hi])
-    # every block carries every member, and outgrows the block size only
-    # within one row of x_hi, which holds q^h points
-    for qh, _, _, blocks in seen:
-        assert len({members for _, members, _ in blocks}) <= 1
-        assert all(members * points <= block or start // qh == (start + points - 1) // qh
-                   for start, members, points in blocks)
+    # every block carries every member in the same columns, and outgrows the
+    # block size only within one row of x_hi, which holds q^h points
+    for qh, _, width, blocks in seen:
+        assert len({columns for _, columns, _ in blocks}) <= 1
+        assert all(width * points <= block or start // qh == (start + points - 1) // qh
+                   for start, _, points in blocks)
     if block in (7, 64):
         # the small sizes split the 3m members of digit rows into several row blocks
-        assert any(len(blocks) > 1 and blocks[0][1] > 1 for _, _, _, blocks in seen)
+        assert any(len(blocks) > 1 and width > 1 for _, _, width, blocks in seen)
 
 
 @pytest.mark.parametrize("q, modulus", [
@@ -647,7 +649,7 @@ def test_twist_basis_matches_scaled_direct(monkeypatch, q, modulus):
             for f in fs:
                 basis = np.empty((hi - lo, 3 * m), dtype=np.int64)
                 for start, block in expsum._split_blocks(f, 3 * m, N, lo, hi):
-                    basis[start - lo:start - lo + len(block)] = block
+                    basis[start - lo:start - lo + len(block)] = expsum._members(block, 3 * m, p)
                 for t in (t for twists in twist_lists for t in twists):
                     twist = poly_from_index(F, t, 3)
                     direct = weyl_residues(f.scale_poly(twist), N, lo, hi, method="direct")
@@ -655,6 +657,96 @@ def test_twist_basis_matches_scaled_direct(monkeypatch, q, modulus):
                     assert np.array_equal(basis @ coords % p, direct)
                     assert twisted_sum(f, twist, N, lo, hi) == CharSum.from_residues(p, direct)
     assert any(len(blocks) > 1 for _, _, _, blocks in seen)
+
+
+def _inner_values(f, N):
+    """(p - 1)^2 k + 1, one more than the largest dot product over G_N: k is m
+    times the coefficients of the x_hi^e read, e = r - j for the j with
+    C(r, j) nonzero mod p, each of e * max(N - N // 2 - 1, 0) + 1."""
+    F = f.field
+    deg = max(N - N // 2 - 1, 0)
+    ends = {r - j for r, _ in f.terms for j in range(r + 1) if math.comb(r, j) % F.p}
+    return (F.p - 1) ** 2 * F.m * sum(e * deg + 1 for e in ends) + 1
+
+
+def _packing_rule(p, values, width, cells):
+    """(groups, g) for at most `cells` table cells: the largest g <= width with
+    values^g <= cells and g p^g <= cells, or 1, spread evenly over
+    ceil(width / g) columns."""
+    g = 1
+    while g < width and values ** (g + 1) <= cells and (g + 1) * p ** (g + 1) <= cells:
+        g += 1
+    groups = -(-width // g)
+    return groups, -(-width // groups)
+
+
+def _unpack(keys, width, p, g):
+    """The member residues of rows of group keys, g base-p digits to a key,
+    first most significant, after the groups * g - width leading places."""
+    places = [[key // p ** (g - 1 - b) % p for key in row for b in range(g)]
+              for row in keys.tolist()]
+    return np.array([row[len(row) - width:] for row in places], dtype=np.int64)
+
+
+def _record_key_tables(monkeypatch, tables):
+    """Wrap expsum._key_table so that each call appends (p, base, g, len(table))."""
+    real = expsum._key_table
+
+    def recording(p, base, g):
+        table = real(p, base, g)
+        tables.append((p, base, g, len(table)))
+        return table
+
+    monkeypatch.setattr(expsum, "_key_table", recording)
+
+
+def test_packed_read_out_matches_the_member_residues(monkeypatch):
+    tables = []
+    _record_key_tables(monkeypatch, tables)
+    rng = random.Random(47)
+    sides = set()  # (g, whether g members fit the cap)
+    for F in every_field() + [field(4, "x^2+x+1")]:
+        p, width = F.p, 3 * F.m
+        for N in (1, 2, 3) if F.q <= 5 else (1, 2):
+            f = ExpPoly(F, {r: rand_rational(rng, F, 2) for r in rng.sample(range(1, 5), 2)})
+            values = _inner_values(f, N)
+            direct = direct_traces(f, N, width)
+            # for each g, a table at its cap of values^g cells, and one past it
+            for g in range(2, width + 1):
+                if values ** g > 1 << 20:
+                    break
+                for fits in (True, False):
+                    cap = values ** g - (not fits)
+                    monkeypatch.setattr(expsum, "BLOCK", cap // expsum.TABLE_BLOCKS or 1)
+                    cells = expsum.TABLE_BLOCKS * expsum.BLOCK
+                    if (cells >= values ** g) != fits:
+                        continue  # the cap is no multiple of TABLE_BLOCKS near values^g
+                    groups, want_g = _packing_rule(p, values, width, cells)
+                    tables.clear()
+                    got = np.empty((F.q ** N, width), dtype=np.int64)
+                    for start, block in expsum._split_blocks(f, width, N, 0, F.q ** N):
+                        assert block.shape[1] == groups
+                        got[start:start + len(block)] = _unpack(block, width, p, want_g)
+                    assert np.array_equal(got, direct), (F, N, g, fits)
+                    # the table covers every value of values^want_g, within its cap
+                    assert tables == [(p, values, want_g, values ** want_g)]
+                    assert want_g == 1 or values ** want_g <= cells
+                    sides.add((g, fits))
+    assert {(2, True), (2, False), (3, True), (3, False)} <= sides, sides
+
+
+def test_deep_scan_packs_fewer_members_than_its_width(monkeypatch):
+    tables = []
+    _record_key_tables(monkeypatch, tables)
+    rng = random.Random(48)
+    F2 = field(2)
+    f = ExpPoly(F2, {1: rand_rational(rng, F2, 3), 3: rand_rational(rng, F2, 4)})
+    Ns = [1, 3, 4, 5]
+    assert weyl_scan(f, Ns, 2, depth=40) == weyl_scan_loop(f, Ns, 2, depth=40)
+    [(p, values, g, size)] = tables
+    cells = expsum.TABLE_BLOCKS * expsum.BLOCK
+    assert (p, values) == (2, _inner_values(f, 5)) and 1 < g < 40
+    assert size == values ** g <= cells < values ** (g + 1)
 
 
 def test_twists_raise_the_direct_error_of_the_first_shallow_twist():
