@@ -183,10 +183,12 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
 
     A decreasing sup profile is evidence for equidistribution; a twist with
     an exactly full histogram certifies failure at that N and is recorded as
-    a witness.  Before any sum, the digit rows of the largest N are charged
-    as fractional_digit_rows charges them, and a depth whose q^depth has
-    PRINT_DIGITS digits or more is refused: a discrepancy's reduced
-    denominator can be q^depth, too long to print.
+    a witness.  Before any sum, the scan is charged the work of its one
+    pass, q^(max N) (q^D - 1) points (every nonzero twist over the largest
+    N), the digit rows of the largest N are charged as fractional_digit_rows
+    charges them, and a depth whose q^depth has PRINT_DIGITS digits or more
+    is refused: a discrepancy's reduced denominator can be q^depth, too long
+    to print.
 
     Every N is checked before any sum, in ascending order: the floors of its
     twists in index order, then its depth, then the rest of its engine
@@ -213,9 +215,9 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
         raise DomainError("depth must be at least 1")
     field = f.field
     p, m = field.p, field.m
-    points = sum(gn_size(field, N, budget, "twist scan") for N in N_list)
-    check_budget(points * (power_count(field.q, D, budget, "twist scan") - 1),
-                 budget, "twist scan")
+    twists = power_count(field.q, D, budget, "twist scan") - 1
+    for N in N_list:  # the one pass over G_{max N}, refused at the first N it cannot cover
+        check_budget(gn_size(field, N, budget, "twist scan") * twists, budget, "twist scan")
     if depth is not None:
         widest = gn_size(field, max(N_list, default=0), budget, "cylinder count")
         check_budget(widest * depth * m, budget, "cylinder count")

@@ -13,12 +13,13 @@ twists e_k t^s of that polynomial (e_k the element of code p^k): the trace of
 the t^-1 digit of (e_k t^s) f(x) is Tr(e_k d_s), for d_s the digit at
 t^-(1+s) of f(x).  It splits x = x_lo + t^h x_hi with h = N // 2, tabulates
 by exponent the powers of x_lo over G_h and of x_hi over G_{N-h} that the
-Lucas pairs read, each one Frobenius step from a smaller one, and contracts
-the tables through Lucas binomials and Hankel blocks of the coefficient
-digits in one float64 (BLAS) product, several members packed to a column and
-read off the float's bits, exact because every call checks that its values
-stay below 2^52, and streamed over blocks of x_hi rows, so weyl_sum never
-holds the q^N residues.  A sum reads e_0 = 1 alone,
+Lucas pairs read, over only the rows a pass reads (x^(p^i) placed by
+Frobenius, any other x^e one product of a smaller one with a p-power), and
+contracts the tables through Lucas binomials and Hankel blocks of the
+coefficient digits in one float64 (BLAS) product, several members packed to a
+column and read off the float's bits, exact because every call checks that
+its values stay below 2^52, and streamed over blocks of x_hi rows, so
+weyl_sum never holds the q^N residues.  A sum reads e_0 = 1 alone,
 twisted_sum scales f by its twist, and digit rows read depth log_p(q) basis
 twists, whose traces name each digit through one lookup in a q-entry table,
 as the trace form is nondegenerate.  The direct path (method="direct") walks
@@ -356,9 +357,12 @@ def _field_arrays(field):
 # product of a table over G_h with a table over G_{N-h} gives every point.
 
 def _charge_power_table(field, n, exps, rows, budget=None):
-    """The charge of _power_table(field, n, exps, rows): below_count(r, p)
-    powers no wider than x^r for each r of exps, or every power up to
-    max(exps) when that is fewer entries, at each of the rows points."""
+    """The charge of _power_table(field, n, exps, rows) for `rows` points:
+    below_count(r, p) powers no wider than x^r for each r of exps, or every
+    power up to max(exps) when that is fewer entries, at each point.  It
+    bounds the entries the table builds from above: the table builds only
+    x^0, x^1 and the powers digitwise below some r, and a slice's table may
+    hold fewer rows than the count charged (see _split_blocks)."""
     p, deg, top = field.p, max(n - 1, 0), max(exps, default=0)
     entries = min(sum(below_count(r, p) * (r * deg + 1) for r in exps),
                   deg * top * (top + 1) // 2 + top + 1)
@@ -366,19 +370,28 @@ def _charge_power_table(field, n, exps, rows, budget=None):
 
 
 def _power_table(field, n, exps, rows):
-    """Coordinates of x^e, keyed by e, for the first `rows` points of G_n and
-    for e = 0, 1 and each e digitwise below an exponent r of exps; callers
-    charge it first with _charge_power_table.
+    """Coordinates of x^e, keyed by e, for x over `rows` of G_n (a count, for
+    the first points, or an array of indices) and for e = 0, 1 and each e
+    digitwise below an exponent r of exps; row i of every entry belongs to
+    the i-th point given.  Callers charge it first with _charge_power_table.
 
     x^e has e * max(n - 1, 0) + 1 coefficients; column m*a + i of its block
-    holds coordinate i of the coefficient of t^a.  x^e = x^(e - p^i) x^(p^i)
-    for p^i the lowest nonzero digit place of e, where x^(p^i) is x with each
-    coefficient c raised to c^(p^i) (Frobenius) and moved from t^b to t^(b p^i).
+    holds coordinate i of the coefficient of t^a.  An entry x^(p^i) is x with
+    each coefficient c raised to c^(p^i) (Frobenius, the identity when
+    i % m == 0) and placed from t^b at t^(b p^i): one strided assignment,
+    with no table arithmetic.  Any other e is x^(e - p^i) x^(p^i) for p^i
+    the lowest nonzero digit place of e.  At q = p that product is n int64
+    multiply-adds of x^(e - p^i) by the coefficients of x into the windows
+    at t^(b p^i), every sum below n (p - 1)^2, then one reduction mod p; at
+    q > p it is one gather in the field's add-multiply table per window.
     """
     p, q, m = field.p, field.q, field.m
     deg = max(n - 1, 0)
-    idx = np.arange(rows)[:, None]
-    one = np.zeros((rows, m), dtype=np.int64)
+    if isinstance(rows, (int, np.integer)):  # a count; np.ndim would add 1 µs to a tiny sum
+        rows = np.arange(rows)
+    idx = np.asarray(rows)[:, None]
+    count = len(idx)
+    one = np.zeros((count, m), dtype=np.int64)
     one[:, 0] = 1
     # the base-p digits of an index are the coordinates of its coefficients;
     # G_0 = {0} still has one (zero) coefficient
@@ -387,15 +400,26 @@ def _power_table(field, n, exps, rows):
     if closure:
         muladd, frobenius = _field_arrays(field)
         x = idx // q ** np.arange(n) % q  # coefficient codes of x
-        codes = {0: one[:, :1], 1: x}
+        codes = {1: x}
         for e in closure:
             i = next(i for i in range(e.bit_length()) if e // p ** i % p)  # lowest nonzero place
-            prev, frob, stride = codes[e - p ** i], frobenius[i % m][x], p ** i
-            codes[e] = nxt = np.zeros((rows, e * deg + 1), dtype=np.int64)
-            for b in range(n):
-                window = nxt[:, b * stride:b * stride + prev.shape[1]]
-                window[...] = muladd[window, prev, frob[:, b:b + 1]]
-            table[e] = (nxt[:, :, None] // p ** np.arange(m) % p).reshape(rows, -1)
+            stride = p ** i
+            frob = frobenius[i % m][x] if i % m else x
+            codes[e] = nxt = np.zeros((count, e * deg + 1), dtype=np.int64)
+            if e == stride:
+                nxt[:, :n * stride:stride] = frob
+            elif m == 1:
+                prev = codes[e - stride]
+                for b in range(n):
+                    nxt[:, b * stride:b * stride + prev.shape[1]] += prev * x[:, b:b + 1]
+                nxt %= p
+            else:
+                prev = codes[e - stride]
+                for b in range(n):
+                    window = nxt[:, b * stride:b * stride + prev.shape[1]]
+                    window[...] = muladd[window, prev, frob[:, b:b + 1]]
+            table[e] = nxt if m == 1 else (
+                nxt[:, :, None] // p ** np.arange(m) % p).reshape(count, -1)
     return table
 
 
@@ -610,6 +634,11 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
     members unless one row of x_hi is already larger.  Member s*m + k reads
     s digits deeper than the character, so the floors are first checked as
     for depth (width - 1) // m + 1, with the rest of _pass_checks.
+    One power table serves both halves: its first q^h rows are the x_lo
+    points G_h, and it builds only those and the x_hi rows [first, last)
+    that [lo, hi) meets, the first q^h + last - first points of G_{N-h}
+    listed by index once first > q^h, else the first max(q^h, last); the
+    charge of _pass_checks, on max(q^h, last) rows, bounds either.
     The factors come from one digit vector per term and one int64 product
     per Lucas pair for all members; they form the right side of a float64
     product whose rows are the coordinates of x_hi^e.  Every table entry is
@@ -629,7 +658,13 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
     h = N // 2
     qh = field.q ** h
     first, last = lo // qh, -(-hi // qh)
-    powers = _power_table(field, N - h, [r for r, _ in f.terms], max(qh, last))
+    # the table's rows: the x_lo points [0, q^h) and the x_hi points
+    # [first, last), the first of which is its row `top`
+    if first > qh:
+        rows, top = np.r_[0:qh, first:last], qh
+    else:
+        rows, top = max(qh, last), first
+    powers = _power_table(field, N - h, [r for r, _ in f.terms], rows)
     lucas = {r: _lucas_pairs(r, p) for r, _ in f.terms}
     # the exponents e = r - j of x_hi that some member reads, and where each sits in k
     ends = sorted({r - j for r, pairs in lucas.items() for j, _ in pairs})
@@ -641,7 +676,7 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
     for e in ends:
         offsets[e] = col
         col += powers[e].shape[1]
-        highs[:, offsets[e]:col] = powers[e][first:last]
+        highs[:, offsets[e]:col] = powers[e][top:top + last - first]
     shift, kappa = np.divmod(np.arange(width), m)
     # The right factor, reduced mod p, as a (k, q^h, width) int64 array.  The
     # term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times a

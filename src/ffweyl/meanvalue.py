@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import check_power, enumerate_GN
 from .errors import DomainError
 from .exponents import check_positive, sprime
-from .expsum import BLOCK, _charge_power_table, _power_table, count_rows, count_stream
+from .expsum import BLOCK, _charge_power_table, _power_table, count_stream
 
 #: The naive scan enumerates q^(2sN) tuples; keep it oracle-sized.
 NAIVE_BUDGET = 10 ** 6
@@ -74,17 +74,24 @@ def _checked(K, s, N, field, budget):
 def js_histogram(K, s, N, field, budget=None):
     """Exact solution count as the sum of squared power-sum counts.
 
-    Rows are the exact coordinate vectors; counts are int64, exact because
-    no count exceeds q^(sN), which is checked to stay below 2^63.
+    Rows are the exact coordinate vectors of (x^k for k in K'), read from
+    the power table one block of rows of G_N (at most BLOCK entries, or one
+    row) at a time and counted into c_1 as they come; counts are int64,
+    exact because no count exceeds q^(sN), which is checked to stay below
+    2^63.
     """
     exps = _checked(K, s, N, field, budget)
-    # the table holds all of G_N, an enumeration under the default budget
-    rows = check_power(field.q, N)
-    _charge_power_table(field, N, exps, rows, budget)
-    table = _power_table(field, N, exps, rows)
-    coords = np.concatenate([table[k] for k in exps], axis=1)
-    unit = count_rows(coords.astype(np.int8))
-    counts = (np.zeros((1, coords.shape[1]), dtype=np.int8), np.ones(1, dtype=np.int64))
+    # the table is charged over all of G_N, an enumeration under the default
+    # budget, and built one block of rows at a time
+    points = check_power(field.q, N)
+    _charge_power_table(field, N, exps, points, budget)
+    width = field.m * sum(k * max(N - 1, 0) + 1 for k in exps)
+    step = max(1, BLOCK // width)
+    tables = (_power_table(field, N, exps, np.arange(a, min(a + step, points)))
+              for a in range(0, points, step))
+    unit = count_stream(((np.concatenate([table[k] for k in exps], axis=1).astype(np.int8),
+                          None) for table in tables), field.p)
+    counts = (np.zeros((1, width), dtype=np.int8), np.ones(1, dtype=np.int64))
     for _ in range(s):
         counts = _convolve(counts, unit, field.p)
     return sum(c * c for c in counts[1].tolist())

@@ -298,9 +298,9 @@ def weyl_scan_loop(f, N_list, D, depth=None, budget=None):
         raise DomainError("depth must be at least 1")
     field = f.field
     m = field.m
-    points = sum(gn_size(field, N, budget, "twist scan") for N in N_list)
-    check_budget(points * (power_count(field.q, D, budget, "twist scan") - 1),
-                 budget, "twist scan")
+    twists = power_count(field.q, D, budget, "twist scan") - 1
+    for N in N_list:  # as weyl_scan charges its one pass over G_{max N}
+        check_budget(gn_size(field, N, budget, "twist scan") * twists, budget, "twist scan")
     if depth is not None:
         widest = gn_size(field, max(N_list, default=0), budget, "cylinder count")
         check_budget(widest * depth * m, budget, "cylinder count")

@@ -315,15 +315,29 @@ def test_equidist_budget_covers_the_whole_scan(capsys):
     f_json = json.dumps({"field": "q=2", "terms": [
         {"exp": 1, "coeff": {"rat": ["1", "t^3"]}}]})
     scan = ["equidist", "--field", "q=2", "--f", f_json]
-    # each twisted sum has at most 8 points, the scan 229362
+    # each twisted sum has at most 8 points, the scan's one pass 8 * 16383
     code, out, err = run_cli(scan + ["--N", "1..3", "--D", "14",
                                      "--budget", "1000"], capsys)
     assert code == 3 and not out
     assert json.loads(err)["error"]["type"] == "BudgetError"
-    # (2 + 4 + 8) points for each of the 3 nonzero twists in G_2
+    # the 8 points of G_3 for each of the 3 nonzero twists in G_2
     scan += ["--N", "1..3", "--D", "2", "--budget"]
-    assert run_cli(scan + ["41"], capsys)[0] == 3
-    assert run_cli(scan + ["42"], capsys)[0] == 0
+    assert run_cli(scan + ["23"], capsys)[0] == 3
+    assert run_cli(scan + ["24"], capsys)[0] == 0
+
+
+def test_an_n_list_is_charged_as_its_largest_n(capsys):
+    # --N 1..10 runs the same 1024-point pass as --N 10, so both share one boundary
+    f_json = json.dumps({"field": "q=2", "terms": [
+        {"exp": 3, "coeff": {"rat": ["1", "t^3+t+1"]}}]})
+    for n in ("1..10", "10"):
+        scan = ["equidist", "--field", "q=2", "--f", f_json, "--N", n, "--D", "1",
+                "--depth", "1"]
+        code, out, err = run_cli(["--budget", "1023"] + scan, capsys)
+        assert code == 3 and not out
+        assert json.loads(err)["error"] == {
+            "type": "BudgetError", "message": "twist scan of 1024 points exceeds budget 1023"}
+        assert run_cli(["--budget", "1024"] + scan, capsys)[0] == 0
 
 
 _F2 = json.dumps({"field": "q=2", "terms": [
@@ -516,7 +530,7 @@ def _run_limited(argv):
 
 @pytest.mark.parametrize("argv, message", [
     (["equidist", "--field", "q=2", "--f", _F2_RAT, "--N", "1..100000000", "--D", "1"],
-     "twist scan of 2^14285 points exceeds budget 16777216"),
+     "twist scan of 33554432 points exceeds budget 16777216"),
     (["js", "--field", "q=2", "--set", "1,2", "--s", "1", "--N", "1..100000000"],
      "histogram mean-value scan of 33554432 points exceeds budget 16777216"),
     (["sieve-tmn", "--field", "q=2", "--phi", "u^2", "--alpha", "1 / t+1", "--M", "2",

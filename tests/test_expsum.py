@@ -480,6 +480,53 @@ def test_power_table_matches_the_dense_oracle():
                     assert np.array_equal(block, dense[:, starts[e]:starts[e + 1]]), (F, n, e)
 
 
+def test_power_table_matches_poly_powers():
+    # p-powers are placed, products at q = p are int64 multiply-adds: both
+    # against x ** e in Poly arithmetic, over a count and an index array of rows
+    rng = random.Random(19)
+    for F in every_field() + [field(4, "x^2+x+1")]:
+        p, q, m = F.p, F.q, F.m
+        sets = [[p], [p * p], [q], [p + 1], [2 * p], [4, 3, 1], [p * p + 2 * p + 1, q + 1]]
+        for n in range(5):
+            deg = max(n - 1, 0)
+            picked = np.array(sorted(rng.sample(range(q ** n), min(q ** n, 6))))
+            for exps in sets:
+                for rows in (min(q ** n, 6), picked):
+                    table = expsum._power_table(F, n, exps, rows)
+                    below = {j for r in exps for j in range(r + 1) if lucas_binom(r, j, F.p)}
+                    assert set(table) == below | {0, 1}, (F, n, exps)
+                    for row, i in enumerate(np.arange(rows) if np.ndim(rows) == 0 else rows):
+                        x = poly_from_index(F, int(i), n)
+                        for e, block in table.items():
+                            codes = list((x ** e).coeffs) + [0] * (e * deg + 1)
+                            want = [c // p ** k % p for c in codes[:e * deg + 1] for k in range(m)]
+                            assert block[row].tolist() == want, (F, n, exps, int(i), e)
+
+
+def test_slices_build_only_the_rows_they_read(monkeypatch):
+    built = []
+    power_table = expsum._power_table
+
+    def spy(field, n, exps, rows):
+        table = power_table(field, n, exps, rows)
+        built.append(len(table[0]))
+        return table
+
+    monkeypatch.setattr(expsum, "_power_table", spy)
+    rng = random.Random(20)
+    for F, N in ((field(2), 7), (field(3), 5), (field(4), 5), (field(9), 3)):
+        f = rand_exppoly(rng, F, max_exp=4, floor=-40)
+        qh, total = F.q ** (N // 2), F.q ** N
+        third = total // 3
+        for lo, hi in ((0, third), (third, 2 * third), (2 * third, total), (total - 1, total)):
+            built.clear()
+            assert np.array_equal(weyl_residues(f, N, lo, hi),
+                                  weyl_residues(f, N, lo, hi, method="direct")), (F, N, lo)
+            first, last = lo // qh, -(-hi // qh)
+            assert built == [qh + last - first if first > qh else max(qh, last)], (F, N, lo)
+        assert first > qh  # the last slices lie past x_lo
+
+
 def test_power_table_builds_only_the_shadow():
     # 4000 has six nonzero binary digits: 64 powers, not 4001
     tracemalloc.start()

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from ffweyl import meanvalue
 from ffweyl.errors import BudgetError, DomainError
 from ffweyl.exponents import sprime
 from ffweyl.meanvalue import growth_table, js_histogram, js_naive, profile
@@ -88,6 +89,28 @@ def test_histogram_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 10 ** 6
+
+
+def test_histogram_streams_its_power_table():
+    # measured peak 3.5 MB; the whole power table of G_14 peaked at 27 MB
+    tracemalloc.start()
+    try:
+        assert js_histogram({1, 2, 3}, 1, 14, field(2)) == 2 ** 14
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6
+
+
+@pytest.mark.parametrize("block", [1, 40])
+def test_histogram_row_blocks_match_the_oracles(monkeypatch, block):
+    # a block of one row, and blocks that end inside G_N
+    monkeypatch.setattr(meanvalue, "BLOCK", block)
+    for (q, K, s, N), want in GOLDEN.items():
+        assert js_histogram(set(K), s, N, field(q)) == want, (q, K, s, N)
+    for F in (field(4), field(8, "x^3+x^2+1"), field(9, "x^2+x+2")):
+        for K in ({1, 2}, {1, 3}):
+            assert js_histogram(K, 1, 2, F) == js_naive(K, 1, 2, F), (F, K)
 
 
 def test_monotone_in_N():
