@@ -11,7 +11,9 @@ The floor convention: the digit at the floor exponent itself is stored and
 trusted; unknowns start strictly below it.  In text form the floor is the
 exponent of the O-term, as in ``t^2 + 1 + 2*t^-1 + O(t^-12)``.  The
 digit-sampling map T (tmap) has Tr res(alpha y^p) = Tr res(T(alpha) y) for
-every polynomial y at every q; at q = p it is plain digit sampling.
+every polynomial y at every q; at q = p it is plain digit sampling.  On a
+rational, digits are a slice of one Poly long division and T is the Cartier
+identity T(b/den) = T(b den^(p-1))/den, both built from Poly arithmetic.
 """
 from __future__ import annotations
 
@@ -108,30 +110,17 @@ class RationalK:
 def quotient_digits(num, den, lo, hi):
     """Digit codes of num/den at exponents lo..hi inclusive, ascending; den monic.
 
-    For D = deg den, den * (num/den) = num read at t^(e+D) gives the
-    recurrence d_e = num_(e+D) - sum_(j<D) den_j d_(e+D-j), so each digit
-    follows from the D above it by field-table lookups.  The D digits above
-    top = max(hi, -1) start it: they are the low coefficients of
-    floor(num / t^(top+1)) // den, the polynomial part of num / (den t^(top+1)).
+    The digit at t^(lo+k) of num/den is the coefficient at t^k of the
+    polynomial part of num t^(-lo) / den, so the window is a slice of one
+    long division, zero-padded above its top.
     """
     if hi < lo:
         return []
-    D = den.deg
-    if D == 0:  # den = 1
-        return [num.coeff(e) for e in range(lo, hi + 1)]
-    field = den.field
-    fa, fmn = field._add, field._mulneg
-    top = max(hi, -1)
-    start = (Poly._unchecked(field, num.coeffs[top + 1:]) // den).coeffs[:D]
-    digits = [0] * (D - len(start)) + list(start[::-1])  # d_(top+D), ..., d_(top+1)
-    rows = [fmn[c] for c in den.coeffs[:D]]  # multiplication by -den_j
-    coeffs = num.coeffs
-    for e in range(top, lo - 1, -1):
-        acc = coeffs[e + D] if 0 <= e + D < len(coeffs) else 0
-        for row, c in zip(rows, digits[-D:]):  # d_(e+D-j) for j = 0..D-1
-            acc = fa[acc][row[c]]
-        digits.append(acc)
-    return digits[top + D - hi:][::-1]
+    if lo < 0:
+        digits = (num.shift(-lo) // den).coeffs[:hi - lo + 1]
+    else:
+        digits = (num // den).coeffs[lo:hi + 1]
+    return list(digits) + [0] * (hi - lo + 1 - len(digits))
 
 
 class TruncSeries:
@@ -366,9 +355,9 @@ def frac_ord_vs(alpha, N):
 # for s(c) = c^(q/p) the inverse Frobenius.
 
 def tmap(alpha, v=1):
-    """v-fold application of the digit-sampling map T (exact on rationals):
-    Tr res(alpha y^p) = Tr res(T(alpha) y) for every polynomial y at every q,
-    and at q = p, T is plain digit sampling."""
+    """v-fold application of the digit-sampling map T (exact on rationals by
+    the Cartier identity): Tr res(alpha y^p) = Tr res(T(alpha) y) for every
+    polynomial y at every q, and at q = p, T is plain digit sampling."""
     if v < 0:
         raise DomainError("negative iteration count")
     out = alpha
@@ -381,33 +370,14 @@ def tmap(alpha, v=1):
 
 
 def _tmap_rational(a):
+    """T(b/den) = T(c)/den for b = num mod den and c = b den^(p-1) (Cartier):
+    den^p is den with p-th-power coefficients read at t^p, so the sampled
+    digits of c/den^p are those of the coefficients of c at t^(p-1),
+    t^(2p-1), ... over it, a proper fraction since deg c < p deg den."""
     field = a.field
     p, unfrob = field.p, field.frobenius[-1]
-    den = a.den
-    b = a.num % den
-    if b.is_zero():
-        return RationalK(field.poly_zero)
-    D = den.deg
-    u = field.poly_t.mod_pow(p, den)
-    seen = {}
-    digits = []
-    s = b
-    while s not in seen:
-        seen[s] = len(digits)
-        digits.append(unfrob[s.coeff(D - 1)])
-        s = (s * u) % den
-    mu = seen[s]
-    lam = len(digits) - mu
-    hc = [0] * mu
-    for i in range(1, mu + 1):
-        hc[mu - i] = digits[i - 1]
-    rc = [0] * lam
-    for j in range(1, lam + 1):
-        rc[lam - j] = digits[mu + j - 1]
-    head = Poly(field, hc)
-    rep = Poly(field, rc)
-    t_lam = field.poly_one.shift(lam) - field.poly_one
-    return RationalK(head * t_lam + rep, field.poly_one.shift(mu) * t_lam)
+    c = (a.num % a.den) * a.den ** (p - 1)
+    return RationalK(Poly(field, [unfrob[x] for x in c.coeffs[p - 1::p]]), a.den)
 
 
 def _tmap_series(a):
@@ -440,7 +410,7 @@ def experiment_floor(support, N, depth=1, slack=8):
     """Default series floor for sums over G_N: deep enough for residue-exact
     evaluation at every support exponent, plus margin."""
     r_max = max(support, default=0)
-    return -(depth + r_max * (N - 1)) - slack
+    return -(depth + r_max * max(N - 1, 0)) - slack
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,40 @@ def quotient_digits_register(num, den, lo, hi):
     return out[top - hi:][::-1]
 
 
+def tmap_rational_by_period(a):
+    """tmap of a rational by walking its digit period: the digits of b/den at
+    t^-1, t^-(p+1), ... are the top coefficients of b u^j mod den for
+    u = t^p mod den, which repeat after a head of mu and a period of lam, so
+    T(b/den) is head/t^mu + rep/(t^mu (t^lam - 1))."""
+    field = a.field
+    p, unfrob = field.p, field.frobenius[-1]
+    den = a.den
+    b = a.num % den
+    if b.is_zero():
+        return RationalK(field.poly_zero)
+    D = den.deg
+    u = field.poly_t.mod_pow(p, den)
+    seen = {}
+    digits = []
+    s = b
+    while s not in seen:
+        seen[s] = len(digits)
+        digits.append(unfrob[s.coeff(D - 1)])
+        s = (s * u) % den
+    mu = seen[s]
+    lam = len(digits) - mu
+    hc = [0] * mu
+    for i in range(1, mu + 1):
+        hc[mu - i] = digits[i - 1]
+    rc = [0] * lam
+    for j in range(1, lam + 1):
+        rc[lam - j] = digits[mu + j - 1]
+    head = Poly(field, hc)
+    rep = Poly(field, rc)
+    t_lam = field.poly_one.shift(lam) - field.poly_one
+    return RationalK(head * t_lam + rep, field.poly_one.shift(mu) * t_lam)
+
+
 def twist_counts(traces, sizes, p):
     """The histogram counts of every twist of G_D, in index order from 0, in
     blocks, at points whose distinct rows of the first D log_p(q) basis-twist

@@ -350,6 +350,33 @@ def test_weyl_scan_is_invariant_under_completion():
     assert raised and passed, (raised, passed)
 
 
+def test_cylinder_counts_are_invariant_under_completion():
+    # at a given depth the table of truncated series is refused or equals
+    # the completion's; with the depth left to the floors, the completion's
+    # table may be deeper, and summed back to the same depth it agrees
+    rng = random.Random(82)
+    outcomes = {"raised": 0, "passed": 0, "deeper": 0}
+    for F in every_field():
+        top = 4 if F.q <= 3 else 2
+        for _ in range(6):
+            f = rand_exppoly(rng, F, max_exp=3, floor=-rng.randrange(1, 8))
+            full = ExpPoly(F, {r: rand_completion(rng, c) for r, c in f.terms})
+            N = rng.randrange(top + 1)
+            for depth in (rng.randrange(1, 4), None):
+                try:
+                    got = cylinder_counts(f, N, depth)
+                except PrecisionError:
+                    outcomes["raised"] += 1
+                    continue
+                want = cylinder_counts(full, N, depth)
+                outcomes["deeper"] += want.depth > got.depth
+                while want.depth > got.depth:
+                    want = refine_to_parent(want)
+                assert want == got, (F, f, N, depth)
+                outcomes["passed"] += 1
+    assert all(outcomes.values()), outcomes
+
+
 def test_scan_over_a_range_memory_bound():
     F2 = field(2)
     f = ExpPoly(F2, {3: kernel_element(F2, -80, 1),

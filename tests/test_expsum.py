@@ -18,9 +18,9 @@ from ffweyl.expsum import (CharSum, ExpPoly, count_rows, e_of, fractional_digit_
 from ffweyl.exponents import lucas_binom
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, parse_kelem
 
-from helpers import (dense_power_table, direct_traces, every_field, field, rand_exppoly,
-                     rand_monic, rand_poly, rand_rational, rand_series, substitute_oracle,
-                     weyl_scan_loop)
+from helpers import (dense_power_table, direct_traces, every_field, field, rand_completion,
+                     rand_exppoly, rand_monic, rand_poly, rand_rational, rand_series,
+                     substitute_oracle, weyl_scan_loop)
 
 
 def lin(F, alpha):
@@ -872,3 +872,26 @@ def test_kernel_floor_is_charged_to_the_budget():
     with pytest.raises(BudgetError, match="kernel series of 11"):
         ExpPoly.from_json(obj, budget=10)
     assert ExpPoly.from_json(obj, budget=11).support() == {1, 2}
+
+
+def test_weyl_sum_and_digit_rows_are_invariant_under_completion():
+    # a sum or a block of digit rows over truncated series either raises
+    # PrecisionError or equals that of every completion below the floors
+    rng = random.Random(81)
+    outcomes = {"raised": 0, "passed": 0}
+    for F in every_field():
+        top = 4 if F.q <= 3 else 2
+        for _ in range(8):
+            f = rand_exppoly(rng, F, max_exp=3, floor=-rng.randrange(1, 8))
+            N, depth = rng.randrange(top + 1), rng.randrange(1, 4)
+            full = ExpPoly(F, {r: rand_completion(rng, c) for r, c in f.terms})
+            for run in (lambda g: weyl_sum(g, N),
+                        lambda g: fractional_digit_rows(g, N, depth).tolist()):
+                try:
+                    got = run(f)
+                except PrecisionError:
+                    outcomes["raised"] += 1
+                    continue
+                assert run(full) == got, (F, f, N, depth)
+                outcomes["passed"] += 1
+    assert all(outcomes.values()), outcomes

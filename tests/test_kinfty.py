@@ -1,17 +1,20 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from ffweyl.algebra import NEG_INF, parse_poly
+from ffweyl.algebra import NEG_INF, Poly, parse_poly, poly_gcd
 from ffweyl.errors import DomainError, PrecisionError
-from ffweyl.kinfty import (RationalK, TruncSeries, frac_ord_vs, kadd,
+from ffweyl.expsum import required_floor
+from ffweyl.kinfty import (RationalK, TruncSeries, experiment_floor, frac_ord_vs, kadd,
                            kernel_element, kmul, kmul_poly, kmul_scalar,
                            ord_norm, ord_vs, parse_kelem, quotient_digits, tmap,
                            truncate)
 
 from helpers import (every_field, field, quotient_digits_register, rand_completion,
-                     rand_monic, rand_poly, rand_rational, rand_series)
+                     rand_monic, rand_poly, rand_rational, rand_series,
+                     tmap_rational_by_period)
 
 
 def test_ord_norm_examples():
@@ -208,8 +211,49 @@ def test_tmap_is_adjoint_to_the_pth_power():
             assert F.trace(lhs) == F.trace(rhs), (F, al, y)
 
 
+def test_tmap_rational_matches_the_period_walk():
+    # the Cartier identity against the digit-period walk, at every q (q = 4
+    # has the one modulus x^2+x+1) and both custom moduli, v = 1, 2, 3, over
+    # denominators t^k g^2 h, so that t and squares divide many of them
+    rng = random.Random(77)
+    kinds = {"t": 0, "square": 0, "zero": 0}
+    for F in every_field():
+        top = max(d for d in range(1, 9) if F.q ** d <= 2000)  # bounds the walk
+        for _ in range(60):
+            k, g_deg = rng.randrange(3), rng.randrange(2)
+            h_deg = rng.randrange(max(top - k - 2 * g_deg, 0) + 1)
+            den = F.poly_t ** k * rand_monic(rng, F, g_deg) ** 2 * rand_monic(rng, F, h_deg)
+            if den.deg > top:
+                den = rand_monic(rng, F, top)
+            if rng.random() < 0.9:
+                num = rand_poly(rng, F, den.deg + 2)
+            else:  # a polynomial, whose fractional part is zero
+                num = den * rand_poly(rng, F, 2)
+            al = RationalK(num, den)
+            kinds["t"] += al.den.coeff(0) == 0
+            slope = Poly(F, [F.mul(i % F.p, c) for i, c in enumerate(al.den.coeffs)][1:])
+            kinds["square"] += poly_gcd(al.den, slope).deg > 0  # den' = 0 at g(t^p) too
+            kinds["zero"] += (al.num % al.den).is_zero()
+            want = al
+            for v in (1, 2, 3):
+                want = tmap_rational_by_period(want)
+                assert tmap(al, v) == want, (F, str(al), v)
+    assert all(kinds.values()), kinds
+
+
+def test_tmap_of_a_long_period_rational_is_fast():
+    # (t+1)/(t^20+t^3+1) at q=2: its digit period runs to 2^20 - 1 steps
+    F2 = field(2)
+    al = RationalK(parse_poly(F2, "t+1"), parse_poly(F2, "t^20+t^3+1"))
+    t0 = time.perf_counter()
+    out = tmap(al)
+    assert time.perf_counter() - t0 < 0.5
+    assert out.den == al.den
+    assert out.expand(-60).digits(-60, -1) == tmap(al.expand(-119)).digits(-60, -1)
+
+
 def test_quotient_digits_match_the_register_loop():
-    # the denominator's recurrence against long division on a register, at
+    # the slice of one Poly long division against a register loop, at
     # every q and both custom moduli, D = 0..6, windows above and below t^-1
     rng = random.Random(76)
     for F in every_field():
@@ -291,6 +335,15 @@ def test_kernel_element():
                 assert k.digit(e) == 0
     assert kernel_element(F2, -24, 7) == kernel_element(F2, -24, 7)
     assert kernel_element(F2, -24, 7) != kernel_element(F2, -24, 8)
+
+
+def test_experiment_floor_is_the_required_floor_plus_slack():
+    # G_0 = {0} reads no deeper than G_1, so N = 0 gets the N = 1 floor
+    assert experiment_floor({10}, 0) == experiment_floor({10}, 1) == -9
+    for N in range(5):
+        for depth in (1, 2):
+            assert experiment_floor({3, 10}, N, depth) == required_floor(10, N, depth) - 8
+        kernel_element(field(2), experiment_floor({10}, N), 1)
 
 
 def test_frac_ord_vs():
