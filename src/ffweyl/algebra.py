@@ -101,7 +101,7 @@ class Field:
                 raise DomainError("prime fields take no modulus")
             self.modulus = self._prime = None
         else:
-            # F_{p^m} = F_p[x] / (modulus), built from polynomials over F_p
+            # F_{p^m} = F_p[x] / (modulus)
             self._prime = prime = Field(p)
             if modulus is None:
                 modulus = irreducibles(prime, m)[0].coeffs
@@ -124,12 +124,20 @@ class Field:
             self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
             self._neg = [(-a) % p for a in range(p)]
         else:
-            # an element's code is the code of its coordinate polynomial
-            elems = [poly_from_index(self._prime, a, m) for a in range(q)]
-            mod = Poly(self._prime, self.modulus)
-            self._add = [[(a + b).code() for b in elems] for a in elems]
-            self._neg = [(-a).code() for a in elems]
-            self._mul = [[(a * b % mod).code() for b in elems] for a in elems]
+            # codes add coordinatewise mod p; x*c shifts the coordinates of c
+            # up one place and subtracts the carried top one times the modulus
+            coords = [_digits(a, p, m) for a in range(q)]
+            self._add = [[self._encode([(s + t) % p for s, t in zip(a, b)]) for b in coords]
+                         for a in coords]
+            self._neg = [row.index(0) for row in self._add]
+            shifts = [[c] for c in range(q)]  # c, x c, ..., x^(2m-2) c
+            for _ in range(2 * m - 2):
+                for row in shifts:
+                    c = coords[row[-1]]
+                    row.append(self._encode([(s - c[-1] * t) % p
+                                             for s, t in zip([0] + c[:-1], self.modulus)]))
+            # a*b is the sum of the a_i x^i b
+            self._mul = [self._combinations(row[:m]) for row in shifts]
         self.frobenius = tuple(tuple(self._pow_raw(c, p ** i) for c in range(q))
                                for i in range(m))
         self._trace = [0] * q  # the sum of each column of frobenius
@@ -156,10 +164,19 @@ class Field:
         if m == 1:
             self._fold = self._modp
         else:
-            mod = Poly(self._prime, self.modulus)
-            fold = [(Poly(self._prime, _digits(i, p, s)) % mod).code()
-                    for i in range(p ** s)]
+            fold = self._combinations(shifts[1])  # the sums of the r_i x^i
             self._fold = bytes(fold + [0] * (256 - len(fold)))
+
+    def _combinations(self, basis):
+        """The code of sum_i c_i basis[i] for every c over F_p, at the index
+        sum_i c_i p^i."""
+        out = [0]
+        for y in basis:
+            multiples = [0]
+            for _ in range(self.p - 1):
+                multiples.append(self._add[multiples[-1]][y])
+            out = [self._add[a][b] for b in multiples for a in out]
+        return out
 
     def _encode(self, coords):
         code = 0

@@ -18,7 +18,9 @@ Frobenius, any other x^e one product of a smaller one with a p-power), and
 contracts the tables through Lucas binomials and Hankel blocks of the
 coefficient digits in one float64 (BLAS) product, several members packed to a
 column and read off the float's bits, exact because every call checks that
-its values stay below 2^52, and streamed over blocks of x_hi rows, so
+its values stay below 2^52.  The product has no columns for a power
+x^(p^i): it reads x's own, through the matrix of Frobenius on coordinates.
+It is streamed over blocks of x_hi rows through one buffer per pass, so
 weyl_sum never holds the q^N residues.  A sum reads e_0 = 1 alone,
 twisted_sum scales f by its twist, and digit rows read depth log_p(q) basis
 twists, whose traces name each digit through one lookup in a q-entry table,
@@ -342,11 +344,15 @@ def _key_table(p, base, g):
 
 @functools.lru_cache(maxsize=None)
 def _field_arrays(field):
-    """Read-only muladd[s, a, b] = s + a*b and the field's frobenius table."""
+    """Read-only muladd[s, a, b] = s + a*b, the field's frobenius table, and
+    phi[i], the m x m matrix over F_p of c -> c^(p^i) on coordinates: its
+    column c holds the coordinates of e_c^(p^i), e_c the element of code p^c."""
+    p, m = field.p, field.m
     muladd = np.array(field._add)[:, np.array(field._mul)]
     frobenius = np.array(field.frobenius)
-    muladd.flags.writeable = frobenius.flags.writeable = False
-    return muladd, frobenius
+    phi = frobenius[:, None, p ** np.arange(m)] // p ** np.arange(m)[:, None] % p
+    muladd.flags.writeable = frobenius.flags.writeable = phi.flags.writeable = False
+    return muladd, frobenius, phi
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +404,7 @@ def _power_table(field, n, exps, rows):
     table = {0: one, 1: idx // p ** np.arange(max(n, 1) * m) % p}
     closure = sorted({j for r in exps for j, _ in _lucas_pairs(r, p)} - {0, 1})
     if closure:
-        muladd, frobenius = _field_arrays(field)
+        muladd, frobenius, _ = _field_arrays(field)
         x = idx // q ** np.arange(n) % q  # coefficient codes of x
         codes = {1: x}
         for e in closure:
@@ -542,23 +548,47 @@ _BIAS_BITS = _BIAS.view(np.int64)
 TABLE_BLOCKS = 2
 
 
+def _p_power(e, p):
+    """i when e = p^i (0 for e = 1), else None."""
+    i = 0
+    while e > 1 and e % p == 0:
+        e, i = e // p, i + 1
+    return i if e == 1 else None
+
+
+@functools.lru_cache(maxsize=256)
+def _inner_columns(field, N, exps):
+    """({e: first column}, k) of the engine's product over G_N: the x_hi
+    exponents e that own columns, ascending, and the inner width k.  They are
+    the e = r - j of the Lucas pairs of the r in exps, each power p^i read as
+    1 (x^(p^i) holds x's coefficients, Frobenius-raised, at t^(b p^i), so it
+    folds into x^1); x^e takes m (e * max(N - N // 2 - 1, 0) + 1) columns."""
+    p, m = field.p, field.m
+    deg = max(N - N // 2 - 1, 0)
+    ends = {r - j for r in exps for j, _ in _lucas_pairs(r, p)}
+    offsets, k = {}, 0
+    for e in sorted({1 if _p_power(e, p) is not None else e for e in ends}):
+        offsets[e] = k
+        k += m * (e * deg + 1)
+    return offsets, k
+
+
 def _pass_checks(f, width, N, lo, hi, budget=None):
     """Every check _split_blocks(f, width, N, lo, hi, budget) makes before its
     first block: the floors for depth (width - 1) // m + 1, the charge of its
-    power table, and the bound on its inner width k that keeps every product
-    value below 2^52, where its float64 bits read it exactly.  Returns the
-    number of values a member's dot product takes, (p - 1)^2 * k + 1."""
+    power table, and the bound on its inner width k (_inner_columns, which
+    counts no p-power of x_hi) that keeps every product value below 2^52,
+    where its float64 bits read it exactly.  Returns the number of values a
+    member's dot product takes, (p - 1)^2 * k + 1."""
     field = f.field
     p, m = field.p, field.m
     for r, c in f.terms:
         _check_floor(c, r, N, (width - 1) // m + 1)
     h = N // 2
     qh = field.q ** h
-    exps = [r for r, _ in f.terms]
+    exps = tuple(r for r, _ in f.terms)
     _charge_power_table(field, N - h, exps, max(qh, -(-hi // qh)), budget)
-    # x_hi^e has e * deg + 1 coefficients of m coordinates
-    deg = max(N - h - 1, 0)
-    k = m * sum(e * deg + 1 for e in {r - j for r in exps for j, _ in _lucas_pairs(r, p)})
+    k = _inner_columns(field, N, exps)[1]
     if (p - 1) ** 2 * k > FLOAT_EXACT:
         raise DomainError(f"an inner width of {k} at p = {p} lets a product value reach "
                           f"2^52, beyond the exact float64 read-out")
@@ -631,9 +661,11 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
     G_N, and column c holds the base-p key of the residues of its group c of
     members (see _members); with g = 1, column b is member b.  Every block
     carries every member, and no block holds more than BLOCK points times
-    members unless one row of x_hi is already larger.  Member s*m + k reads
-    s digits deeper than the character, so the floors are first checked as
-    for depth (width - 1) // m + 1, with the rest of _pass_checks.
+    members unless one row of x_hi is already larger.  Each block is a view
+    into one buffer the pass allocates once, valid until the next block is
+    drawn.  Member s*m + k reads s digits deeper than the character, so the
+    floors are first checked as for depth (width - 1) // m + 1, with the rest
+    of _pass_checks.
     One power table serves both halves: its first q^h rows are the x_lo
     points G_h, and it builds only those and the x_hi rows [first, last)
     that [lo, hi) meets, the first q^h + last - first points of G_{N-h}
@@ -641,15 +673,20 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
     charge of _pass_checks, on max(q^h, last) rows, bounds either.
     The factors come from one digit vector per term and one int64 product
     per Lucas pair for all members; they form the right side of a float64
-    product whose rows are the coordinates of x_hi^e.  Every table entry is
-    a coordinate below p, and every factor entry is reduced mod p, so each
-    member's dot product is at most (p - 1)^2 * k for the inner width k, one
-    of V = (p - 1)^2 * k + 1 values.  A group's members enter one column of
-    the right factor with the weights V^(g-1), ..., V, 1, so the product
-    gives the group's values as one integer below V^g.  Every partial sum of
-    that product is a nonnegative integer no larger, within 2^52, so float64
-    is exact; adding 2^52 puts the integer in the float's low bits, read in
-    place as int64, and one lookup in _key_table turns it into the group's key.
+    product whose rows are the coordinates of x_hi^e.  A power x^(p^i) on
+    either side is read from x^1: its coefficient at t^(b p^i) is x_b raised
+    by Frobenius, with coordinates phi_i coords(x_b), and it has no other, so
+    a pair's Hankel block is read on that side at the places b p^i only, its
+    coordinates mapped by phi_i (see _inner_columns and _field_arrays).
+    Every table entry is a coordinate below p, and every factor entry is
+    reduced mod p, so each member's dot product is at most (p - 1)^2 * k for
+    the inner width k, one of V = (p - 1)^2 * k + 1 values.  A group's
+    members enter one column of the right factor with the weights
+    V^(g-1), ..., V, 1, so the product gives the group's values as one
+    integer below V^g.  Every partial sum of that product is a nonnegative
+    integer no larger, within 2^52, so float64 is exact; adding 2^52 puts the
+    integer in the float's low bits, read in place as int64, and one lookup
+    in _key_table turns it into the group's key.
     """
     values = _pass_checks(f, width, N, lo, hi, budget)  # a member's dot product takes
     field = f.field
@@ -664,19 +701,14 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
         rows, top = np.r_[0:qh, first:last], qh
     else:
         rows, top = max(qh, last), first
-    powers = _power_table(field, N - h, [r for r, _ in f.terms], rows)
-    lucas = {r: _lucas_pairs(r, p) for r, _ in f.terms}
-    # the exponents e = r - j of x_hi that some member reads, and where each sits in k
-    ends = sorted({r - j for r, pairs in lucas.items() for j, _ in pairs})
-    k = sum(powers[e].shape[1] for e in ends)
+    exps = tuple(r for r, _ in f.terms)
+    powers = _power_table(field, N - h, exps, rows)
+    offsets, k = _inner_columns(field, N, exps)
     groups, g = _packing(p, values, width)
-    offsets = {}
-    highs = np.empty((last - first, k))  # the left factor: x_hi^e for every e read
-    col = 0
-    for e in ends:
-        offsets[e] = col
-        col += powers[e].shape[1]
-        highs[:, offsets[e]:col] = powers[e][top:top + last - first]
+    highs = np.empty((last - first, k))  # the left factor: x_hi^e for every e with columns
+    for e, col in offsets.items():
+        highs[:, col:col + powers[e].shape[1]] = powers[e][top:top + last - first]
+    phi = _field_arrays(field)[2]
     shift, kappa = np.divmod(np.arange(width), m)
     # The right factor, reduced mod p, as a (k, q^h, width) int64 array.  The
     # term r pairs x_lo^j with x_hi^e, e = r - j, through C(r, j) times a
@@ -689,17 +721,24 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
         # forms[s, b] = the bilinear form of the digit at -(1+s) of member b
         place = np.arange(need)
         forms = _trace_forms(field)[kappa, digits[np.add.outer(place, shift)]]
-        for j, c in lucas[r]:
+        for j, c in _lucas_pairs(r, p):
             e = r - j
-            la = j * max(h - 1, 0) + 1  # x_lo^j has degree below j*(h-1)+1
-            lb = powers[e].shape[1] // m
-            block = forms[place[h * e:h * e + la, None] + place[:lb]]  # [a, b', member, i', k']
-            block = block.transpose(0, 3, 1, 4, 2).reshape(la * m, -1)
-            if c > 1:  # traces are below p already
-                block = c * block % p
-            product = powers[j][:qh, :la * m] @ block
-            right[offsets[e]:offsets[e] + lb * m] += (
-                product.reshape(qh, lb * m, -1).transpose(1, 0, 2))
+            # x_lo^j has j*(h-1)+1 coefficients and x_hi^e e*(N-h-1)+1; a
+            # p-power p^i is read from x^1 at the places b p^i
+            lo_i, hi_i = _p_power(j, p), _p_power(e, p)
+            a_read = place[h * e:h * e + j * max(h - 1, 0) + 1:p ** (lo_i or 0)]
+            b_read = place[:e * max(N - h - 1, 0) + 1:p ** (hi_i or 0)]
+            block = forms[a_read[:, None] + b_read]  # [a, b, member, i', k']
+            if (lo_i or 0) % m:
+                block = phi[lo_i % m].T @ block
+            if (hi_i or 0) % m:
+                block = block @ phi[hi_i % m]
+            block = block.transpose(0, 3, 1, 4, 2).reshape(len(a_read) * m, -1)
+            if c > 1:  # right is reduced mod p once it is summed
+                block = c * block
+            product = powers[j if lo_i is None else 1][:qh, :len(a_read) * m] @ block
+            at, lb = offsets[e if hi_i is None else 1], len(b_read) * m
+            right[at:at + lb] += product.reshape(qh, lb, -1).transpose(1, 0, 2)
     right %= p
     if g > 1:  # member b at place groups * g - width + b, the leading places empty
         places = np.zeros((k, qh, groups * g), dtype=np.int64)
@@ -708,9 +747,10 @@ def _split_blocks(f, width, N, lo, hi, budget=None):
     right = right.reshape(k, qh * groups).astype(float)
     keys_of = _key_table(p, values, g)
     rows = max(1, BLOCK // (width * qh))
+    buffer = np.empty((min(rows, last - first), qh * groups))
     for r0 in range(first, last, rows):
         r1 = min(r0 + rows, last)
-        out = highs[r0 - first:r1 - first] @ right
+        out = np.matmul(highs[r0 - first:r1 - first], right, out=buffer[:r1 - r0])
         out += _BIAS
         keys = out.view(np.int64)
         keys -= _BIAS_BITS

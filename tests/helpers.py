@@ -160,6 +160,23 @@ def dense_power_table(field, n, top, rows):
     return np.concatenate(blocks, axis=1), starts
 
 
+def field_tables_by_poly(F):
+    """The add, neg and mul tables and the product fold of an extension field,
+    built from Poly arithmetic over its prime subfield: each code is the code
+    of its coordinate polynomial, products are reduced by a long division
+    by the modulus, and fold[i] is the code of the polynomial whose
+    coefficients are the 2m - 1 base-p digits of i, reduced the same way."""
+    p, m = F.p, F.m
+    elems = [poly_from_index(F._prime, a, m) for a in range(F.q)]
+    mod = Poly(F._prime, F.modulus)
+    add = [[(a + b).code() for b in elems] for a in elems]
+    neg = [(-a).code() for a in elems]
+    mul = [[(a * b % mod).code() for b in elems] for a in elems]
+    fold = [(poly_from_index(F._prime, i, 2 * m - 1) % mod).code()
+            for i in range(p ** (2 * m - 1))]
+    return add, neg, mul, bytes(fold + [0] * (256 - len(fold)))
+
+
 def poly_mul_schoolbook(a, b):
     """a * b by the schoolbook loop over pairs of coefficients."""
     field = a.field

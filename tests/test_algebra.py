@@ -11,8 +11,8 @@ from ffweyl.algebra import (NEG_INF, Field, Poly, enumerate_GN, gn_size,
 from ffweyl.errors import BudgetError, DomainError
 from ffweyl.kinfty import TruncSeries
 
-from helpers import (every_field, field, poly_divmod_schoolbook, poly_mul_schoolbook,
-                     rand_nonzero_poly, rand_poly)
+from helpers import (every_field, field, field_tables_by_poly, poly_divmod_schoolbook,
+                     poly_mul_schoolbook, rand_nonzero_poly, rand_poly)
 
 
 def test_field_construction_and_moduli():
@@ -50,6 +50,13 @@ def test_custom_moduli():
             Field.parse(spec)
     with pytest.raises(DomainError, match="monic"):
         Field.parse("q=9 modulus=2*x^2+x+1")
+
+
+@pytest.mark.parametrize("spec", ["q=4", "q=8", "q=9", "q=4 modulus=x^2+x+1",
+                                  "q=8 modulus=x^3+x^2+1", "q=9 modulus=x^2+x+2"])
+def test_extension_tables_match_the_poly_build(spec):
+    F = Field.parse(spec)
+    assert (F._add, F._neg, F._mul, F._fold) == field_tables_by_poly(F)
 
 
 def test_parse_shares_one_field_per_modulus():

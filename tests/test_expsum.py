@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffweyl import equidist, expsum
+from ffweyl import equidist, expsum, sieve
 from ffweyl.algebra import Poly, enumerate_GN, parse_poly, poly_from_index
 from ffweyl.equidist import cylinder_counts, discrepancy, weyl_scan
 from ffweyl.errors import BudgetError, DomainError, PrecisionError
@@ -19,8 +19,8 @@ from ffweyl.exponents import lucas_binom
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, parse_kelem
 
 from helpers import (dense_power_table, direct_traces, every_field, field, rand_completion,
-                     rand_exppoly, rand_monic, rand_poly, rand_rational, rand_series,
-                     substitute_oracle, weyl_scan_loop)
+                     rand_exppoly, rand_monic, rand_nonzero_poly, rand_poly, rand_rational,
+                     rand_series, substitute_oracle, t_mn_loop, weyl_scan_loop)
 
 
 def lin(F, alpha):
@@ -706,13 +706,69 @@ def test_twist_basis_matches_scaled_direct(monkeypatch, q, modulus):
     assert any(len(blocks) > 1 for _, _, _, blocks in seen)
 
 
+@pytest.mark.parametrize("F", every_field(), ids=repr)
+def test_p_power_exponents_match_the_direct_oracle(F):
+    """x^(p^i) is read from the columns of x, Frobenius-mapped, on both sides
+    of the split: exponent sets rich in p-powers against the direct path, at
+    widths 1, m and 3m, over G_N and slices, some wholly past the x_lo rows."""
+    rng = random.Random(53 * F.q + len(F.spec_string()))
+    p, q, m = F.p, F.q, F.m
+    sets = [{p}, {p * p}, {q}, {p + 1}, {2 * p}, {p * p + p}, {p * p + 1, q + 1}]
+    for N in (1, 2, 3):
+        total, qh = q ** N, q ** (N // 2)
+        lo = rng.randrange(total)
+        slices = [(0, total), (lo, rng.randrange(lo, total + 1))]
+        if qh * (qh + 1) < total:  # x_hi rows past the q^h rows of x_lo
+            slices.append((qh * (qh + 1) + rng.randrange(qh), total - rng.randrange(qh)))
+        for exps in sets:
+            f = ExpPoly(F, {r: rand_rational(rng, F, 2) if rng.random() < 0.7
+                            else rand_series(rng, F, expsum.required_floor(r, N, 3))
+                            for r in exps})
+            direct = direct_traces(f, N, 3 * m)
+            for width in (1, m, 3 * m):
+                for lo, hi in slices:
+                    got = np.empty((hi - lo, width), dtype=np.int64)
+                    for start, block in expsum._split_blocks(f, width, N, lo, hi):
+                        got[start - lo:start - lo + len(block)] = expsum._members(block, width, p)
+                    assert np.array_equal(got, direct[lo:hi, :width]), (exps, N, width, lo, hi)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_blocks_are_views_of_one_buffer(monkeypatch, block):
+    """Each block of a pass is a view into one buffer, overwritten by the
+    next block, so every consumer must use a block before it draws the next:
+    at small block sizes each one still matches its oracle."""
+    monkeypatch.setattr(expsum, "BLOCK", block)
+    monkeypatch.setattr(equidist, "BLOCK", block)
+    rng = random.Random(54 + block)
+    for F in (field(2), field(3), field(4), field(9, "x^2+x+2")):
+        N, width = 3, 2 * F.m
+        f = ExpPoly(F, {1: rand_rational(rng, F, 2), F.p + 1: rand_rational(rng, F, 2)})
+        blocks = [b for _, b in expsum._split_blocks(f, width, N, 0, F.q ** N)]
+        assert len(blocks) > 1 and all(np.shares_memory(b, blocks[0]) for b in blocks)
+        assert np.array_equal(weyl_residues(f, N), weyl_residues(f, N, method="direct"))
+        assert np.array_equal(fractional_digit_rows(f, N, 2),
+                              fractional_digit_rows(f, N, 2, method="direct"))
+        assert cylinder_counts(f, N, 2) == cylinder_counts(f, N, 2, method="direct")
+        assert weyl_scan(f, [1, 3, 2], 1, depth=2) == weyl_scan_loop(f, [1, 3, 2], 1, depth=2)
+        phi = {1: rand_nonzero_poly(rng, F, 1), 2: F.poly_one}
+        gm = sieve.gm_build(F, 1, phi)
+        if gm.root is not None:
+            alpha = rand_rational(rng, F, 3)
+            assert (sieve.t_mn_rows(phi, alpha, 1, [3, 1, 2], F, gm)
+                    == t_mn_loop(phi, alpha, 1, [3, 1, 2], F, gm))
+
+
 def _inner_values(f, N):
     """(p - 1)^2 k + 1, one more than the largest dot product over G_N: k is m
     times the coefficients of the x_hi^e read, e = r - j for the j with
-    C(r, j) nonzero mod p, each of e * max(N - N // 2 - 1, 0) + 1."""
+    C(r, j) nonzero mod p, each of e * max(N - N // 2 - 1, 0) + 1, where a
+    power of p counts as e = 1, as x^(p^i) is read from the columns of x."""
     F = f.field
     deg = max(N - N // 2 - 1, 0)
-    ends = {r - j for r, _ in f.terms for j in range(r + 1) if math.comb(r, j) % F.p}
+    powers = {F.p ** i for i in range(max((r for r, _ in f.terms), default=0).bit_length())}
+    ends = {1 if r - j in powers else r - j
+            for r, _ in f.terms for j in range(r + 1) if math.comb(r, j) % F.p}
     return (F.p - 1) ** 2 * F.m * sum(e * deg + 1 for e in ends) + 1
 
 

@@ -11,15 +11,16 @@ from ffweyl.algebra import (NEG_INF, Poly, enumerate_GN, irreducibles,
 from ffweyl.errors import (BudgetError, DomainError, FFWeylError, HypothesisError,
                            PrecisionError)
 from ffweyl.expsum import CharSum, ExpPoly, e_of
-from ffweyl.exponents import maximal_elements, shadow
+from ffweyl.exponents import ktilde, maximal_elements, shadow
 from ffweyl.kinfty import (RationalK, kadd, kernel_element, kmul_poly,
-                           kmul_scalar, parse_kelem)
+                           kmul_scalar, parse_kelem, TruncSeries, truncate)
 from ffweyl.weylmachinery import (SpacedFamily, kth_power_classes, large_sieve_check,
                                   minor_arc_probe, shift_expand,
                                   space_family, spacing_check,
                                   split_by_kth_power, weyl_shift_check)
 
-from helpers import field, rand_exppoly, rand_poly, rand_rational, rand_series
+from helpers import (every_field, field, rand_completion, rand_exppoly, rand_poly,
+                     rand_rational, rand_series)
 
 
 def test_weyl_shift_trivial_cases():
@@ -403,3 +404,46 @@ def test_minor_arc_probe_trivial_threshold_and_domain():
     with pytest.raises(DomainError):
         minor_arc_probe(ExpPoly(F2, {2: RationalK(F2.poly_one, F2.poly_t)}),
                         2, 3, eta=1)  # k = 2 not in the peeled core at p = 2
+
+
+def _cut_to(deep, shallow):
+    """deep with its digits below the floor of shallow forgotten (a rational
+    shallow is compared whole)."""
+    return deep if isinstance(shallow, RationalK) else truncate(deep, shallow.floor)
+
+
+def test_minor_arc_probe_and_shift_expand_are_invariant_under_completion():
+    # on truncated series each either raises PrecisionError or gives the
+    # result of every completion below the floors: the probe the same
+    # report, and shift_expand the completion's coefficients cut to its own
+    rng = random.Random(83)
+    outcomes = collections.Counter()
+    for F in every_field():
+        top = 4 if F.q <= 3 else 2
+        for _ in range(8):
+            f = rand_exppoly(rng, F, max_exp=4, floor=-rng.randrange(2, 24))
+            full = ExpPoly(F, {r: rand_completion(rng, c) for r, c in f.terms})
+            support = f.support()
+            if not support:
+                continue
+            N, eta = rng.randrange(1, top + 1), rng.randrange(3)
+            core = sorted(ktilde(support, F.p))
+            if core:
+                try:
+                    report = minor_arc_probe(f, core[0], N, eta)
+                except PrecisionError:
+                    outcomes["probe raised"] += 1
+                else:
+                    assert minor_arc_probe(full, core[0], N, eta) == report, (F, f, N, eta)
+                    outcomes["probe triggered" if report.triggered else "probe quiet"] += 1
+            # shift_expand reads no digit it is not given: its series only move
+            k = rng.choice(sorted(maximal_elements(support, F.p)))
+            x = rand_poly(rng, F, 2)
+            se, deep = shift_expand(f, x, k), shift_expand(full, x, k)
+            assert deep.k == se.k and _cut_to(deep.lead, se.lead) == se.lead
+            assert _cut_to(deep.constant, se.constant) == se.constant
+            assert [j for j, _ in deep.gammas] == [j for j, _ in se.gammas]
+            assert all(_cut_to(d, c) == c for (_, d), (_, c) in zip(deep.gammas, se.gammas))
+            outcomes["shift of a series" if isinstance(se.lead, TruncSeries) else "shift"] += 1
+    assert {"probe raised", "probe quiet", "probe triggered", "shift of a series"} <= set(outcomes)
+
