@@ -27,6 +27,13 @@ Results the arithmetic builds from table lookups (sums, negations,
 products, scalings, shifts, quotients and remainders) are canonical by
 construction and skip Poly's validation; Poly(field, coeffs) checks and
 strips every coefficient it is given.
+
+Every literal the package reads, a polynomial or series in t, a modulus in
+x or a u-polynomial, has one grammar, a sum of signed terms c*v^e, read by
+one term reader (read_terms); each reader adds only its coefficient rule.
+Two charges keep a literal's size within the budget before it is built:
+parse_poly charges deg + 1 coefficients as a "polynomial literal", and
+kinfty.parse_kelem a series' digit span as a "series literal".
 """
 from __future__ import annotations
 
@@ -102,7 +109,7 @@ class Field:
             self.modulus = self._prime = None
         else:
             # F_{p^m} = F_p[x] / (modulus)
-            self._prime = prime = Field(p)
+            self._prime = prime = _shared_field(p, 1, None)
             if modulus is None:
                 modulus = irreducibles(prime, m)[0].coeffs
             modulus = tuple(c % p for c in modulus)
@@ -145,9 +152,7 @@ class Field:
             self._trace = [self._add[t][c] for t, c in zip(self._trace, row)]
         if max(self._trace) >= p:
             raise DomainError("trace left the prime subfield; bad modulus")
-        self._inv = [0] * q
-        for a in range(1, q):
-            self._inv[a] = next(b for b in range(1, q) if self._mul[a][b] == 1)
+        self._inv = [0] + [self._pow_raw(a, q - 2) for a in range(1, q)]  # a^(q-1) = 1
         self._mulneg = [[self._neg[c] for c in row] for row in self._mul]  # -a*b
         # packed products (module docstring): what one pair of t-coefficients
         # adds to a sub-slot at most, the 2m-1 sub-slots of a t-coefficient,
@@ -281,7 +286,7 @@ class Field:
         field = _shared_field(p, m, None)  # checks p, m and q before the modulus
         if not mod_part:
             return field
-        modulus = parse_fp_poly(mod_part, p)
+        modulus = parse_fp_poly(mod_part, p, m)
         return field if modulus == field.modulus else _shared_field(p, m, modulus)
 
     def __eq__(self, other):
@@ -302,19 +307,17 @@ def _shared_field(p, m, modulus):
     return Field(p, m, modulus)
 
 
-def parse_fp_poly(s, p):
-    """Parse a monic modulus like 'x^2+x+1' into an F_p coefficient tuple."""
+def parse_fp_poly(s, p, m):
+    """Parse a modulus like 'x^2+x+1' of degree at most m into an F_p
+    coefficient tuple: each term is an integer times x^e, 0 <= e <= m, and an
+    exponent above m is refused before the tuple is built."""
     coeffs = {}
-    for sign, term in _split_terms(s):
-        mt = re.fullmatch(r"(?:(\d+)\s*\*?\s*)?(x(?:\^(\d+))?)?", term.strip())
-        if mt is None or not term.strip():
-            raise DomainError(f"bad modulus term {term!r}")
-        c = int(mt.group(1)) if mt.group(1) else 1
-        if mt.group(2) is None:
-            e = 0
-        else:
-            e = int(mt.group(3)) if mt.group(3) else 1
-        c = (-c if sign == "-" else c) % p
+    for sign, c, e in read_terms(s, "x"):
+        if c and not c.isdecimal():
+            raise DomainError(f"bad modulus coefficient {c!r}")
+        if not 0 <= e <= m:
+            raise DomainError(f"modulus exponent {e} outside 0..{m}")
+        c = (-1 if sign == "-" else 1) * (int(c) if c else 1)
         coeffs[e] = (coeffs.get(e, 0) + c) % p
     deg = max((e for e, c in coeffs.items() if c), default=0)
     return tuple(coeffs.get(i, 0) for i in range(deg + 1))
@@ -361,6 +364,35 @@ def _split_terms(s):
     if not out:
         raise DomainError("empty polynomial text")
     return out
+
+
+#: What follows the variable of a term: nothing, or '^' and an integer.
+_EXPONENT = re.compile(r"(?:\^\s*([+-]?\d+))?")
+
+
+def read_terms(s, var):
+    """The terms of a sum of signed terms c*var^e, in order, as (sign, c, e):
+    sign is '+' or '-', c the coefficient text, stripped, and e an int.
+
+    The text splits at each '+' or '-' outside brackets that does not follow
+    '^', and a run of signs reads as one.  The variable of a term is its
+    first var outside brackets, followed by nothing (e = 1) or by '^' and an
+    integer, with spaces allowed around '^' and a sign allowed before the
+    integer.  c is the text before the variable, a '*' that joins it to the
+    variable dropped, and '' stands for 1; a term without the variable is
+    the constant c (e = 0), and keeps any '*'.
+    """
+    for sign, raw in _split_terms(s):
+        c, e, depth = raw.strip(), 0, 0
+        for at, ch in enumerate(c):
+            depth += (ch in "([") - (ch in ")]")
+            if ch == var and not depth:
+                tail = _EXPONENT.fullmatch(c[at + 1:].strip())
+                if tail is None:
+                    raise DomainError(f"bad term {raw.strip()!r}")
+                c, e = c[:at].rstrip().removesuffix("*").rstrip(), int(tail.group(1) or 1)
+                break
+        yield sign, c, e
 
 
 class Poly:
@@ -615,50 +647,36 @@ def format_poly(x):
     return _format_terms(x.field, {e: c for e, c in enumerate(x.coeffs)})
 
 
-_COEFF_VEC = re.compile(r"\[([^\]]*)\]")
-
-
 def parse_terms(field, s):
-    """Parse the t-power syntax into {exponent: code}; exponents may be negative."""
+    """Parse the t-power syntax into {exponent: code}; exponents may be
+    negative, and a coefficient is an integer or a '[..]' vector of m
+    coordinates, the highest first."""
     terms = {}
-    for sign, raw in _split_terms(s):
-        term = raw.strip()
-        if not term:
-            raise DomainError("empty term in polynomial text")
-        code = None
-        mvec = _COEFF_VEC.match(term)
-        if mvec:
-            vals = [int(v) for v in mvec.group(1).split(",")] if mvec.group(1).strip() else []
+    for sign, c, e in read_terms(s, "t"):
+        if c.startswith("[") and c.endswith("]"):
+            vals = [int(v) for v in c[1:-1].split(",")] if c[1:-1].strip() else []
             if len(vals) != field.m:
-                raise DomainError(f"coefficient vector {mvec.group(0)} needs {field.m} entries")
+                raise DomainError(f"coefficient vector {c} needs {field.m} entries")
             code = field.from_coords(list(reversed(vals)))
-            term = term[mvec.end():].strip()
-        mt = re.fullmatch(r"(?:(\d+)\s*)?(?:\*\s*)?(t(?:\^(-?\d+))?)?", term)
-        if mt is None:
-            raise DomainError(f"bad polynomial term {raw!r}")
-        if mt.group(1) is not None:
-            if code is not None:
-                raise DomainError(f"two coefficients in term {raw!r}")
-            code = int(mt.group(1)) % field.p
-        if code is None:
-            if mt.group(2) is None:
-                raise DomainError(f"bad polynomial term {raw!r}")
-            code = 1
-        if mt.group(2) is None:
-            e = 0
+        elif c and not c.isdecimal():
+            raise DomainError(f"bad coefficient {c!r}")
         else:
-            e = int(mt.group(3)) if mt.group(3) else 1
+            code = int(c or 1) % field.p
         if sign == "-":
             code = field.neg(code)
         terms[e] = field.add(terms.get(e, 0), code)
     return terms
 
 
-def parse_poly(field, s):
+def parse_poly(field, s, budget=None):
+    """The polynomial of a t-power text; its deg + 1 coefficients are
+    charged against the budget as a "polynomial literal" before any is
+    built."""
     terms = parse_terms(field, s)
     if any(e < 0 and c for e, c in terms.items()):
         raise DomainError("negative exponent in a polynomial")
     deg = max((e for e, c in terms.items() if c), default=-1)
+    check_budget(deg + 1, budget, "polynomial literal")
     return Poly(field, [terms.get(i, 0) for i in range(deg + 1)])
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .algebra import NEG_INF, Field, _split_terms, check_budget, parse_poly
+from .algebra import NEG_INF, Field, check_budget, parse_poly, read_terms
 from .contfrac import _tail_quality, cf_expand, convergents
 from .equidist import weyl_scan
 from .errors import BudgetError, DomainError, FFWeylError
@@ -76,40 +76,16 @@ def _load_json_arg(text):
         return json.load(fh)
 
 
-def parse_upoly(field, s):
-    """Parse a u-polynomial with F_q[t] coefficients, e.g. '(t^2+1)*u^3 + u + t'."""
+def parse_upoly(field, s, budget=None):
+    """Parse a u-polynomial with F_q[t] coefficients, e.g. '(t^2+1)*u^3 + u + t';
+    each coefficient, its enclosing parentheses dropped, is a polynomial
+    literal charged against the budget."""
     out = {}
-    for sign, term in _split_terms(s):
-        term = term.strip()
-        upos = None
-        depth = 0
-        for i, ch in enumerate(term):
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            elif ch == "u" and depth == 0:
-                upos = i
-                break
-        if upos is None:
-            exp = 0
-            coeff_text = term
-        else:
-            rest = term[upos + 1:].strip()
-            exp = 1
-            if rest.startswith("^"):
-                exp = int(rest[1:])
-            elif rest:
-                raise FFWeylError(f"bad u-term tail {rest!r}")
-            coeff_text = term[:upos].strip()
-            if coeff_text.endswith("*"):
-                coeff_text = coeff_text[:-1].strip()
-        if coeff_text.startswith("(") and coeff_text.endswith(")"):
-            coeff_text = coeff_text[1:-1]
-        coeff = parse_poly(field, coeff_text) if coeff_text else field.poly_one
-        if sign == "-":
-            coeff = -coeff
-        out[exp] = out.get(exp, field.poly_zero) + coeff
+    for sign, c, e in read_terms(s, "u"):
+        if c.startswith("(") and c.endswith(")"):
+            c = c[1:-1]
+        coeff = parse_poly(field, c, budget) if c else field.poly_one
+        out[e] = out.get(e, field.poly_zero) + (-coeff if sign == "-" else coeff)
     return {e: c for e, c in out.items() if not c.is_zero()}
 
 
@@ -157,7 +133,7 @@ def _cmd_exponents(args):
 
 def _cmd_cf(args):
     field = Field.parse(args.field)
-    alpha = parse_kelem(field, args.alpha)
+    alpha = parse_kelem(field, args.alpha, args.budget)
     cf = cf_expand(alpha, max_terms=args.max_terms)
     table = convergents(cf)
     conv_rows = []
@@ -179,7 +155,8 @@ def _cmd_weyl(args):
     field = Field.parse(args.field)
     f = _load_exppoly(args, field)
     if args.m is not None:
-        hist = twisted_sum(f, parse_poly(field, args.m), args.N, budget=args.budget)
+        hist = twisted_sum(f, parse_poly(field, args.m, args.budget), args.N,
+                           budget=args.budget)
     else:
         hist = weyl_sum(f, args.N, budget=args.budget)
     result = {"counts": list(hist.counts), "total": hist.total,
@@ -253,7 +230,7 @@ def _parse_dense_set(field, N, obj, budget):
         value = obj.get(key)
         if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
             raise DomainError(f"dense set {key!r} must be a list of polynomial strings")
-        return [parse_poly(field, s) for s in value]
+        return [parse_poly(field, s, budget) for s in value]
 
     if not isinstance(obj, dict):
         raise DomainError("dense set must be a JSON object")
@@ -262,14 +239,14 @@ def _parse_dense_set(field, N, obj, budget):
     if "mod" in obj:
         if not isinstance(obj["mod"], str):
             raise DomainError("dense set 'mod' must be a polynomial string")
-        return DenseSet.from_residues(field, N, parse_poly(field, obj["mod"]),
+        return DenseSet.from_residues(field, N, parse_poly(field, obj["mod"], budget),
                                       polys("residues"), budget)
     raise FFWeylError("dense set needs 'elems' or 'mod'/'residues'")
 
 
 def _cmd_intersective(args):
     field = Field.parse(args.field)
-    phi = parse_upoly(field, args.phi)
+    phi = parse_upoly(field, args.phi, args.budget)
     A = _parse_dense_set(field, args.N, _load_json_arg(args.A), args.budget)
     witness = difference_search(A, phi, args.xbound, budget=args.budget)
     wit = None
@@ -288,8 +265,8 @@ def _cmd_intersective(args):
 
 def _cmd_sieve_tmn(args):
     field = Field.parse(args.field)
-    phi = parse_upoly(field, args.phi)
-    alpha = parse_kelem(field, args.alpha)
+    phi = parse_upoly(field, args.phi, args.budget)
+    alpha = parse_kelem(field, args.alpha, args.budget)
     gm = gm_build(field, args.M, phi, mode=args.mode, budget=args.budget)
     N_list = _parse_int_list(args.N)
     results = t_mn_rows(phi, alpha, args.M, N_list, field, gm=gm, budget=args.budget)

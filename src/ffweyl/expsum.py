@@ -204,8 +204,11 @@ class ExpPoly:
 
     @classmethod
     def from_json(cls, obj, field=None, default_seed=0, budget=None):
-        """The ExpPoly of a JSON object; every kernel coefficient is charged
-        |floor| digits against the budget before its series is built."""
+        """The ExpPoly of a JSON object.  Before its coefficient is built, each
+        polynomial text is charged as a "polynomial literal", each series,
+        and each rational expanded to a floor, as a "series literal" of its
+        digit span, and every kernel coefficient |floor| digits, summed over
+        the kernels, as a "kernel series"."""
         if field is None:
             field = Field.parse(_member(obj, "field", str))
         coeffs = {}
@@ -217,11 +220,14 @@ class ExpPoly:
                 rat = _member(spec, "rat", list)
                 if len(rat) != 2 or not all(isinstance(x, str) for x in rat):
                     raise DomainError(f"'rat' needs two polynomial strings, got {rat!r}")
-                c = RationalK(parse_poly(field, rat[0]), parse_poly(field, rat[1]))
+                c = RationalK(parse_poly(field, rat[0], budget),
+                              parse_poly(field, rat[1], budget))
             elif "series" in spec:
-                c = parse_kelem(field, _member(spec, "series", str))
+                c = parse_kelem(field, _member(spec, "series", str), budget)
                 if isinstance(c, RationalK):
-                    c = c.expand(_member(spec, "floor", int))
+                    floor = _member(spec, "floor", int)  # a zero c has ord -inf
+                    check_budget(c.ord() - floor + 1, budget, "series literal")
+                    c = c.expand(floor)
                 elif "floor" in spec and _member(spec, "floor", int) != c.floor:
                     raise DomainError("series floor disagrees with its O-term")
             elif "kernel" in spec:
@@ -378,11 +384,12 @@ def _charge_power_table(field, n, exps, rows, budget=None):
 def _power_table(field, n, exps, rows):
     """Coordinates of x^e, keyed by e, for x over `rows` of G_n (a count, for
     the first points, or an array of indices) and for e = 0, 1 and each e
-    digitwise below an exponent r of exps; row i of every entry belongs to
-    the i-th point given.  Callers charge it first with _charge_power_table.
+    digitwise below an exponent r of exps that is no power p^i, i >= 1 (its
+    readers take those from x^1 by Frobenius); row i of every entry belongs
+    to the i-th point given.  Callers charge it first with _charge_power_table.
 
     x^e has e * max(n - 1, 0) + 1 coefficients; column m*a + i of its block
-    holds coordinate i of the coefficient of t^a.  An entry x^(p^i) is x with
+    holds coordinate i of the coefficient of t^a.  The step x^(p^i) is x with
     each coefficient c raised to c^(p^i) (Frobenius, the identity when
     i % m == 0) and placed from t^b at t^(b p^i): one strided assignment,
     with no table arithmetic.  Any other e is x^(e - p^i) x^(p^i) for p^i
@@ -424,8 +431,9 @@ def _power_table(field, n, exps, rows):
                 for b in range(n):
                     window = nxt[:, b * stride:b * stride + prev.shape[1]]
                     window[...] = muladd[window, prev, frob[:, b:b + 1]]
-            table[e] = nxt if m == 1 else (
-                nxt[:, :, None] // p ** np.arange(m) % p).reshape(count, -1)
+            if e != stride:  # a p-power is only a step toward higher powers
+                table[e] = nxt if m == 1 else (
+                    nxt[:, :, None] // p ** np.arange(m) % p).reshape(count, -1)
     return table
 
 

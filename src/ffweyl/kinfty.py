@@ -20,7 +20,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import NEG_INF, Poly, _format_terms, parse_poly, parse_terms, poly_gcd
+from .algebra import (NEG_INF, Poly, _format_terms, check_budget, parse_poly, parse_terms,
+                      poly_gcd, read_terms)
 from .errors import DomainError, PrecisionError
 
 
@@ -416,26 +417,29 @@ def experiment_floor(support, N, depth=1, slack=8):
 # ---------------------------------------------------------------------------
 # Text form: rationals as 'num / den', series with a trailing O-term.
 
-def parse_kelem(field, s):
+def parse_kelem(field, s, budget=None):
+    """A rational 'num / den', a polynomial, or a series with a trailing
+    O-term, whose one term is t^floor (or 1).  Each polynomial is charged as
+    a "polynomial literal" and a series as a "series literal" of its digit
+    span, from the floor to its top term, before it is built."""
     s = s.strip()
     if "/" in s:
         num_s, den_s = s.split("/", 1)
-        return RationalK(parse_poly(field, num_s), parse_poly(field, den_s))
+        return RationalK(parse_poly(field, num_s, budget), parse_poly(field, den_s, budget))
     if "O(" in s:
         body, otail = s.rsplit("O(", 1)
         otail = otail.strip()
         if not otail.endswith(")"):
             raise DomainError("unterminated O-term")
-        inner = otail[:-1].strip()
-        if inner in ("1", "t^0"):
-            floor = 0
-        else:
-            if not inner.startswith("t^"):
-                raise DomainError(f"bad O-term {inner!r}")
-            floor = int(inner[2:])
+        oterm = list(read_terms(otail[:-1], "t"))
+        if len(oterm) != 1 or oterm[0][:2] not in (("+", ""), ("+", "1")):
+            raise DomainError(f"bad O-term {otail[:-1].strip()!r}")
+        floor = oterm[0][2]
         body = body.strip()
         if body.endswith("+"):
             body = body[:-1].strip()
         terms = parse_terms(field, body) if body else {}
+        top = max((e for e, c in terms.items() if c), default=floor - 1)
+        check_budget(top - floor + 1, budget, "series literal")
         return TruncSeries.from_digits(field, floor, terms)
-    return RationalK(parse_poly(field, s))
+    return RationalK(parse_poly(field, s, budget))

@@ -1,4 +1,5 @@
 """Seeded generators and slow reference loops shared across the test modules."""
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from ffweyl import equidist
 from ffweyl.algebra import (PRINT_DIGITS, Field, Poly, check_budget, check_power, gn_size,
                             poly_from_index, power_count)
 from ffweyl.contfrac import CFExpansion
-from ffweyl.errors import DomainError, HypothesisError, PrecisionError
+from ffweyl.errors import DomainError, FFWeylError, HypothesisError, PrecisionError
 from ffweyl.exponents import lucas_binom
 from ffweyl.expsum import (BLOCK, CharSum, ExpPoly, _check_floor, _digit_rows_direct,
                            _pass_checks, _trace_digits, count_rows, weyl_sum)
@@ -71,6 +72,108 @@ def rand_exppoly(rng, F, max_exp=6, max_terms=3, floor=-40, with_const=0.4):
     if rng.random() < with_const:
         coeffs[0] = rand_kelem(rng, F, floor=floor)
     return ExpPoly(F, coeffs)
+
+
+def _rand_coeff_text(rng, F, vectors=True):
+    k = rng.randrange(4)
+    if k == 0:
+        return ""
+    if k == 1 or not vectors:
+        return str(rng.randrange(2 * F.p))
+    return "[" + ",".join(str(rng.randrange(F.p)) for _ in range(F.m)) + "]"
+
+
+def _rand_term(rng, F, var, lo, hi, vectors=True):
+    """c*var^e with e in [lo, hi], in one of the spellings the readers take."""
+    c = _rand_coeff_text(rng, F, vectors)
+    e = rng.randrange(lo, hi + 1)
+    if e == 0 and rng.random() < 0.5:
+        return c or "1"
+    v = var if e == 1 and rng.random() < 0.5 else f"{var}^{e}"
+    return c + (rng.choice(["*", "", " * ", " "]) if c else "") + v
+
+
+def _rand_sum(rng, terms):
+    out = ("-" if rng.random() < 0.3 else "") + terms[0]
+    for term in terms[1:]:
+        out += rng.choice(["+", "-", " + ", " - "]) + term
+    return out
+
+
+def _rand_tpoly(rng, F, lo=0, hi=8, count=4):
+    return _rand_sum(rng, [_rand_term(rng, F, "t", lo, hi)
+                           for _ in range(rng.randrange(1, count + 1))])
+
+
+def rand_literal(rng, F, kind):
+    """A well-formed literal: 't' a sum of t-terms with exponents in [-6, 8],
+    'x' a modulus of degree m, 'u' a u-polynomial with F_q[t] coefficients,
+    'k' a rational, a series with an O-term, or a polynomial."""
+    if kind == "t":
+        return _rand_tpoly(rng, F, -6, 8)
+    if kind == "x":
+        return _rand_sum(rng, [f"x^{F.m}"] + [_rand_term(rng, F, "x", 0, F.m - 1, False)
+                                             for _ in range(rng.randrange(3))])
+    if kind == "u":
+        terms = []
+        for _ in range(rng.randrange(1, 4)):
+            c = rng.choice(["", f"({_rand_tpoly(rng, F, 0, 4, 2)})", "t",
+                            str(rng.randrange(1, F.p + 2))])
+            e = rng.randrange(5)
+            if e == 0:
+                terms.append(c or "1")
+            else:
+                v = "u" if e == 1 else f"u^{e}"
+                terms.append(c + (rng.choice(["*", ""]) if c else "") + v)
+        return _rand_sum(rng, terms)
+    k = rng.randrange(3)
+    if k == 0:
+        return _rand_tpoly(rng, F) + rng.choice([" / ", "/"]) + _rand_tpoly(rng, F)
+    if k == 1:
+        floor = -rng.randrange(12)
+        body = _rand_tpoly(rng, F, floor, 3) + " + " if rng.random() < 0.8 else ""
+        return f"{body}O(t^{floor})"
+    return _rand_tpoly(rng, F)
+
+
+def mutate_literal(rng, s, alphabet="tux^*+-[](), 0123456789O/"):
+    """s after one or two deletions, insertions or replacements of a character."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(s) + 1)
+        k = rng.randrange(3)
+        if k == 0:
+            s = s[:i] + s[i + 1:]
+        else:
+            s = s[:i] + rng.choice(alphabet) + s[i + (k == 2):]
+    return s
+
+
+def ax_katz_exponent(f, N, depth=None):
+    """An exponent v such that p^v divides every count of the histogram of f
+    over G_N (depth None) and every cell of its depth-`depth` cylinder table.
+
+    Let d be the largest base-p digit sum of an exponent r >= 1 of f and
+    n = N m.  Each x^(p^i) is F_p-linear in the n coordinates of x, so every
+    coordinate of every digit of f(x), and Tr res f(x), is a polynomial of
+    degree at most d in them.  By Ax, p^(ceil(n/d) - 1) divides the number
+    of zeros of one such polynomial, so every histogram count; by Katz,
+    p^ceil((n - D m d)/d) divides the common zeros of the D m digit
+    coordinates of a depth-D cell.  A constant f (d = 0) puts all p^n points
+    in one count or cell.
+    """
+    p, m = f.field.p, f.field.m
+    n = N * m
+    d = 0
+    for r, _ in f.terms:
+        s = 0
+        while r:
+            r, digit = divmod(r, p)
+            s += digit
+        d = max(d, s)
+    if d == 0:
+        return n
+    polys = 1 if depth is None else depth * m
+    return max(-(-(n - polys * d) // d), 0)
 
 
 def series_invert(s):
@@ -391,3 +494,164 @@ def t_mn_loop(phi, alpha, M, N_list, field, gm=None, mode="literal", budget=None
         exact_one = hist.is_full() and hist.full_residue() == 0
         out.append(TmnResult(hist, hist.normalized(), exact_one, gm.modulus.deg, gm.mode))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The literal readers as they stood before the shared term reader
+# (algebra.read_terms), kept as oracles for the equivalence tests: each
+# reader's code is unchanged but for the names it calls.
+
+def split_terms_oracle(s):
+    """Split on top-level +/- signs; '[...]' and '(...)' groups and '^-'
+    exponents stay intact."""
+    out = []
+    sign, buf, depth = "+", [], 0
+    prev = ""
+    for ch in s:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if ch in "+-" and depth == 0 and prev != "^":
+            if any(not c.isspace() for c in buf):
+                out.append((sign, "".join(buf)))
+                sign, buf = ch, []
+            else:
+                # a sign before any term content: leading sign or a sign run
+                sign = "-" if (sign == "-") != (ch == "-") else "+"
+        else:
+            buf.append(ch)
+        if not ch.isspace():
+            prev = ch
+    if any(not c.isspace() for c in buf):
+        out.append((sign, "".join(buf)))
+    if not out:
+        raise DomainError("empty polynomial text")
+    return out
+
+
+def parse_fp_poly_oracle(s, p):
+    """Parse a monic modulus like 'x^2+x+1' into an F_p coefficient tuple."""
+    coeffs = {}
+    for sign, term in split_terms_oracle(s):
+        mt = re.fullmatch(r"(?:(\d+)\s*\*?\s*)?(x(?:\^(\d+))?)?", term.strip())
+        if mt is None or not term.strip():
+            raise DomainError(f"bad modulus term {term!r}")
+        c = int(mt.group(1)) if mt.group(1) else 1
+        if mt.group(2) is None:
+            e = 0
+        else:
+            e = int(mt.group(3)) if mt.group(3) else 1
+        c = (-c if sign == "-" else c) % p
+        coeffs[e] = (coeffs.get(e, 0) + c) % p
+    deg = max((e for e, c in coeffs.items() if c), default=0)
+    return tuple(coeffs.get(i, 0) for i in range(deg + 1))
+
+
+_COEFF_VEC = re.compile(r"\[([^\]]*)\]")
+
+
+def parse_terms_oracle(field, s):
+    """Parse the t-power syntax into {exponent: code}; exponents may be negative."""
+    terms = {}
+    for sign, raw in split_terms_oracle(s):
+        term = raw.strip()
+        if not term:
+            raise DomainError("empty term in polynomial text")
+        code = None
+        mvec = _COEFF_VEC.match(term)
+        if mvec:
+            vals = [int(v) for v in mvec.group(1).split(",")] if mvec.group(1).strip() else []
+            if len(vals) != field.m:
+                raise DomainError(f"coefficient vector {mvec.group(0)} needs {field.m} entries")
+            code = field.from_coords(list(reversed(vals)))
+            term = term[mvec.end():].strip()
+        mt = re.fullmatch(r"(?:(\d+)\s*)?(?:\*\s*)?(t(?:\^(-?\d+))?)?", term)
+        if mt is None:
+            raise DomainError(f"bad polynomial term {raw!r}")
+        if mt.group(1) is not None:
+            if code is not None:
+                raise DomainError(f"two coefficients in term {raw!r}")
+            code = int(mt.group(1)) % field.p
+        if code is None:
+            if mt.group(2) is None:
+                raise DomainError(f"bad polynomial term {raw!r}")
+            code = 1
+        if mt.group(2) is None:
+            e = 0
+        else:
+            e = int(mt.group(3)) if mt.group(3) else 1
+        if sign == "-":
+            code = field.neg(code)
+        terms[e] = field.add(terms.get(e, 0), code)
+    return terms
+
+
+def parse_poly_oracle(field, s):
+    terms = parse_terms_oracle(field, s)
+    if any(e < 0 and c for e, c in terms.items()):
+        raise DomainError("negative exponent in a polynomial")
+    deg = max((e for e, c in terms.items() if c), default=-1)
+    return Poly(field, [terms.get(i, 0) for i in range(deg + 1)])
+
+
+def parse_upoly_oracle(field, s):
+    """Parse a u-polynomial with F_q[t] coefficients, e.g. '(t^2+1)*u^3 + u + t'."""
+    out = {}
+    for sign, term in split_terms_oracle(s):
+        term = term.strip()
+        upos = None
+        depth = 0
+        for i, ch in enumerate(term):
+            if ch in "([":
+                depth += 1
+            elif ch in ")]":
+                depth -= 1
+            elif ch == "u" and depth == 0:
+                upos = i
+                break
+        if upos is None:
+            exp = 0
+            coeff_text = term
+        else:
+            rest = term[upos + 1:].strip()
+            exp = 1
+            if rest.startswith("^"):
+                exp = int(rest[1:])
+            elif rest:
+                raise FFWeylError(f"bad u-term tail {rest!r}")
+            coeff_text = term[:upos].strip()
+            if coeff_text.endswith("*"):
+                coeff_text = coeff_text[:-1].strip()
+        if coeff_text.startswith("(") and coeff_text.endswith(")"):
+            coeff_text = coeff_text[1:-1]
+        coeff = parse_poly_oracle(field, coeff_text) if coeff_text else field.poly_one
+        if sign == "-":
+            coeff = -coeff
+        out[exp] = out.get(exp, field.poly_zero) + coeff
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def parse_kelem_oracle(field, s):
+    s = s.strip()
+    if "/" in s:
+        num_s, den_s = s.split("/", 1)
+        return RationalK(parse_poly_oracle(field, num_s), parse_poly_oracle(field, den_s))
+    if "O(" in s:
+        body, otail = s.rsplit("O(", 1)
+        otail = otail.strip()
+        if not otail.endswith(")"):
+            raise DomainError("unterminated O-term")
+        inner = otail[:-1].strip()
+        if inner in ("1", "t^0"):
+            floor = 0
+        else:
+            if not inner.startswith("t^"):
+                raise DomainError(f"bad O-term {inner!r}")
+            floor = int(inner[2:])
+        body = body.strip()
+        if body.endswith("+"):
+            body = body[:-1].strip()
+        terms = parse_terms_oracle(field, body) if body else {}
+        return TruncSeries.from_digits(field, floor, terms)
+    return RationalK(parse_poly_oracle(field, s))

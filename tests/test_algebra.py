@@ -1,18 +1,22 @@
 import random
+import re
 import time
 
 import pytest
 
 from ffweyl import algebra
 from ffweyl.algebra import (NEG_INF, Field, Poly, enumerate_GN, gn_size,
-                            irreducibles, is_irreducible, parse_poly,
-                            poly_crt, poly_from_index, poly_gcd, poly_xgcd,
+                            irreducibles, is_irreducible, parse_fp_poly, parse_poly,
+                            parse_terms, poly_crt, poly_from_index, poly_gcd, poly_xgcd,
                             roots_mod)
-from ffweyl.errors import BudgetError, DomainError
-from ffweyl.kinfty import TruncSeries
+from ffweyl.cli import parse_upoly
+from ffweyl.errors import BudgetError, DomainError, FFWeylError
+from ffweyl.kinfty import TruncSeries, parse_kelem
 
-from helpers import (every_field, field, field_tables_by_poly, poly_divmod_schoolbook,
-                     poly_mul_schoolbook, rand_nonzero_poly, rand_poly)
+from helpers import (every_field, field, field_tables_by_poly, mutate_literal,
+                     parse_fp_poly_oracle, parse_kelem_oracle, parse_terms_oracle,
+                     parse_upoly_oracle, poly_divmod_schoolbook, poly_mul_schoolbook,
+                     rand_literal, rand_nonzero_poly, rand_poly)
 
 
 def test_field_construction_and_moduli():
@@ -31,7 +35,7 @@ def test_field_construction_and_moduli():
 def test_custom_moduli():
     for spec in ("q=4 modulus=x^2+x+1", "q=8 modulus=x^3+x^2+1", "q=9 modulus=x^2+x+2"):
         F = Field.parse(spec)
-        assert Field.parse(F.spec_string()) == F
+        assert Field.parse(F.spec_string()) is F
         els = F.elements()
         for a in els:
             assert F.add(a, 0) == a and F.mul(a, 1) == a and F.add(a, F.neg(a)) == 0
@@ -130,8 +134,7 @@ def test_char_residue_matches_trace():
 
 def test_poly_parse_format_roundtrip():
     rng = random.Random(1)
-    for q in (2, 3, 4, 9):
-        F = field(q)
+    for F in every_field():
         for _ in range(100):
             x = rand_poly(rng, F, 5)
             assert parse_poly(F, str(x)) == x
@@ -140,6 +143,53 @@ def test_poly_parse_format_roundtrip():
     assert str(F3.poly_zero) == "0"
     with pytest.raises(DomainError):
         parse_poly(F3, "t^-1")
+
+
+#: Each literal kind's reader on the shared term reader, and the reader it
+#: replaced (helpers), as functions of (field, text).
+READERS = {
+    "t": (parse_terms, parse_terms_oracle),
+    "x": (lambda F, s: parse_fp_poly(s, F.p, F.m), lambda F, s: parse_fp_poly_oracle(s, F.p)),
+    "u": (parse_upoly, parse_upoly_oracle),
+    "k": (parse_kelem, parse_kelem_oracle),
+}
+
+#: Texts with a form that the old readers did not agree on, and that the
+#: shared reader decides once: spaces around '^' and a signed exponent
+#: ('+', or '-0' where exponents are >= 0) are read; a '*' joins a
+#: coefficient to its variable, so one before a bare variable reads as
+#: coefficient 1 and a term that ends in '*' is refused; an O-term is one
+#: term of coefficient 1, so O(t), O(1*t^e) and a dangling sign in it read.
+DISPUTED = re.compile(r"\s\^|\^\s|\^\s*\+|\^\s*-0+(?!\d)"
+                      r"|(?:^|[-+(*/])\s*\*|\*\s*(?:$|[-+)*/])"
+                      r"|O\((?!\s*(?:1|t\^[-+]?\d+)\s*\)$)")
+
+
+def _outcome(read, F, text):
+    try:
+        return read(F, text)
+    except (FFWeylError, ValueError):  # the CLI exits 2 on either
+        return None
+
+
+def test_term_reader_matches_the_old_readers():
+    rng = random.Random(26)
+    well_formed = 0
+    for F in every_field():
+        for kind, (new, old) in READERS.items():
+            if kind == "x" and F.m == 1:
+                continue
+            for _ in range(80):
+                literal = rand_literal(rng, F, kind)
+                well_formed += _outcome(old, F, literal) is not None
+                for text in [literal] + [mutate_literal(rng, literal) for _ in range(4)]:
+                    got, want = _outcome(new, F, text), _outcome(old, F, text)
+                    if got == want or DISPUTED.search(text):
+                        continue
+                    # a modulus exponent above m is refused before any tuple is built
+                    above = kind == "x" and max(map(int, re.findall(r"\^(\d+)", text)), default=0) > F.m
+                    assert got is None and above, (F, kind, text, got, want)
+    assert well_formed >= 2000
 
 
 def test_poly_divmod_examples():

@@ -12,7 +12,8 @@ import pytest
 
 from ffweyl import cli, contfrac
 from ffweyl.cli import main, parse_upoly
-from ffweyl.algebra import parse_poly
+from ffweyl.algebra import parse_fp_poly, parse_poly, parse_terms
+from ffweyl.errors import DomainError
 from ffweyl.expsum import CharSum, ExpPoly, weyl_residues
 from ffweyl.kinfty import parse_kelem
 from ffweyl.schemas import SCHEMAS
@@ -378,9 +379,18 @@ _JSON = ("", "5", "[]", "{", "{}", '{"field": 5, "terms": []}',
          '{"terms": [{"exp": 1, "coeff": {"kernel": {"floor": -9, "seed": []}}}]}',
          '{"elems": 5}', '{"elems": [5]}', '{"elems": []}', '{"elems": ["0", "t^9"]}',
          '{"mod": 5, "residues": []}', '{"mod": "0", "residues": ["1"]}',
-         '{"mod": "t", "residues": [null]}')
+         '{"mod": "t", "residues": [null]}',
+         # literals of degree or depth 10^6 to 10^8, charged before they are built
+         '{"terms": [{"exp": 1, "coeff": {"rat": ["t^100000000", "t+1"]}}]}',
+         '{"terms": [{"exp": 1, "coeff": {"series": "1 + O(t^-10000000)"}}]}',
+         '{"terms": [{"exp": 1, "coeff": {"series": "t^1000000 / t+1", "floor": -5}}]}',
+         '{"terms": [{"exp": 1, "coeff": {"series": "1 / t+1", "floor": -99999999}}]}',
+         '{"elems": ["0", "t^100000000"]}', '{"mod": "t^1000000", "residues": ["1"]}')
 _TEXT = ("", " ", "q=", "q=6", "q=4 modulus=x^2+1", "q=2^", "t^", "t^-1", "1/0",
-         "u^-1", "u^", "[1", "x", "%%", "O(t^3", "1 / t + O(t^-3)", "shadow,bogus")
+         "u^-1", "u^", "[1", "x", "%%", "O(t^3", "1 / t + O(t^-3)", "shadow,bogus",
+         # literals of degree or depth 10^6 to 10^8, charged before they are built
+         "t^1000000", "t^99999999 / t+1", "1 + O(t^-10000000)", "t^1000000 + O(t^-3)",
+         "(t^100000000+1)*u", "q=4 modulus=x^99999999+x+1", "q=8 modulus=x^1000000+x+1")
 _POOLS = {
     **dict.fromkeys(("--p", "--max-terms", "--D", "--depth", "--s", "--k", "--eta",
                      "--M", "--xbound", "--budget"), _INTS),
@@ -431,6 +441,21 @@ def test_parse_upoly():
     F3 = field(3)
     phi = parse_upoly(F3, "2*u^2 - u")
     assert phi[2] == parse_poly(F3, "2") and phi[1] == parse_poly(F3, "2")
+    assert parse_upoly(F3, "(t+1)*u") == {1: parse_poly(F3, "t+1")}
+    assert parse_upoly(F3, "t*u") == {1: F3.poly_t}
+    # each form reads alike in u, in t and in a modulus in x, or is refused
+    # by all three with a DomainError
+    readers = (lambda s: {e: c.coeffs[0] for e, c in parse_upoly(F3, s).items()},
+               lambda s: parse_terms(F3, s.replace("u", "t")),
+               lambda s: dict(enumerate(parse_fp_poly(s.replace("u", "x"), 3, 3))))
+    for text, want in (("2*u", {1: 2}), ("2u", {1: 2}), ("*u", {1: 1}), ("u ^3", {3: 1}),
+                       ("u^+3", {3: 1}), ("u*2", None)):
+        for read in readers:
+            if want is None:
+                with pytest.raises(DomainError):
+                    read(text)
+            else:
+                assert {e: c for e, c in read(text).items() if c} == want, text
 
 
 _F2_RAT = json.dumps({"field": "q=2", "terms": [
@@ -588,3 +613,27 @@ def test_long_exponent_sets_are_refused_before_they_are_built(argv):
     assert json.loads(err) == {"error": {
         "type": "BudgetError",
         "message": "exponent set of 100000000 points exceeds budget 16777216"}}
+
+
+def _rat_f(num, den):
+    return json.dumps({"field": "q=2", "terms": [{"exp": 1, "coeff": {"rat": [num, den]}}]})
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["cf", "--field", "q=2", "--alpha", "t^99999999 / t+1", "--max-terms", "3"], 3,
+     "polynomial literal of 100000000 points exceeds budget 16777216"),
+    (["weyl", "--field", "q=2", "--N", "1", "--f", _rat_f("t^99999999", "t+1")], 3,
+     "polynomial literal of 100000000 points exceeds budget 16777216"),
+    (["weyl", "--field", "q=2", "--N", "1", "--f", json.dumps({"field": "q=2", "terms": [
+        {"exp": 1, "coeff": {"series": "1 + O(t^-99999999)"}}]})], 3,
+     "series literal of 100000000 points exceeds budget 16777216"),
+    (["cf", "--field", "q=4 modulus=x^99999999+x+1", "--alpha", "1 / t"], 2,
+     "modulus exponent 99999999 outside 0..2")],
+    ids=["cf-alpha", "f-rat", "f-series", "field-modulus"])
+def test_literals_are_charged_before_they_are_built(argv, code, message):
+    start = time.perf_counter()
+    got = _fresh_process(argv, preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 1
+    assert got[0] == code and not got[1]
+    error = json.loads(got[2])["error"]
+    assert error == {"type": "BudgetError" if code == 3 else "DomainError", "message": message}

@@ -18,13 +18,19 @@ from ffweyl.expsum import (CharSum, ExpPoly, count_rows, e_of, fractional_digit_
 from ffweyl.exponents import lucas_binom
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, parse_kelem
 
-from helpers import (dense_power_table, direct_traces, every_field, field, rand_completion,
-                     rand_exppoly, rand_monic, rand_nonzero_poly, rand_poly, rand_rational,
+from helpers import (ax_katz_exponent, dense_power_table, direct_traces, every_field, field,
+                     rand_completion, rand_exppoly, rand_monic, rand_nonzero_poly, rand_poly, rand_rational,
                      rand_series, substitute_oracle, t_mn_loop, weyl_scan_loop)
 
 
 def lin(F, alpha):
     return ExpPoly(F, {1: alpha})
+
+
+def ax_katz_holds(counts, f, N, depth=None):
+    """Whether p^ax_katz_exponent(f, N, depth) divides every count."""
+    unit = f.field.p ** ax_katz_exponent(f, N, depth)
+    return all(int(c) % unit == 0 for c in counts)
 
 
 def test_charsum_basics():
@@ -132,6 +138,7 @@ def test_split_vs_direct_vs_evaluate():
             f = rand_exppoly(rng, F, max_exp=rng.choice((4, 6, 9)))
             rs = weyl_residues(f, N)
             assert (rs == weyl_residues(f, N, method="direct")).all()
+            assert ax_katz_holds(np.bincount(rs, minlength=F.p), f, N)
             for lo, hi in _slices(rng, q, N):
                 part = weyl_residues(f, N, lo, hi)
                 assert (part == rs[lo:hi]).all()
@@ -463,6 +470,14 @@ def test_lucas_pairs_match_the_binomial_loop():
             assert expsum._lucas_pairs(r, p) == want, (r, p)
 
 
+def table_keys(exps, p):
+    """The powers _power_table returns: 0, 1 and every e digitwise below an
+    exponent of exps that is no power p^i, i >= 1, which the table builds
+    only as a step toward higher powers."""
+    below = {j for r in exps for j in range(r + 1) if lucas_binom(r, j, p)}
+    return {0, 1} | {e for e in below if expsum._p_power(e, p) is None}
+
+
 def test_power_table_matches_the_dense_oracle():
     rng = random.Random(17)
     fields = [field(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [
@@ -473,16 +488,17 @@ def test_power_table_matches_the_dense_oracle():
             for _ in range(4):
                 exps = [0] + rng.sample(range(1, 60), rng.randrange(1, 4))
                 table = expsum._power_table(F, n, exps, rows)
-                below = {j for r in exps for j in range(r + 1) if lucas_binom(r, j, F.p)}
-                assert set(table) == below | {0, 1}, (F, n, exps)
+                assert set(table) == table_keys(exps, F.p), (F, n, exps)
                 dense, starts = dense_power_table(F, n, max(exps), rows)
                 for e, block in table.items():
                     assert np.array_equal(block, dense[:, starts[e]:starts[e + 1]]), (F, n, e)
 
 
 def test_power_table_matches_poly_powers():
-    # p-powers are placed, products at q = p are int64 multiply-adds: both
-    # against x ** e in Poly arithmetic, over a count and an index array of rows
+    # p-powers are placed, and checked through the products built on them
+    # (x^(p+1), x^(2p), x^(p^2+2p+1)); products at q = p are int64
+    # multiply-adds: all against x ** e in Poly arithmetic, over a count and
+    # an index array of rows
     rng = random.Random(19)
     for F in every_field() + [field(4, "x^2+x+1")]:
         p, q, m = F.p, F.q, F.m
@@ -493,8 +509,7 @@ def test_power_table_matches_poly_powers():
             for exps in sets:
                 for rows in (min(q ** n, 6), picked):
                     table = expsum._power_table(F, n, exps, rows)
-                    below = {j for r in exps for j in range(r + 1) if lucas_binom(r, j, F.p)}
-                    assert set(table) == below | {0, 1}, (F, n, exps)
+                    assert set(table) == table_keys(exps, p), (F, n, exps)
                     for row, i in enumerate(np.arange(rows) if np.ndim(rows) == 0 else rows):
                         x = poly_from_index(F, int(i), n)
                         for e, block in table.items():
@@ -528,7 +543,8 @@ def test_slices_build_only_the_rows_they_read(monkeypatch):
 
 
 def test_power_table_builds_only_the_shadow():
-    # 4000 has six nonzero binary digits: 64 powers, not 4001
+    # 4000 has six nonzero binary digits: 64 powers, not 4001, and the six
+    # powers of 2 among them are steps the table does not return
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -539,7 +555,7 @@ def test_power_table_builds_only_the_shadow():
         tracemalloc.stop()
     # measured 0.02-0.06 s and 8 MB; the dense table to x^4000 took 3 s and 490 MB
     assert elapsed < 0.5 and peak < 32 << 20, (elapsed, peak)
-    assert len(table) == 65 and table[4000].shape == (4, 4001)
+    assert len(table) == 59 and table[4000].shape == (4, 4001)
 
 
 def test_high_powers_match_the_direct_path():
@@ -652,12 +668,15 @@ def test_engine_matches_the_direct_oracle(monkeypatch, block):
                 residues = weyl_residues(f, N)
                 assert residues.shape == (q ** N,) and residues.dtype == np.int64
                 assert np.array_equal(residues, direct)
-                assert weyl_sum(f, N) == CharSum.from_residues(F.p, direct)
+                hist = weyl_sum(f, N)
+                assert hist == CharSum.from_residues(F.p, direct)
+                assert ax_katz_holds(hist.counts, f, N)
                 for lo, hi in slices:
                     assert np.array_equal(weyl_residues(f, N, lo, hi), direct[lo:hi])
                     assert weyl_sum(f, N, lo, hi) == CharSum.from_residues(F.p, direct[lo:hi])
             rows = fractional_digit_rows(fs[0], N, 3)
             assert np.array_equal(rows, fractional_digit_rows(fs[0], N, 3, method="direct"))
+            assert ax_katz_holds(np.unique(rows, axis=0, return_counts=True)[1], fs[0], N, 3)
             lo, hi = _slices(rng, q, N)[-1]
             assert np.array_equal(fractional_digit_rows(fs[0], N, 3, lo, hi), rows[lo:hi])
     # every block carries every member in the same columns, and outgrows the
@@ -669,6 +688,26 @@ def test_engine_matches_the_direct_oracle(monkeypatch, block):
     if block in (7, 64):
         # the small sizes split the 3m members of digit rows into several row blocks
         assert any(len(blocks) > 1 and width > 1 for _, _, width, blocks in seen)
+
+
+@pytest.mark.parametrize("q, N, exps, depth, g", [
+    (2, 18, (1, 2, 3), 3, 3), (2, 20, (1, 2, 3), 2, 2), (2, 22, (3, 5, 6), 1, 1),
+    (3, 12, (1, 2, 3), 2, 2), (3, 13, (3, 5, 6), 2, 1), (3, 14, (5,), 1, 1)])
+def test_large_passes_keep_the_ax_katz_divisibility(q, N, exps, depth, g):
+    """Passes over many blocks, too large for the direct path, at every
+    packing g the engine takes there: p^ax_katz_exponent divides every
+    histogram count and every cylinder cell, a law one moved point breaks."""
+    rng = random.Random(41 * q + N)
+    F = field(q)
+    f = ExpPoly(F, {r: RationalK(rand_nonzero_poly(rng, F, 2), rand_monic(rng, F, 3))
+                    if rng.random() < 0.7 else rand_series(rng, F, expsum.required_floor(r, N, depth))
+                    for r in exps})
+    values = expsum._pass_checks(f, depth * F.m, N, 0, q ** N)
+    assert expsum._packing(F.p, values, depth * F.m)[1] == g
+    assert q ** N >= 4 * expsum.BLOCK and ax_katz_exponent(f, N) >= 2
+    assert ax_katz_holds(weyl_sum(f, N).counts, f, N)
+    assert ax_katz_exponent(f, N, depth) >= 1
+    assert ax_katz_holds(cylinder_counts(f, N, depth).counts.values(), f, N, depth)
 
 
 @pytest.mark.parametrize("q, modulus", [

@@ -375,6 +375,12 @@ def test_ord_vs():
 
 def test_parse_format_roundtrip():
     F2, F3, F9 = field(2), field(3), field(9)
+    rng = random.Random(27)
+    seeded = [(F, rand_series(rng, F, -rng.randrange(13), top=rng.randrange(-1, 4)))
+              for F in every_field() for _ in range(20)]
+    seeded += [(F, rand_rational(rng, F, 4)) for F in every_field() for _ in range(20)]
+    for F, v in seeded:
+        assert parse_kelem(F, str(v)) == v, (F, str(v))
     for text in ("t^2 + 1 + t^-1 + O(t^-12)", "O(t^-5)", "t+1 / t^3+t+1", "t^2"):
         v = parse_kelem(F2, text)
         assert parse_kelem(F2, str(v)) == v
