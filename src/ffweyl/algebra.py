@@ -339,10 +339,10 @@ def format_fp_poly(coeffs):
 
 def _split_terms(s):
     """Split on top-level +/- signs; '[...]' and '(...)' groups and '^-'
-    exponents stay intact."""
+    exponents stay intact, and a sign with no term after it is refused."""
     out = []
     sign, buf, depth = "+", [], 0
-    prev = ""
+    prev, signed = "", False
     for ch in s:
         if ch in "([":
             depth += 1
@@ -355,19 +355,25 @@ def _split_terms(s):
             else:
                 # a sign before any term content: leading sign or a sign run
                 sign = "-" if (sign == "-") != (ch == "-") else "+"
+            signed = True
         else:
             buf.append(ch)
         if not ch.isspace():
             prev = ch
     if any(not c.isspace() for c in buf):
         out.append((sign, "".join(buf)))
+    elif signed:
+        raise DomainError(f"sign with no term after it in {s.strip()!r}")
     if not out:
         raise DomainError("empty polynomial text")
     return out
 
 
+#: An exponent or a '[..]' vector entry: an optional sign and decimal digits.
+_INTEGER = r"[+-]?\d+"
+
 #: What follows the variable of a term: nothing, or '^' and an integer.
-_EXPONENT = re.compile(r"(?:\^\s*([+-]?\d+))?")
+_EXPONENT = re.compile(rf"(?:\^\s*({_INTEGER}))?")
 
 
 def read_terms(s, var):
@@ -375,12 +381,13 @@ def read_terms(s, var):
     sign is '+' or '-', c the coefficient text, stripped, and e an int.
 
     The text splits at each '+' or '-' outside brackets that does not follow
-    '^', and a run of signs reads as one.  The variable of a term is its
-    first var outside brackets, followed by nothing (e = 1) or by '^' and an
-    integer, with spaces allowed around '^' and a sign allowed before the
-    integer.  c is the text before the variable, a '*' that joins it to the
-    variable dropped, and '' stands for 1; a term without the variable is
-    the constant c (e = 0), and keeps any '*'.
+    '^', a run of signs reads as one, and a sign with no term after it is
+    refused.  The variable of a term is its first var outside brackets,
+    followed by nothing (e = 1) or by '^' and an integer, with spaces
+    allowed around '^' and a sign allowed before the integer.  c is the
+    text before the variable, a '*' that joins it to the variable dropped,
+    and '' stands for 1; a term without the variable is the constant c
+    (e = 0), and keeps any '*'.
     """
     for sign, raw in _split_terms(s):
         c, e, depth = raw.strip(), 0, 0
@@ -503,14 +510,14 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise DomainError("negative polynomial power")
-        out, base = self.field.poly_one, self
+        out, base = None, self
         while e:
             if e & 1:
-                out = out * base
+                out = base if out is None else out * base
             e >>= 1
             if e:
                 base = base * base
-        return out
+        return self.field.poly_one if out is None else out
 
     def _divide(self, other, with_quotient):
         """Long division: the quotient's code list (None unless asked for)
@@ -650,11 +657,18 @@ def format_poly(x):
 def parse_terms(field, s):
     """Parse the t-power syntax into {exponent: code}; exponents may be
     negative, and a coefficient is an integer or a '[..]' vector of m
-    coordinates, the highest first."""
+    coordinates, the highest first, each read as an exponent is."""
     terms = {}
     for sign, c, e in read_terms(s, "t"):
         if c.startswith("[") and c.endswith("]"):
-            vals = [int(v) for v in c[1:-1].split(",")] if c[1:-1].strip() else []
+            vals = c[1:-1].split(",") if c[1:-1].strip() else []
+            try:
+                if "_" in c:  # int() also reads digits joined by '_'
+                    raise ValueError
+                vals = [int(v) for v in vals]
+            except ValueError:
+                bad = next(v for v in vals if not re.fullmatch(rf"\s*{_INTEGER}\s*", v))
+                raise DomainError(f"bad entry {bad.strip()!r} in coefficient vector {c}") from None
             if len(vals) != field.m:
                 raise DomainError(f"coefficient vector {c} needs {field.m} entries")
             code = field.from_coords(list(reversed(vals)))

@@ -13,6 +13,12 @@ explicit marker when the precision is spent, never silently.  Convergent
 numerators and denominators follow the standard two-term recursion seeded by
 (0, 1) and (1, 0); the determinant identity g_n*a_{n-1} - a_n*g_{n-1} =
 (-1)^n is recomputed at every step as a self-check.
+
+The quotients come from one generator, one Euclidean step per quotient
+drawn.  cf_expand draws all of them, for the cf command, dirichlet_approx,
+approx_quality and legendre_recover.  rationality_probe draws them lazily
+and builds convergents only up to the first denominator of ord above every
+N it tests, the last one any N reads.
 """
 from __future__ import annotations
 
@@ -58,6 +64,19 @@ def cf_expand(alpha, max_terms=64):
     Rationals expand completely; truncated series stop at max_terms or when
     the next quotient can no longer be certified from known digits.
     """
+    quotients = []
+    steps = _quotients(alpha, max_terms)
+    while True:
+        try:
+            quotients.append(next(steps))
+        except StopIteration as end:
+            return CFExpansion(tuple(quotients), end.value)
+
+
+def _quotients(alpha, max_terms):
+    """The quotients of cf_expand, one Euclidean step per quotient drawn; the
+    generator returns the reason the expansion stopped, as CFExpansion
+    records it."""
     field = alpha.field
     if isinstance(alpha, RationalK):
         num, den, floor, max_terms = alpha.num, alpha.den, None, None
@@ -66,14 +85,15 @@ def cf_expand(alpha, max_terms=64):
     else:
         num, den, floor = (Poly(field, alpha.coeffs), field.poly_one.shift(-alpha.floor),
                            alpha.floor)
-    quotients = []
+    count = 0
     while True:
-        if len(quotients) == max_terms:
-            return CFExpansion(tuple(quotients), "max-terms")
+        if count == max_terms:
+            return "max-terms"
         if floor is not None and floor > 0:
             break
         b, r = divmod(num, den)
-        quotients.append(b)
+        yield b
+        count += 1
         if r.is_zero():
             # for a series: an exact zero tail or digits hiding below the floor
             break
@@ -83,27 +103,30 @@ def cf_expand(alpha, max_terms=64):
                 break
             floor -= 2 * n
         num, den = den, r
-    return CFExpansion(tuple(quotients), None if floor is None else "precision")
+    return None if floor is None else "precision"
 
 
 def convergents(cf):
     """Numerator/denominator table with the determinant identity enforced."""
     if not cf.quotients:
         raise DomainError("empty expansion")
-    field = cf.quotients[0].field
+    return ConvergentTable(tuple(_pairs(cf.quotients[0].field, cf.quotients)))
+
+
+def _pairs(field, quotients):
+    """The convergents (a_n, g_n) of a stream of quotients, one per quotient
+    drawn, each checked by the determinant identity."""
     a_pp, g_pp = field.poly_zero, field.poly_one
     a_p, g_p = field.poly_one, field.poly_zero
-    pairs = []
-    for n, b in enumerate(cf.quotients):
+    for n, b in enumerate(quotients):
         a = b * a_p + a_pp
         g = b * g_p + g_pp
         det = g * a_p - a * g_p
         want = field.poly_one if n % 2 == 0 else -field.poly_one
         if det != want:
             raise ArithmeticError(f"determinant identity failed at index {n}")
-        pairs.append((a, g))
+        yield a, g
         a_pp, g_pp, a_p, g_p = a_p, g_p, a, g
-    return ConvergentTable(tuple(pairs))
 
 
 def cf_value(cf):
@@ -233,8 +256,16 @@ def rationality_probe(alpha, kappa, N_list, max_terms=128):
     kappa = Fraction(kappa)
     if kappa <= 1:
         raise DomainError("kappa must exceed 1")
-    cf = cf_expand(alpha, max_terms)
-    table = convergents(cf)
+    # no N reads past the first convergent with ord g above every N
+    top = max(N_list, default=0)
+    pairs = []
+    for a, g in _pairs(alpha.field, _quotients(alpha, max_terms)):
+        pairs.append((a, g))
+        if g.deg > top:
+            break
+    if not pairs:
+        raise DomainError("empty expansion")
+    table = ConvergentTable(tuple(pairs))
     entries = []
     for N in sorted(N_list):
         if N < 1:

@@ -291,11 +291,11 @@ def reduce_qp(f):
     top = max(support, default=0)
     collapsed = {}
     for k in sorted(indices):
-        acc = RationalK(field.poly_zero)
-        term, v = k, 0
-        while term <= top:
+        acc, term, v = None, k, 0
+        while term <= top:  # k came from the support, so acc gets a term
             if term in support:
-                acc = kadd(acc, tmap(f.coeff(term), v))
+                c = tmap(f.coeff(term), v)
+                acc = c if acc is None else kadd(acc, c)
             term *= p
             v += 1
         collapsed[k] = acc

@@ -174,10 +174,11 @@ class ExpPoly:
 
     def evaluate(self, x):
         """f(x) as an element of K, full precision bookkeeping included."""
-        acc = RationalK(self.field.poly_zero)
+        acc = None
         for r, c in self.terms:
-            acc = kadd(acc, kmul_poly(c, x ** r) if r else c)
-        return acc
+            term = kmul_poly(c, x ** r) if r else c
+            acc = term if acc is None else kadd(acc, term)
+        return RationalK(self.field.poly_zero) if acc is None else acc
 
     def __eq__(self, other):
         return (isinstance(other, ExpPoly) and other.field == self.field

@@ -12,12 +12,18 @@ trusted; unknowns start strictly below it.  In text form the floor is the
 exponent of the O-term, as in ``t^2 + 1 + 2*t^-1 + O(t^-12)``.  The
 digit-sampling map T (tmap) has Tr res(alpha y^p) = Tr res(T(alpha) y) for
 every polynomial y at every q; at q = p it is plain digit sampling.  On a
-rational, digits are a slice of one Poly long division and T is the Cartier
-identity T(b/den) = T(b den^(p-1))/den, both built from Poly arithmetic.
+rational, a window of digits is a slice of one Poly product with a truncated
+reciprocal t^k // den, which is computed once per (den, k) by one long
+division and kept in a bounded cache, and T is the Cartier identity
+T(b/den) = T(b den^(p-1))/den, both built from Poly arithmetic.  The
+arithmetic keeps every rational in lowest terms, and skips the gcd where
+that follows from its inputs.
 """
 from __future__ import annotations
 
 import random
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 from .algebra import (NEG_INF, Poly, _format_terms, check_budget, parse_poly, parse_terms,
@@ -44,6 +50,16 @@ class RationalK:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _reduced(cls, num, den):
+        """num/den for a monic den coprime to num (den = 1 when num = 0), as
+        the arithmetic builds it where lowest terms follow from its inputs;
+        nothing is checked."""
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
+
     @property
     def field(self):
         return self.den.field
@@ -63,7 +79,8 @@ class RationalK:
         return self.num // self.den
 
     def frac(self):
-        return RationalK(self.num % self.den, self.den)
+        # num mod den is 0 only when den = 1, and shares no factor with den
+        return RationalK._reduced(self.num % self.den, self.den)
 
     def digit(self, e):
         return self.digits(e, e)[0]
@@ -91,7 +108,7 @@ class RationalK:
         return hash((self.num, self.den))
 
     def __neg__(self):
-        return RationalK(-self.num, self.den)
+        return RationalK._reduced(-self.num, self.den)
 
     def __add__(self, other):
         return kadd(self, other)
@@ -111,17 +128,54 @@ class RationalK:
 def quotient_digits(num, den, lo, hi):
     """Digit codes of num/den at exponents lo..hi inclusive, ascending; den monic.
 
-    The digit at t^(lo+k) of num/den is the coefficient at t^k of the
-    polynomial part of num t^(-lo) / den, so the window is a slice of one
-    long division, zero-padded above its top.
+    Let c_i be the digit at t^-i of 1/den and k = deg num - lo.  For e >= lo
+    the digit at t^e of num/den is the sum of num_j c_(j-e), and so is the
+    coefficient at t^(k+e) of num * (t^k // den), since t^k // den is the
+    sum of c_i t^(k-i) over i <= k and j - e <= k.  The window is therefore
+    a slice of one product with the reciprocal t^k // den (_reciprocal),
+    zero-padded above its top.
     """
     if hi < lo:
         return []
-    if lo < 0:
-        digits = (num.shift(-lo) // den).coeffs[:hi - lo + 1]
-    else:
-        digits = (num // den).coeffs[lo:hi + 1]
+    k = num.deg - lo
+    if k < den.deg:  # num = 0, or no digit at or above lo
+        return [0] * (hi - lo + 1)
+    digits = (num * _reciprocal(den, k)).coeffs[k + lo:k + hi + 1]
     return list(digits) + [0] * (hi - lo + 1 - len(digits))
+
+
+#: The reciprocal cache keeps at most this many reciprocals, of at most
+#: RECIPROCAL_CODES codes in all; a longer one is computed but not kept.
+RECIPROCALS = 64
+RECIPROCAL_CODES = 1 << 16
+
+
+class _Reciprocals:
+    """t^k // den by (den, k), each computed by one long division and kept,
+    least recently used first, within RECIPROCALS and RECIPROCAL_CODES."""
+
+    def __init__(self):
+        self.table = OrderedDict()
+        self.codes = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, den, k):
+        key = (den, k)
+        with self.lock:
+            r = self.table.get(key)
+            if r is not None:
+                self.table.move_to_end(key)
+                return r
+            r = den.field.poly_one.shift(k) // den
+            if len(r.coeffs) <= RECIPROCAL_CODES:
+                self.table[key] = r
+                self.codes += len(r.coeffs)
+                while len(self.table) > RECIPROCALS or self.codes > RECIPROCAL_CODES:
+                    self.codes -= len(self.table.popitem(last=False)[1].coeffs)
+            return r
+
+
+_reciprocal = _Reciprocals()
 
 
 class TruncSeries:
@@ -238,6 +292,8 @@ class TruncSeries:
 
 def kadd(a, b):
     if isinstance(a, RationalK) and isinstance(b, RationalK):
+        if a.den == b.den:
+            return RationalK(a.num + b.num, a.den)
         return RationalK(a.num * b.den + b.num * a.den, a.den * b.den)
     if isinstance(a, RationalK):
         a, b = b, a
@@ -259,12 +315,16 @@ def kadd(a, b):
     return TruncSeries._unchecked(field, floor, tuple(out))
 
 
+def _zero(field):
+    return RationalK._reduced(field.poly_zero, field.poly_one)
+
+
 def kmul_scalar(alpha, c):
     """Multiply by the field element with code c."""
     if c == 0:
-        return RationalK(alpha.field.poly_zero)
+        return _zero(alpha.field)
     if isinstance(alpha, RationalK):
-        return RationalK(alpha.num.scale(c), alpha.den)
+        return RationalK._reduced(alpha.num.scale(c), alpha.den)
     row = alpha.field._mul[c]
     return TruncSeries._unchecked(alpha.field, alpha.floor,
                                   tuple([row[x] for x in alpha.coeffs]))
@@ -281,9 +341,13 @@ def _product_from(field, a, a_lo, b, b_lo, floor):
 def kmul_poly(alpha, h):
     """Multiply by a polynomial; for a series the floor rises by deg h."""
     if h.is_zero():
-        return RationalK(alpha.field.poly_zero)
+        return _zero(alpha.field)
     if isinstance(alpha, RationalK):
-        return RationalK(alpha.num * h, alpha.den)
+        # num is coprime to den, and h/g to den/g for g = gcd(h, den)
+        den, g = alpha.den, poly_gcd(h, alpha.den)
+        if g.deg > 0:
+            h, den = h // g, den // g
+        return RationalK._reduced(alpha.num * h, den)
     return _product_from(alpha.field, alpha.coeffs, alpha.floor, h.coeffs, 0,
                          alpha.floor + h.deg)
 
@@ -297,7 +361,7 @@ def kmul(a, b):
     # a is a series; a zero series has top = floor - 1
     if isinstance(b, RationalK):
         if b.is_zero():
-            return RationalK(a.field.poly_zero)
+            return _zero(a.field)
         # b is exact, so only its digits that meet a's known ones are read
         floor = a.floor + b.ord()
         b_lo = floor - a.top

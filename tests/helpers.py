@@ -7,7 +7,8 @@ import numpy as np
 from ffweyl import equidist
 from ffweyl.algebra import (PRINT_DIGITS, Field, Poly, check_budget, check_power, gn_size,
                             poly_from_index, power_count)
-from ffweyl.contfrac import CFExpansion
+from ffweyl.contfrac import (CFExpansion, ProbeEntry, RationalityReport, _last_within,
+                             cf_expand, convergents, quality_bound)
 from ffweyl.errors import DomainError, FFWeylError, HypothesisError, PrecisionError
 from ffweyl.exponents import lucas_binom
 from ffweyl.expsum import (BLOCK, CharSum, ExpPoly, _check_floor, _digit_rows_direct,
@@ -344,6 +345,52 @@ def quotient_digits_register(num, den, lo, hi):
         s = [fa[a][fn[row[b]]]
              for a, b in zip(([num.coeff(e)] + s)[-w - 1:-1], den.coeffs[D - w:D])]
     return out[top - hi:][::-1]
+
+
+def quotient_digits_by_division(num, den, lo, hi):
+    """Digit codes of num/den at exponents lo..hi inclusive, ascending; den monic.
+
+    The digit at t^(lo+k) of num/den is the coefficient at t^k of the
+    polynomial part of num t^(-lo) / den, so the window is a slice of one
+    long division, zero-padded above its top.
+    """
+    if hi < lo:
+        return []
+    if lo < 0:
+        digits = (num.shift(-lo) // den).coeffs[:hi - lo + 1]
+    else:
+        digits = (num // den).coeffs[lo:hi + 1]
+    return list(digits) + [0] * (hi - lo + 1 - len(digits))
+
+
+def rationality_probe_full(alpha, kappa, N_list, max_terms=128):
+    """rationality_probe over the full expansion and convergent table."""
+    kappa = Fraction(kappa)
+    if kappa <= 1:
+        raise DomainError("kappa must exceed 1")
+    cf = cf_expand(alpha, max_terms)
+    table = convergents(cf)
+    entries = []
+    for N in sorted(N_list):
+        if N < 1:
+            raise DomainError("N must be positive")
+        threshold = -kappa * N
+        nstar = _last_within(table, N)
+        a, g = table.pairs[nstar]
+        if nstar + 1 < len(table.pairs):
+            quality = -table.pairs[nstar + 1][1].deg
+            status = "hit" if quality <= threshold else "miss"
+            entries.append(ProbeEntry(N, status, nstar, a, g, quality))
+            continue
+        kind, val = quality_bound(alpha, a, g)
+        if kind == "exact" and val <= threshold:
+            entries.append(ProbeEntry(N, "hit", nstar, a, g, val))
+        elif kind == "below" and val - 1 <= threshold:
+            entries.append(ProbeEntry(N, "hit", nstar, a, g, val - 1))
+        else:
+            # a deeper convergent could still qualify; not decidable here
+            entries.append(ProbeEntry(N, "undecided", nstar, a, g, None))
+    return RationalityReport(kappa, tuple(entries))
 
 
 def tmap_rational_by_period(a):

@@ -159,10 +159,14 @@ READERS = {
 #: ('+', or '-0' where exponents are >= 0) are read; a '*' joins a
 #: coefficient to its variable, so one before a bare variable reads as
 #: coefficient 1 and a term that ends in '*' is refused; an O-term is one
-#: term of coefficient 1, so O(t), O(1*t^e) and a dangling sign in it read.
+#: term of coefficient 1, so O(t) and O(1*t^e) read.  A sign with no term
+#: after it, which the old readers dropped, is refused: at the end of a
+#: polynomial, before ')' or '/', or before an O-term other than the one
+#: '+' that joins it to the body.
 DISPUTED = re.compile(r"\s\^|\^\s|\^\s*\+|\^\s*-0+(?!\d)"
                       r"|(?:^|[-+(*/])\s*\*|\*\s*(?:$|[-+)*/])"
-                      r"|O\((?!\s*(?:1|t\^[-+]?\d+)\s*\)$)")
+                      r"|O\((?!\s*(?:1|t\^[-+]?\d+)\s*\)$)"
+                      r"|[-+]\s*(?:$|[)/])|(?:-|[-+]\s*\+)\s*O\(")
 
 
 def _outcome(read, F, text):
@@ -190,6 +194,31 @@ def test_term_reader_matches_the_old_readers():
                     above = kind == "x" and max(map(int, re.findall(r"\^(\d+)", text)), default=0) > F.m
                     assert got is None and above, (F, kind, text, got, want)
     assert well_formed >= 2000
+
+
+def test_a_sign_with_no_term_after_it_is_refused():
+    F9 = field(9)
+    for read, text in ((parse_poly, "t^2 -"), (parse_poly, "t^2 +-"), (parse_poly, "-"),
+                       (parse_poly, "t^2 - \t"), (parse_terms, "t^-2 +"),
+                       (lambda F, s: parse_fp_poly(s, F.p, F.m), "x^2+x+"),
+                       (parse_upoly, "u^2 + (t+)*u"), (parse_upoly, "u^2 -"),
+                       (parse_kelem, "1 + O(t^-2-)"), (parse_kelem, "t - / t+1"),
+                       (parse_kelem, "t^2 - O(t^-2)")):
+        with pytest.raises(DomainError, match="sign with no term after it"):
+            read(F9, text)
+    # a sign run before a term still reads as one sign, and the '+' before
+    # an O-term joins it to the body
+    assert parse_poly(F9, "t^2 +- 1") == parse_poly(F9, "t^2 - 1")
+    assert parse_kelem(F9, "t + O(t^-2)") == TruncSeries.from_digits(F9, -2, {1: 1})
+
+
+def test_coefficient_vector_entries_read_as_integers():
+    F9 = field(9)
+    assert parse_poly(F9, "[ 1, -1 ]*t") == parse_poly(F9, "[1,2]*t")
+    for text, entry in (("[1_0,2]*t", "1_0"), ("[a,1]*t", "a"), ("[1,]", ""),
+                        ("[1,2.0]", "2.0"), ("[+ 1,1]", "+ 1")):
+        with pytest.raises(DomainError, match=re.escape(f"bad entry {entry!r}")):
+            parse_poly(F9, text)
 
 
 def test_poly_divmod_examples():

@@ -302,6 +302,9 @@ def test_malformed_input_exits_2(capsys):
                  ["js", "--field", "q=2", "--set", "0", "--s", "1", "--N", "1"],
                  ["weyl", "--field", "q=2", "--f", "{}", "--N", "abc"],
                  ["cf", "--field", "q=0^2 modulus=x^2+1", "--alpha", "1 / t"],
+                 ["cf", "--field", "q=9", "--alpha", "[a,1]*t / t+1"],
+                 ["cf", "--field", "q=9", "--alpha", "[1_0,2]*t / t+1"],
+                 ["cf", "--field", "q=9", "--alpha", "1 + O(t^-2-)"],
                  ["equidist", "--field", "q=2", "--f", f_json, "--N", "-2..1", "--D", "1"],
                  []):
         code, out, err = run_cli(argv, capsys)

@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 from fractions import Fraction
@@ -8,11 +9,11 @@ from ffweyl.algebra import NEG_INF, parse_poly
 from ffweyl.contfrac import (approx_quality, cf_expand, cf_value,
                              convergents, dirichlet_approx, legendre_recover,
                              quality_bound, rationality_probe)
-from ffweyl.errors import DomainError, PrecisionError
+from ffweyl.errors import DomainError, FFWeylError, PrecisionError
 from ffweyl.kinfty import RationalK, TruncSeries, kernel_element, kmul, parse_kelem
 
 from helpers import (cf_expand_oracle, every_field, field, rand_completion, rand_poly,
-                     rand_rational, rand_series, series_invert)
+                     rand_rational, rand_series, rationality_probe_full, series_invert)
 
 
 def test_cf_examples():
@@ -310,3 +311,38 @@ def test_rationality_probe_small_example():
     assert entry.status == "hit" and entry.g == F2.poly_t
     with pytest.raises(DomainError):
         rationality_probe(s1, 1, [1])
+
+
+def _probe_outcome(probe, *args):
+    try:
+        return probe(*args)
+    except FFWeylError as e:
+        return type(e), str(e)
+
+
+def test_rationality_probe_matches_the_full_table():
+    # the lazy expansion against the full expansion and convergent table at
+    # every field: rationals, series near and far from a rational, N lists
+    # with gaps, short max_terms, and the refusals (a floor above 0, N < 1,
+    # an empty expansion) in the same order
+    rng = random.Random(45)
+    statuses = collections.Counter()
+    for F in every_field():
+        for _ in range(40):
+            floor = -rng.randrange(0, 50)
+            alpha = rng.choice([rand_rational(rng, F, rng.randrange(1, 7)),
+                                rand_rational(rng, F, 3).expand(floor - 4),
+                                rand_series(rng, F, floor, rng.randrange(floor - 1, 4))])
+            N_list = rng.sample(range(1, 14), rng.randrange(1, 5))
+            args = (alpha, rng.choice([2, Fraction(3, 2), 3]), N_list,
+                    rng.choice([128, 128, 4, 1]))
+            want = _probe_outcome(rationality_probe_full, *args)
+            assert _probe_outcome(rationality_probe, *args) == want, args
+            statuses.update(e.status for e in want.entries)
+        for args in ((rand_series(rng, F, 2, 5), 2, [0, 3]),
+                     (rand_series(rng, F, -9), 2, [4, 0, 2]),
+                     (rand_series(rng, F, -9), 2, [3], 0),
+                     (rand_rational(rng, F, 3), 2, [])):
+            assert _probe_outcome(rationality_probe, *args) == \
+                _probe_outcome(rationality_probe_full, *args), args
+    assert set(statuses) == {"hit", "miss", "undecided"}, statuses

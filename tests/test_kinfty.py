@@ -1,10 +1,12 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from ffweyl.algebra import NEG_INF, Poly, parse_poly, poly_gcd
+from ffweyl import kinfty
+from ffweyl.algebra import NEG_INF, Poly, parse_poly, poly_from_index, poly_gcd
 from ffweyl.errors import DomainError, PrecisionError
 from ffweyl.expsum import required_floor
 from ffweyl.kinfty import (RationalK, TruncSeries, experiment_floor, frac_ord_vs, kadd,
@@ -12,9 +14,9 @@ from ffweyl.kinfty import (RationalK, TruncSeries, experiment_floor, frac_ord_vs
                            ord_norm, ord_vs, parse_kelem, quotient_digits, tmap,
                            truncate)
 
-from helpers import (every_field, field, quotient_digits_register, rand_completion,
-                     rand_monic, rand_poly, rand_rational, rand_series,
-                     tmap_rational_by_period)
+from helpers import (every_field, field, quotient_digits_by_division,
+                     quotient_digits_register, rand_completion, rand_monic, rand_poly,
+                     rand_rational, rand_series, tmap_rational_by_period)
 
 
 def test_ord_norm_examples():
@@ -264,6 +266,76 @@ def test_quotient_digits_match_the_register_loop():
             hi = lo + rng.randrange(-2, 40)
             assert quotient_digits(num, den, lo, hi) == \
                 quotient_digits_register(num, den, lo, hi), (F, num, den, lo, hi)
+
+
+def test_quotient_digits_match_one_long_division():
+    # the product with a kept reciprocal against the long division it
+    # replaced, at every q and both custom moduli: windows below, across and
+    # above t^0, den of degree 0 and num = 0, each window read twice (the
+    # second time from the cache), and windows 10^4 digits deep
+    rng = random.Random(77)
+    for F in every_field():
+        for i in range(100):
+            D = rng.randrange(7)
+            num = F.poly_zero if i % 10 == 0 else rand_poly(rng, F, rng.randrange(14))
+            den = rand_monic(rng, F, D)
+            lo = rng.randrange(-40, 12)
+            hi = lo + rng.randrange(-2, 40)
+            want = quotient_digits_by_division(num, den, lo, hi)
+            assert quotient_digits(num, den, lo, hi) == want, (F, num, den, lo, hi)
+            assert quotient_digits(num, den, lo, hi) == want, (F, num, den, lo, hi)
+        num, den = rand_poly(rng, F, 8), rand_monic(rng, F, rng.randrange(1, 4))
+        for lo, hi in ((-10 ** 4, -10 ** 4 + 20), (-10 ** 4, 3), (-20, 10 ** 4)):
+            assert quotient_digits(num, den, lo, hi) == \
+                quotient_digits_by_division(num, den, lo, hi), (F, num, den, lo, hi)
+
+
+def test_trusted_rationals_equal_the_normalising_constructor():
+    # every rational the arithmetic builds without a gcd has the (num, den)
+    # that the normalising constructor gives; h often shares a factor with
+    # den, which kmul_poly divides out of both first
+    rng = random.Random(78)
+    for F in every_field():
+        for _ in range(40):
+            r = rand_rational(rng, F, 4)
+            h = rand_poly(rng, F, 3) * rng.choice([F.poly_one, r.den, rand_monic(rng, F, 1)])
+            c = rng.randrange(F.q)
+            s = RationalK(r.num + rand_poly(rng, F, 2) * r.den, r.den)  # s.den == r.den
+            cases = [(-r, RationalK(-r.num, r.den)),
+                     (kmul_scalar(r, c), RationalK(r.num.scale(c), r.den)),
+                     (r.frac(), RationalK(r.num % r.den, r.den)),
+                     (kmul_poly(r, h), RationalK(r.num * h, r.den)),
+                     (kadd(r, s), RationalK(r.num * s.den + s.num * r.den, r.den * s.den)),
+                     (kadd(r, -r), RationalK(F.poly_zero))]
+            for got, want in cases:
+                assert (got.num, got.den) == (want.num, want.den), (F, r, h, c, s)
+
+
+def test_the_reciprocal_cache_stays_bounded():
+    # windows over many distinct denominators: the cache keeps at most
+    # RECIPROCALS reciprocals of RECIPROCAL_CODES codes in all, so what it
+    # holds after 400 new denominators is what a few dozen take
+    F = field(5)
+    num = parse_poly(F, "t^3 + 2*t + 1")
+    quartic = F.poly_one.shift(4)
+
+    def read(first, count):
+        for i in range(first, first + count):
+            quotient_digits(num, quartic + poly_from_index(F, i, 4), -300, -1)
+
+    read(0, 100)
+    tracemalloc.start()
+    try:
+        read(100, 400)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    cache = kinfty._reciprocal
+    assert len(cache.table) <= kinfty.RECIPROCALS
+    assert cache.codes == sum(len(r.coeffs) for r in cache.table.values())
+    assert cache.codes <= kinfty.RECIPROCAL_CODES
+    # 400 reciprocals of 300 codes would hold about 1 MB
+    assert held < 8 * kinfty.RECIPROCAL_CODES + 400 * kinfty.RECIPROCALS, held
 
 
 def test_tmap_is_invariant_under_completion():

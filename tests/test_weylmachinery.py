@@ -19,8 +19,8 @@ from ffweyl.weylmachinery import (SpacedFamily, kth_power_classes, large_sieve_c
                                   space_family, spacing_check,
                                   split_by_kth_power, weyl_shift_check)
 
-from helpers import (every_field, field, rand_completion, rand_exppoly, rand_poly,
-                     rand_rational, rand_series)
+from helpers import (every_field, field, rand_completion, rand_exppoly, rand_monic,
+                     rand_nonzero_poly, rand_poly, rand_rational, rand_series)
 
 
 def test_weyl_shift_trivial_cases():
@@ -447,3 +447,60 @@ def test_minor_arc_probe_and_shift_expand_are_invariant_under_completion():
             outcomes["shift of a series" if isinstance(se.lead, TruncSeries) else "shift"] += 1
     assert {"probe raised", "probe quiet", "probe triggered", "shift of a series"} <= set(outcomes)
 
+
+
+def _checked(check, *args):
+    """("ok", check(*args)), or its refusal as (error type, message)."""
+    try:
+        return "ok", check(*args)
+    except (PrecisionError, HypothesisError) as e:
+        return type(e), str(e)
+
+
+def test_spacing_and_large_sieve_are_invariant_under_completion():
+    # on truncated series each either raises PrecisionError or gives the
+    # outcome of a completion below the floors, refusals included: spacing
+    # at a near-rational alpha, the sieve over rationals sharing a
+    # denominator and series points
+    rng = random.Random(85)
+    outcomes = collections.Counter()
+    for F in every_field():
+        k = 3 if F.p == 2 else 2
+        for _ in range(6):
+            gdeg = rng.choice((2, 3)) if F.q <= 3 else 2
+            g, a = rng.choice(irreducibles(F, gdeg)), rand_nonzero_poly(rng, F, gdeg - 1)
+            M = gdeg - 1
+            J = k * M + gdeg + rng.randrange(4)
+            floor = -rng.randrange(2, 2 * J + 6)
+            noise = rand_series(rng, F, floor, -J - 1)
+            alpha = kadd(kadd(RationalK(a, g), RationalK(F.poly_one, F.poly_one.shift(J))),
+                         noise)
+            args = (k, g, a, M, M + rng.randrange(3), list(irreducibles(F, M))[:4])
+            got = _checked(spacing_check, alpha, *args)
+            if got[0] is PrecisionError:
+                outcomes["spacing raised"] += 1
+                continue
+            assert _checked(spacing_check, rand_completion(rng, alpha), *args) == got, (F, args)
+            outcomes["spacing checked" if got[0] == "ok" else "spacing refused"] += 1
+        for _ in range(6):
+            N = rng.randrange(3)
+            den = rand_monic(rng, F, rng.randrange(1, 3))
+            rats = [RationalK(rand_poly(rng, F, den.deg - 1), den) for _ in range(2)]
+            series = [rand_series(rng, F, -rng.randrange(1, 2 * N + 6), -1)
+                      for _ in range(rng.randrange(1, 3))]
+            full = rats + [rand_completion(rng, s) for s in series]
+            b = [complex(rng.randrange(-2, 3), rng.randrange(-2, 3)) for _ in range(F.q ** N)]
+            try:
+                gap = space_family(rats + series).gap
+            except PrecisionError:
+                outcomes["sieve raised"] += 1
+                continue
+            K = 1 if abs(gap) == math.inf else max(1, 1 - gap - rng.randrange(2))
+            got = _checked(large_sieve_check, rats + series, b, N, K)
+            if got[0] is PrecisionError:
+                outcomes["sieve raised"] += 1
+                continue
+            assert _checked(large_sieve_check, full, b, N, K) == got, (F, N, K)
+            outcomes["sieve checked" if got[0] == "ok" else "sieve refused"] += 1
+    assert set(outcomes) == {"spacing raised", "spacing refused", "spacing checked",
+                             "sieve raised", "sieve refused", "sieve checked"}, outcomes
