@@ -19,8 +19,8 @@ from .algebra import (PRINT_DIGITS, check_budget, check_power, gn_size, poly_fro
 from .contfrac import rationality_probe
 from .errors import DomainError, PrecisionError
 from .exponents import cal_i
-from .expsum import (BLOCK, CharSum, ExpPoly, _check_floor, _digit_row_blocks, _key_rows,
-                     _members, _packing, _pass_checks, _point_keys, _split_blocks, count_rows,
+from .expsum import (BLOCK, CharSum, ExpPoly, _check_floor, _digit_row_blocks, _digit_table,
+                     _key_rows, _members, _pass_checks, _point_keys, _split_blocks, count_rows,
                      count_stream, prefix_segments)
 from .kinfty import RationalK, kadd, tmap
 
@@ -147,8 +147,7 @@ def _every_twist_indicator(p, w):
     """The read-only int64 twist-residue indicator of every twist t < p^w at
     every cell c < p^w, its w members the base-p digits of c, the first most
     significant, in one block; for p^(2w+1) <= BLOCK."""
-    cells = _key_rows(np.arange(p ** w), [p] * w, np.int64)
-    indicator = np.concatenate(list(_twist_indicators(cells, p))).astype(np.int64)
+    indicator = np.concatenate(list(_twist_indicators(_digit_table(p, w), p))).astype(np.int64)
     indicator.flags.writeable = False
     return indicator
 
@@ -203,11 +202,12 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
     by one bincount into a running table, so each N's counts are the
     previous N's plus its segment's; its twist cells and cylinders are sums
     of the table over the cells that share their most significant members.
-    Wider rows are counted segment by segment into running distinct rows by
-    count_stream's sort and merge.  Each N then reads every twist histogram
-    as one product of the twist-residue indicator with the twist cells'
-    counts (_twist_histograms; one cached matrix over every twist cell when
-    that fits in BLOCK), and its discrepancy off the cylinder counts.
+    Wider rows of member residues are counted segment by segment into
+    running distinct rows by count_stream's sort and merge.  Each N then
+    reads every twist histogram as one product of the twist-residue
+    indicator with the twist cells' counts (_twist_histograms; one cached
+    matrix over every twist cell when that fits in BLOCK), and its
+    discrepancy off the cylinder counts.
     """
     if D < 1:
         raise DomainError("the twist bound D must be positive")
@@ -233,14 +233,13 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
         if depth is not None:
             for r, c in f.terms:
                 _check_floor(c, r, N, depth)
-        values = _pass_checks(f, width, N, 0, field.q ** N, budget)
+        _pass_checks(f, width, N, 0, field.q ** N, budget)
     Ns = sorted(set(N_list))
     found = {}
     table = np.zeros(p ** width if p ** width <= BLOCK else 0, dtype=np.int64)
-    counted = []  # without a table: the distinct group-key rows so far, and their counts
+    counted = []  # without a table: the distinct member rows so far, and their counts
     cylinders = None
     if Ns:
-        g = _packing(p, values, width)[1]  # group keys lie below p^g
         blocks = _split_blocks(f, width, Ns[-1], 0, field.q ** Ns[-1], budget)
         for N, segment in zip(Ns, prefix_segments(blocks, [field.q ** N for N in Ns])):
             if len(table):
@@ -256,10 +255,9 @@ def weyl_scan(f, N_list, D, depth=None, budget=None):
                 if depth is not None:
                     cylinders = table.reshape(field.q ** depth, -1).sum(axis=1)
             else:
-                counted = [count_stream(itertools.chain(counted, ((b, None) for b in segment)),
-                                        p ** g)]
+                members = ((_members(b, width, p), None) for b in segment)
+                counted = [count_stream(itertools.chain(counted, members), p)]
                 rows, sizes = counted[0]
-                rows = _members(rows, width, p)
                 hists = _twist_histograms(rows[:, :D * m], sizes, p)
                 if depth is not None:
                     cylinders = count_rows(rows[:, :depth * m], sizes)[1]

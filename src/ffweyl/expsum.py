@@ -86,6 +86,22 @@ class CharSum:
     def normalized(self):
         return self.magnitude() / self.total
 
+    def reaches(self, bound):
+        """|sum| >= bound, for a rational bound >= 0.
+
+        |sum|^2 = sum_d A_d zeta^d with A_d = sum_r c_r c_(r+d), and the only
+        relation among the p-th roots of unity is 1 + zeta + ... = 0, so
+        |sum| = bound exactly when A_0 - bound^2 = A_1 = ... = A_(p-1).  At
+        p <= 3, |sum|^2 = A_0 - A_1 is an integer and decides every case;
+        at p >= 5 any case but a tie is decided by the float magnitude."""
+        c, p = self.counts, self.p
+        a = [sum(c[r] * c[(r + d) % p] for r in range(p)) for d in range(p)]
+        if p <= 3:
+            return a[0] - a[1] >= bound * bound
+        if a[0] - bound * bound == a[1] and len(set(a[1:])) == 1:
+            return True
+        return self.magnitude() >= bound
+
     def __add__(self, other):
         if not isinstance(other, CharSum) or other.p != self.p:
             raise DomainError("cannot merge histograms of different p")
@@ -297,11 +313,8 @@ def _trace_codes(field):
 
 def _trace_digits(field, traces):
     """The digit codes named by rows of basis-twist traces: column s*m + k of
-    traces holds Tr(e_k d_s), and column s of the result the code of d_s.
-    At q = p the codes are the traces themselves, returned as they are."""
+    traces holds Tr(e_k d_s), and column s of the result the code of d_s."""
     p, m = field.p, field.m
-    if m == 1:
-        return traces
     keys = traces[:, ::m].copy()
     for k in range(1, m):
         keys += p ** k * traces[:, k::m]
@@ -327,21 +340,13 @@ def _lucas_pairs(r, p):
     return tuple(pairs)
 
 
-@functools.lru_cache(maxsize=64)
-def _residues(p, size):
-    """The read-only table n mod p for n < size, so that mod p is one lookup."""
-    table = np.arange(size) % p
-    table.flags.writeable = False
-    return table
-
-
 @functools.lru_cache(maxsize=8)
 def _key_table(p, base, g):
     """The read-only key of every value below base^g: the value's g base-`base`
     digits, each taken mod p, read as one base-p number, the first digit most
-    significant.  It is the outer sum of g copies of _residues(p, base),
-    weighted p^(g-1), ..., p, 1; for g = 1 it is _residues(p, base) itself."""
-    residues = _residues(p, base)
+    significant: the outer sum of g copies of the table n mod p for n < base,
+    weighted p^(g-1), ..., p, 1."""
+    residues = np.arange(base) % p
     table = residues
     for _ in range(g - 1):
         table = np.add.outer(table * p, residues).ravel()
@@ -456,28 +461,22 @@ def count_rows(rows, weights=None):
     the columns in most significant first as key * base + column, with base
     the column's maximum plus one.  When the next column would carry the
     key's span past 2^63, the key is first replaced by its dense rank, which
-    keeps its order and leaves a span of at most len(rows).  Unweighted keys
-    that span at most len(rows) values with no rank taken are counted by one
-    bincount and read back as rows from their digits; any others form runs
-    of one plain argsort, which need not be stable, as a run's rows are equal.
+    keeps its order and leaves a span of at most len(rows).  The keys form
+    runs of one plain argsort, which need not be stable, as a run's rows are
+    equal.
     """
     key = np.zeros(len(rows), dtype=np.int64)
     span = 1  # every key lies in [0, span)
-    bases = [top + 1 for top in rows.max(axis=0).tolist()]
-    ranked = False
-    for col, base in zip(rows.T, bases):
-        if span * base > 1 << 63:
+    for col, top in zip(rows.T, rows.max(axis=0).tolist()):
+        if span * (top + 1) > 1 << 63:
             ranks, key = np.unique(key, return_inverse=True)
-            span, ranked = len(ranks), True
+            span = len(ranks)
         if span > 1:
-            key *= base
+            key *= top + 1
             key += col
         else:  # every key is 0
             key = col.astype(np.int64)
-        span *= base
-    if weights is None and not ranked and span <= len(rows):
-        sizes = np.bincount(key, minlength=span)
-        return _key_rows(np.flatnonzero(sizes), bases, rows.dtype), sizes[sizes > 0]
+        span *= top + 1
     order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
@@ -503,8 +502,8 @@ def count_stream(chunks, base):
     and BLOCK, so the stream is never held whole, and each distinct row is
     recounted a bounded number of times on average.  weyl_scan counts its
     rows in a table of its own, which it keeps across N, and calls this only
-    for rows too wide for one: the group keys of its engine pass, each below
-    p^g, with the previous N's distinct rows as one weighted chunk.
+    for rows too wide for one: the member residues of its engine pass, with
+    the previous N's distinct rows as one weighted chunk.
     """
     chunks = iter(chunks)
     first = next(chunks)
@@ -625,9 +624,9 @@ def _packing(p, values, width):
 
 @functools.lru_cache(maxsize=8)
 def _digit_table(p, g):
-    """The read-only base-p digits of every key below p^g, a row each, the
-    first digit most significant."""
-    table = np.arange(p ** g)[:, None] // p ** np.arange(g - 1, -1, -1) % p
+    """The read-only int64 base-p digits of every key below p^g, a row each,
+    the first digit most significant."""
+    table = _key_rows(np.arange(p ** g), [p] * g, np.int64)
     table.flags.writeable = False
     return table
 
@@ -638,8 +637,6 @@ def _members(keys, width, p):
     of group c, g = ceil(width / groups) members with the first most
     significant, the first group led by groups * g - width empty places."""
     groups = keys.shape[1]
-    if groups == width:
-        return keys
     g = -(-width // groups)
     members = _digit_table(p, g).take(keys, axis=0).reshape(len(keys), groups * g)
     return members[:, groups * g - width:]

@@ -14,16 +14,15 @@ digit-sampling map T (tmap) has Tr res(alpha y^p) = Tr res(T(alpha) y) for
 every polynomial y at every q; at q = p it is plain digit sampling.  On a
 rational, a window of digits is a slice of one Poly product with a truncated
 reciprocal t^k // den, which is computed once per (den, k) by one long
-division and kept in a bounded cache, and T is the Cartier identity
+division and kept in a bounded lru_cache, and T is the Cartier identity
 T(b/den) = T(b den^(p-1))/den, both built from Poly arithmetic.  The
 arithmetic keeps every rational in lowest terms, and skips the gcd where
 that follows from its inputs.
 """
 from __future__ import annotations
 
+import functools
 import random
-import threading
-from collections import OrderedDict
 from fractions import Fraction
 
 from .algebra import (NEG_INF, Poly, _format_terms, check_budget, parse_poly, parse_terms,
@@ -140,42 +139,23 @@ def quotient_digits(num, den, lo, hi):
     k = num.deg - lo
     if k < den.deg:  # num = 0, or no digit at or above lo
         return [0] * (hi - lo + 1)
-    digits = (num * _reciprocal(den, k)).coeffs[k + lo:k + hi + 1]
+    # t^k // den has k - deg den + 1 codes; a longer one is computed but not kept
+    keep = k - den.deg < RECIPROCAL_CODES // RECIPROCALS
+    reciprocal = (_reciprocal if keep else _reciprocal.__wrapped__)(den, k)
+    digits = (num * reciprocal).coeffs[k + lo:k + hi + 1]
     return list(digits) + [0] * (hi - lo + 1 - len(digits))
 
 
-#: The reciprocal cache keeps at most this many reciprocals, of at most
-#: RECIPROCAL_CODES codes in all; a longer one is computed but not kept.
+#: The reciprocal cache keeps at most RECIPROCALS reciprocals, each of at most
+#: RECIPROCAL_CODES // RECIPROCALS codes, so RECIPROCAL_CODES codes in all.
 RECIPROCALS = 64
 RECIPROCAL_CODES = 1 << 16
 
 
-class _Reciprocals:
-    """t^k // den by (den, k), each computed by one long division and kept,
-    least recently used first, within RECIPROCALS and RECIPROCAL_CODES."""
-
-    def __init__(self):
-        self.table = OrderedDict()
-        self.codes = 0
-        self.lock = threading.Lock()
-
-    def __call__(self, den, k):
-        key = (den, k)
-        with self.lock:
-            r = self.table.get(key)
-            if r is not None:
-                self.table.move_to_end(key)
-                return r
-            r = den.field.poly_one.shift(k) // den
-            if len(r.coeffs) <= RECIPROCAL_CODES:
-                self.table[key] = r
-                self.codes += len(r.coeffs)
-                while len(self.table) > RECIPROCALS or self.codes > RECIPROCAL_CODES:
-                    self.codes -= len(self.table.popitem(last=False)[1].coeffs)
-            return r
-
-
-_reciprocal = _Reciprocals()
+@functools.lru_cache(maxsize=RECIPROCALS)
+def _reciprocal(den, k):
+    """t^k // den, by one long division."""
+    return den.field.poly_one.shift(k) // den
 
 
 class TruncSeries:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 
 from .algebra import (Poly, check_budget, check_power, enumerate_GN, is_irreducible,
                       poly_gcd, power_count)
@@ -106,18 +109,17 @@ def spacing_check(alpha_k, k, g, a, M, N, points):
     for l in points:
         if l.deg != M or l.lead() != 1 or not is_irreducible(l):
             raise HypothesisError(f"{l} is not a monic irreducible of degree {M}")
-    for i, l1 in enumerate(points):
-        for l2 in points[i + 1:]:
-            same_pow = ((l1.mod_pow(k, g)) == (l2.mod_pow(k, g)))
-            same_res = ((l1 % g) == (l2 % g))
-            if same_pow != same_res:
-                raise HypothesisError("power-class property fails for the family")
+    # equal residues give equal k-th powers, so the powers follow the residues
+    # one to one exactly when there are as many distinct powers as residues
+    if len({l.mod_pow(k, g) for l in points}) != len({l % g for l in points}):
+        raise HypothesisError("power-class property fails for the family")
     bound = min(-g.deg, k * (M - N))
     min_gap = math.inf
     ok = True
-    for i, l1 in enumerate(points):
-        for l2 in points[i + 1:]:
-            gap = _frac_gap(kmul_poly(alpha_k, l1 ** k - l2 ** k))
+    powers = [l ** k for l in points]
+    for i, l1 in enumerate(powers):
+        for l2 in powers[i + 1:]:
+            gap = _frac_gap(kmul_poly(alpha_k, l1 - l2))
             if gap < bound:
                 ok = False
             min_gap = min(min_gap, gap)
@@ -147,7 +149,11 @@ class LargeSieveReport:
     gap: object
 
 
-def large_sieve_check(family, weights, N, K, rel_tol=1e-6, budget=None):
+#: The relative slack of large_sieve_check's verdict lhs <= rhs (1 + REL_TOL).
+REL_TOL = 1e-6
+
+
+def large_sieve_check(family, weights, N, K, budget=None):
     """Evaluate sum of |S(gamma)|^2 against max(q^N, q^(K-1)) * sum |b_x|^2.
 
     family may be a SpacedFamily or a plain point list (certified here);
@@ -174,18 +180,21 @@ def large_sieve_check(family, weights, N, K, rel_tol=1e-6, budget=None):
     weights = list(weights)
     if len(weights) != total:
         raise DomainError("weight vector must cover G_N")
-    zeta = [complex(math.cos(2 * math.pi * r / field.p),
-                    math.sin(2 * math.pi * r / field.p)) for r in range(field.p)]
+    angles = [2 * math.pi * r / field.p for r in range(field.p)]
+    z_re, z_im = np.array([[math.cos(a) for a in angles], [math.sin(a) for a in angles]])
+    w = np.array(weights, dtype=complex)
+    nonzero = np.flatnonzero(w)
+    b_re, b_im = w.real[nonzero], w.imag[nonzero]
     lhs = 0.0
     for gamma in family.points:
-        residues = weyl_residues(ExpPoly(field, {1: gamma}), N, budget=budget)
-        s = 0j
-        for b, r in zip(weights, residues.tolist()):
-            if b:
-                s += b * zeta[r]
-        lhs += abs(s) ** 2
+        r = weyl_residues(ExpPoly(field, {1: gamma}), N, budget=budget)[nonzero]
+        # s = 0j; s += b * zeta^r over the points in order: each part of each
+        # term as a Python complex product forms it, then one running sum
+        re = np.add.accumulate(np.r_[0.0, b_re * z_re[r] - b_im * z_im[r]])[-1]
+        im = np.add.accumulate(np.r_[0.0, b_re * z_im[r] + b_im * z_re[r]])[-1]
+        lhs += abs(complex(re, im)) ** 2
     rhs = max(field.q ** N, field.q ** (K - 1)) * sum(abs(b) ** 2 for b in weights)
-    return LargeSieveReport(lhs, rhs, lhs <= rhs * (1 + rel_tol), family.gap)
+    return LargeSieveReport(lhs, rhs, lhs <= rhs * (1 + REL_TOL), family.gap)
 
 
 def split_by_kth_power(elems, g, k):
@@ -243,8 +252,9 @@ class MinorArcReport:
 
 def minor_arc_probe(f, k, N, eta, M_list=None, budget=None):
     """Diagnostic mirror of the large-sum conclusion: when the sum magnitude
-    reaches q^(N-eta), sweep denominator bounds and report the rational
-    approximation data for the coefficient at k.
+    reaches q^(N-eta), decided exactly (CharSum.reaches), sweep denominator
+    bounds and report the rational approximation data for the coefficient
+    at k.  The reported magnitude and threshold are floats, for display.
 
     No pass/fail semantics: the asymptotic statement has unspecified
     constants, so the (approximation order, denominator order) pairs are the
@@ -259,7 +269,7 @@ def minor_arc_probe(f, k, N, eta, M_list=None, budget=None):
     hist = weyl_sum(f, N, budget=budget)
     mag = hist.magnitude()
     threshold = float(field.q) ** (N - eta)
-    if mag < threshold:
+    if not hist.reaches(Fraction(field.q) ** (N - eta)):
         return MinorArcReport(hist, mag, threshold, False, (), None)
     alpha_k = f.coeff(k)
     entries = []

@@ -1,4 +1,5 @@
 """Seeded generators and slow reference loops shared across the test modules."""
+import math
 import re
 from fractions import Fraction
 
@@ -6,16 +7,17 @@ import numpy as np
 
 from ffweyl import equidist
 from ffweyl.algebra import (PRINT_DIGITS, Field, Poly, check_budget, check_power, gn_size,
-                            poly_from_index, power_count)
+                            is_irreducible, poly_from_index, poly_gcd, power_count)
 from ffweyl.contfrac import (CFExpansion, ProbeEntry, RationalityReport, _last_within,
-                             cf_expand, convergents, quality_bound)
+                             approx_gap, cf_expand, convergents, quality_bound)
 from ffweyl.errors import DomainError, FFWeylError, HypothesisError, PrecisionError
 from ffweyl.exponents import lucas_binom
 from ffweyl.expsum import (BLOCK, CharSum, ExpPoly, _check_floor, _digit_rows_direct,
-                           _pass_checks, _trace_digits, count_rows, weyl_sum)
-from ffweyl.kinfty import (RationalK, TruncSeries, kadd, kmul_poly, kmul_scalar,
+                           _pass_checks, _trace_digits, count_rows, weyl_residues, weyl_sum)
+from ffweyl.kinfty import (RationalK, TruncSeries, kadd, kmul_poly, kmul_scalar, ord_vs,
                            quotient_digits)
 from ffweyl.sieve import TmnResult, gm_build
+from ffweyl.weylmachinery import _frac_gap
 
 
 def field(q, modulus=None):
@@ -702,3 +704,60 @@ def parse_kelem_oracle(field, s):
         terms = parse_terms_oracle(field, body) if body else {}
         return TruncSeries.from_digits(field, floor, terms)
     return RationalK(parse_poly_oracle(field, s))
+
+
+def spacing_check_pairwise(alpha_k, k, g, a, M, N, points):
+    """spacing_check as it tested the power-class property, pair by pair,
+    and formed both k-th powers of every pair for its gap."""
+    field = g.field
+    p = field.p
+    if k % p == 0:
+        raise HypothesisError(f"p = {p} divides k = {k}")
+    if not (1 <= M <= N):
+        raise HypothesisError("need 1 <= M <= N")
+    if g.is_zero():
+        raise HypothesisError("zero modulus")
+    if poly_gcd(a, g) != field.poly_one:
+        raise HypothesisError("a and g share a factor")
+    delta = approx_gap(alpha_k, a, g)
+    if ord_vs(delta, -k * M) == "at_or_above":
+        raise HypothesisError(f"ord(g*alpha - a) = {delta.ord()} is not below {-k * M}")
+    if g.deg <= M and ord_vs(delta, M - k * N) == "below":
+        raise HypothesisError(
+            "with ord g <= M the approximation order must be >= M - kN")
+    for l in points:
+        if l.deg != M or l.lead() != 1 or not is_irreducible(l):
+            raise HypothesisError(f"{l} is not a monic irreducible of degree {M}")
+    for i, l1 in enumerate(points):
+        for l2 in points[i + 1:]:
+            same_pow = ((l1.mod_pow(k, g)) == (l2.mod_pow(k, g)))
+            same_res = ((l1 % g) == (l2 % g))
+            if same_pow != same_res:
+                raise HypothesisError("power-class property fails for the family")
+    bound = min(-g.deg, k * (M - N))
+    min_gap = math.inf
+    ok = True
+    for i, l1 in enumerate(points):
+        for l2 in points[i + 1:]:
+            gap = _frac_gap(kmul_poly(alpha_k, l1 ** k - l2 ** k))
+            if gap < bound:
+                ok = False
+            min_gap = min(min_gap, gap)
+    return min_gap, ok
+
+
+def large_sieve_lhs_loop(family, weights, N):
+    """The lhs of large_sieve_check as a per-point loop: for each point, a
+    Python complex sum of the nonzero weights times their roots of unity."""
+    field = family.points[0].field
+    zeta = [complex(math.cos(2 * math.pi * r / field.p),
+                    math.sin(2 * math.pi * r / field.p)) for r in range(field.p)]
+    lhs = 0.0
+    for gamma in family.points:
+        residues = weyl_residues(ExpPoly(field, {1: gamma}), N)
+        s = 0j
+        for b, r in zip(weights, residues.tolist()):
+            if b:
+                s += b * zeta[r]
+        lhs += abs(s) ** 2
+    return lhs

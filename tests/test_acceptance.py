@@ -170,7 +170,7 @@ def test_c08_large_sieve_randomized():
         K = 1 if fam.gap == math.inf else max(1, 1 - fam.gap)
         b = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
              for _ in range(F.q ** N)]
-        rep = large_sieve_check(fam, b, N, K=K, rel_tol=1e-6)
+        rep = large_sieve_check(fam, b, N, K=K)
         assert rep.passed, (F.q, N, K, rep.lhs, rep.rhs)
     _report("C8 large sieve randomized", time.perf_counter() - t0, 60)
 

@@ -19,8 +19,9 @@ from ffweyl.weylmachinery import (SpacedFamily, kth_power_classes, large_sieve_c
                                   space_family, spacing_check,
                                   split_by_kth_power, weyl_shift_check)
 
-from helpers import (every_field, field, rand_completion, rand_exppoly, rand_monic,
-                     rand_nonzero_poly, rand_poly, rand_rational, rand_series)
+from helpers import (every_field, field, large_sieve_lhs_loop, rand_completion, rand_exppoly,
+                     rand_monic, rand_nonzero_poly, rand_poly, rand_rational, rand_series,
+                     spacing_check_pairwise)
 
 
 def test_weyl_shift_trivial_cases():
@@ -346,6 +347,49 @@ def test_large_sieve_lhs_matches_pointwise():
             assert abs(rep.lhs - want) <= 1e-9 * max(1.0, want)
 
 
+def test_large_sieve_lhs_equals_the_per_point_loop():
+    # the running sums of each part give the Python complex loop's lhs bit
+    # for bit, for complex, float and integer weights, a third of them zero
+    rng = random.Random(86)
+    for F in every_field()[:7]:
+        for trial in range(6):
+            N = rng.randrange(4 if F.q <= 3 else 3)
+            gdeg = rng.randrange(1, 3)
+            g = rand_monic(rng, F, gdeg)
+            idxs = rng.sample(range(F.q ** gdeg), min(4, F.q ** gdeg))
+            fam = space_family([RationalK(poly_from_index(F, i, gdeg), g) for i in idxs])
+            draw = (lambda: complex(round(rng.uniform(-1, 1), 6), round(rng.uniform(-1, 1), 6)),
+                    lambda: rng.uniform(-1, 1), lambda: rng.randrange(-3, 4))[trial % 3]
+            b = [0 if rng.random() < 1 / 3 else draw() for _ in range(F.q ** N)]
+            K = 1 if fam.gap == math.inf else max(1, 1 - fam.gap)
+            assert large_sieve_check(fam, b, N, K).lhs == large_sieve_lhs_loop(fam, b, N)
+        zeros = [0.0] * F.q
+        assert large_sieve_check(fam, zeros, 1, K).lhs == large_sieve_lhs_loop(fam, zeros, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_spacing_check_matches_the_pairwise_loop(q):
+    # the power-class property by counting distinct powers and residues
+    # refuses exactly the families the pairwise test refuses
+    rng = random.Random(87 + q)
+    F = field(q)
+    outcomes = collections.Counter()
+    for _ in range(40):
+        k = rng.choice([k for k in (2, 3, 4, 5, 6) if k % F.p])
+        gdeg, M = rng.choice((1, 2)), rng.choice((1, 2))
+        g = rng.choice(irreducibles(F, gdeg)) if rng.random() < 0.8 else rand_monic(rng, F, gdeg)
+        a = rand_nonzero_poly(rng, F, gdeg - 1)
+        N = M + rng.randrange(2)
+        J = k * M + gdeg + 1 + rng.randrange(k * (N - M) + 1)
+        alpha = kadd(RationalK(a, g), RationalK(F.poly_one, F.poly_one.shift(J)))
+        pool = irreducibles(F, M)
+        points = rng.sample(pool, min(len(pool), rng.randrange(1, 7)))
+        got = _checked(spacing_check, alpha, k, g, a, M, N, points)
+        assert got == _checked(spacing_check_pairwise, alpha, k, g, a, M, N, points)
+        outcomes["ok" if got[0] == "ok" else got[1]] += 1
+    assert {"ok", "power-class property fails for the family"} <= set(outcomes), outcomes
+
+
 def test_large_sieve_randomized_sweep():
     from helpers import rand_monic
     rng = random.Random(55)
@@ -385,6 +429,20 @@ def test_minor_arc_probe_rational_trigger():
     assert rep.triggered
     assert rep.best is not None and rep.best.g == F3.poly_t
     assert rep.best.quality is NEG_INF
+
+
+def test_minor_arc_probe_triggers_at_a_full_sum_at_every_residue():
+    # f = e/t + t*u: t*x is a polynomial, so the sum over G_N is full at
+    # Tr(e) and |S| = q^N ties the eta = 0 bound, which some floats read low
+    low = 0
+    for F in every_field()[:7]:
+        for r in range(F.p):
+            e = Poly(F, (F._trace.index(r),))
+            f = ExpPoly(F, {0: RationalK(e, F.poly_t), 1: RationalK(F.poly_t)})
+            rep = minor_arc_probe(f, 1, 2, eta=0)
+            assert rep.histogram.full_residue() == r and rep.triggered and rep.entries
+            low += rep.magnitude < rep.threshold
+    assert low
 
 
 def test_minor_arc_probe_pseudo_irrational_quiet():
